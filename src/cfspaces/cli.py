@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import sys
 
-from .compilers import CyclicModelError, compile_backtracking, compile_po, compile_scm
+from .compilers import compile_backtracking, compile_po, compile_scm
 from .measure import ConditioningUndefinedError
 from .mechanism import MissingKernelError
 from .modelio import parse_po, parse_scm
 from .parser import ParseError, doc_from_space, parse_space, serialize_space
 from .query import parse_query, render_check, run_script
 from .repro import FIXTURES, run_repro
-from .space import SchemaError
 
 USAGE = """\
 usage: cfspaces <command> [arguments]
@@ -34,12 +33,20 @@ commands:
   repro <exam|star|disease|disease-asym|dormant|exam-cycle|all>
 """
 
+# Exit code per error type, first match wins: parse, schema, model and
+# decoding errors are all ValueErrors, and so is undefined conditioning.
+EXIT_CODES = (
+    (ConditioningUndefinedError, 3),
+    (MissingKernelError, 4),
+    (ValueError, 2),
+)
+
 
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -123,21 +130,9 @@ def main(argv=None, out=None, err=None) -> int:
         return 5
     try:
         return commands[argv[0]](argv[1:], out, err)
-    except ParseError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=err)
-        return 2
-    except CyclicModelError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except ConditioningUndefinedError as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    except MissingKernelError as exc:
-        print(f"error: {exc}", file=err)
-        return 4
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

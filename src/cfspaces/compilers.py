@@ -193,7 +193,7 @@ def compile_scm(model: SCMModel, worlds=("F", "CF"), kernel_sets=None) -> CfSpac
         S = schema.positions(S)
         pos = sorted(S)
         rows = {}
-        for row in itertools.product(*(range(len(schema.coords[p].labels)) for p in pos)):
+        for row in schema.rows(S):
             do_f, do_cf = [], []
             for p, v in zip(pos, row):
                 coord = schema.coords[p]

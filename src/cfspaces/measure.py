@@ -20,120 +20,25 @@ class ConditioningUndefinedError(ValueError):
     """Conditioning on an event of probability zero is undefined."""
 
 
-class Measure:
-    """A probability measure on the full outcome space.
-
-    Weights are stored sparsely; outcomes absent from the table have weight
-    zero.  The weights must be nonnegative and sum to exactly one.
-    """
-
-    __slots__ = ("schema", "_w")
-
-    def __init__(self, schema: SpaceSchema, weights: Mapping, *, _trusted: bool = False):
-        self.schema = schema
-        w: dict = {}
-        total = ZERO
-        for outcome, q in weights.items():
-            q = q if isinstance(q, Fraction) else Fraction(q)
-            if q < 0:
-                raise ValueError(f"negative weight {q} at {outcome!r}")
-            if q == 0:
-                continue
-            outcome = tuple(outcome)
-            if not _trusted:
-                schema.require_outcome(outcome)
-            if outcome in w:
-                raise ValueError(f"duplicate weight entry for {outcome!r}")
-            w[outcome] = q
-            total += q
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
-        self._w = w
-
-    @classmethod
-    def uniform(cls, schema: SpaceSchema) -> "Measure":
-        q = Fraction(1, schema.n_outcomes)
-        return cls(schema, {o: q for o in schema.outcomes()}, _trusted=True)
-
-    @classmethod
-    def dirac(cls, schema: SpaceSchema, outcome) -> "Measure":
-        return cls(schema, {tuple(outcome): ONE})
-
-    @classmethod
-    def mixture(cls, schema: SpaceSchema, parts: Iterable[tuple[Fraction, "Measure"]]) -> "Measure":
-        """The convex combination sum_i q_i * P_i (weights must sum to 1)."""
-        w: dict = {}
-        for q, part in parts:
-            if q == 0:
-                continue
-            for outcome, p in part._w.items():
-                w[outcome] = w.get(outcome, ZERO) + q * p
-        return cls(schema, w, _trusted=True)
-
-    def weight(self, outcome) -> Fraction:
-        return self._w.get(tuple(outcome), ZERO)
-
-    def prob(self, A) -> Fraction:
-        """Total weight of an event (exact, finitely additive)."""
-        self.schema.require_event(A)
-        if len(self._w) <= len(A):
-            return sum((q for o, q in self._w.items() if o in A), ZERO)
-        return sum((self._w[o] for o in A if o in self._w), ZERO)
-
-    def support(self) -> frozenset:
-        return frozenset(self._w)
-
-    def items(self):
-        """Nonzero (outcome, weight) pairs in canonical outcome order."""
-        return sorted(self._w.items())
-
-    def as_dict(self) -> dict:
-        return dict(self._w)
-
-    def condition(self, G) -> "Measure":
-        """The conditional measure given G; undefined when G is null."""
-        pg = self.prob(G)
-        if pg == 0:
-            raise ConditioningUndefinedError("conditioning event has probability zero")
-        w = {o: q / pg for o, q in self._w.items() if o in G}
-        return Measure(self.schema, w, _trusted=True)
-
-    def marginal(self, S) -> "Margin":
-        """Pushforward onto the coordinates in S."""
-        on = tuple(sorted(self.schema.positions(S)))
-        w: dict = {}
-        for outcome, q in self._w.items():
-            row = tuple(outcome[i] for i in on)
-            w[row] = w.get(row, ZERO) + q
-        return Margin(self.schema, on, w, _trusted=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Measure)
-            and self.schema == other.schema
-            and self._w == other._w
-        )
-
-    def __hash__(self):
-        return hash((self.schema, frozenset(self._w.items())))
-
-    def __repr__(self):
-        return f"Measure({len(self._w)} atoms on {self.schema!r})"
-
-
 class Margin:
-    """A probability measure on a projection of the outcome space.
+    """A probability measure on the coordinates in `on`.
 
-    Rows are tuples of label indices over the ascending positions in `on`.
-    Used for intervention measures and marginals; the empty projection
-    carries the single row () with weight one.
+    Rows are tuples of label indices over the ascending positions in `on`;
+    they are stored sparsely, and rows absent from the table have weight
+    zero.  The weights must be nonnegative and sum to exactly one.  The
+    empty projection carries the single row () with weight one; on every
+    position the rows are full outcomes, which is what a Measure is.
+    Intervention measures and marginals are Margins.
     """
 
     __slots__ = ("schema", "on", "_w")
 
     def __init__(self, schema: SpaceSchema, on, weights: Mapping, *, _trusted: bool = False):
+        self._fill(schema, tuple(sorted(schema.positions(on))), weights, _trusted)
+
+    def _fill(self, schema: SpaceSchema, on: tuple, weights: Mapping, trusted: bool):
         self.schema = schema
-        self.on = tuple(sorted(schema.positions(on)))
+        self.on = on
         w: dict = {}
         total = ZERO
         for row, q in weights.items():
@@ -143,37 +48,29 @@ class Margin:
             if q == 0:
                 continue
             row = tuple(row)
-            if not _trusted:
-                if len(row) != len(self.on):
-                    raise ValueError(f"row {row!r} does not match projection {self.on}")
-                for pos, v in zip(self.on, row):
-                    if not 0 <= v < len(schema.coords[pos].labels):
-                        raise ValueError(f"row {row!r} has an out-of-range value")
             if row in w:
                 raise ValueError(f"duplicate weight entry for {row!r}")
             w[row] = q
             total += q
+        if not trusted:
+            schema.require_rows(on, w)
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
         self._w = w
 
-    @classmethod
-    def point(cls, schema: SpaceSchema, assignment: Mapping) -> "Margin":
+    @staticmethod
+    def point(schema: SpaceSchema, assignment: Mapping) -> "Margin":
         """Dirac measure on the projection named by the assignment keys."""
         fixed = {schema.position(ref): lab for ref, lab in assignment.items()}
         on = tuple(sorted(fixed))
         row = tuple(schema.label_index(p, fixed[p]) for p in on)
-        return cls(schema, on, {row: ONE})
+        return Margin(schema, on, {row: ONE})
 
-    @classmethod
-    def uniform(cls, schema: SpaceSchema, S) -> "Margin":
-        on = tuple(sorted(schema.positions(S)))
-        n = 1
-        for p in on:
-            n *= len(schema.coords[p].labels)
-        q = Fraction(1, n)
-        rows = _all_rows(schema, on)
-        return cls(schema, on, {r: q for r in rows}, _trusted=True)
+    @staticmethod
+    def uniform(schema: SpaceSchema, S) -> "Margin":
+        on = schema.positions(S)
+        rows = list(schema.rows(on))
+        return Margin(schema, on, dict.fromkeys(rows, Fraction(1, len(rows))), _trusted=True)
 
     def weight(self, row) -> Fraction:
         return self._w.get(tuple(row), ZERO)
@@ -182,10 +79,16 @@ class Margin:
         """Nonzero (row, weight) pairs in ascending row order."""
         return sorted(self._w.items())
 
+    items = rows
+
+    def as_dict(self) -> dict:
+        return dict(self._w)
+
     def support(self) -> frozenset:
         return frozenset(self._w)
 
     def marginal(self, S) -> "Margin":
+        """Pushforward onto the coordinates in S, which must lie within `on`."""
         sub = tuple(sorted(self.schema.positions(S)))
         if not set(sub) <= set(self.on):
             raise ValueError(f"positions {sub} are not within the projection {self.on}")
@@ -227,14 +130,56 @@ class Margin:
         return hash((self.schema, self.on, frozenset(self._w.items())))
 
     def __repr__(self):
-        return f"Margin(on={self.on}, {len(self._w)} rows)"
+        return f"{type(self).__name__}(on={self.on}, {len(self._w)} rows)"
 
 
-def _all_rows(schema: SpaceSchema, on) -> list[tuple]:
-    import itertools
+class Measure(Margin):
+    """A probability measure on the full outcome space: a Margin on every position.
 
-    ranges = [range(len(schema.coords[p].labels)) for p in sorted(on)]
-    return list(itertools.product(*ranges))
+    Rows are full outcomes.  Only what needs whole outcomes lives here:
+    event probabilities, conditioning, mixtures and the full-space
+    constructors.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, schema: SpaceSchema, weights: Mapping, *, _trusted: bool = False):
+        self._fill(schema, schema.all_on, weights, _trusted)
+
+    @classmethod
+    def uniform(cls, schema: SpaceSchema) -> "Measure":
+        q = Fraction(1, schema.n_outcomes)
+        return cls(schema, dict.fromkeys(schema.outcomes(), q), _trusted=True)
+
+    @classmethod
+    def dirac(cls, schema: SpaceSchema, outcome) -> "Measure":
+        return cls(schema, {tuple(outcome): ONE})
+
+    @classmethod
+    def mixture(cls, schema: SpaceSchema, parts: Iterable[tuple[Fraction, "Measure"]]) -> "Measure":
+        """The convex combination sum_i q_i * P_i (weights must sum to 1)."""
+        w: dict = {}
+        for q, part in parts:
+            if q == 0:
+                continue
+            for outcome, p in part._w.items():
+                w[outcome] = w.get(outcome, ZERO) + q * p
+        return cls(schema, w, _trusted=True)
+
+    def prob(self, A) -> Fraction:
+        """Total weight of an event (exact, finitely additive)."""
+        self.schema.require_event(A)
+        if len(self._w) <= len(A):
+            return sum((q for o, q in self._w.items() if o in A), ZERO)
+        return sum((self._w[o] for o in A if o in self._w), ZERO)
+
+    def condition(self, G) -> "Measure":
+        """The conditional measure given G; undefined when G is null."""
+        pg = self.prob(G)
+        if pg == 0:
+            raise ConditioningUndefinedError("conditioning event has probability zero")
+        w = {o: q / pg for o, q in self._w.items() if o in G}
+        return Measure(self.schema, w, _trusted=True)
 
 
 def dirac(schema: SpaceSchema, outcome):

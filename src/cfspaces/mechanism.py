@@ -37,20 +37,15 @@ class Kernel:
     def __init__(self, schema: SpaceSchema, on, rows: Mapping):
         self.schema = schema
         self.on = schema.positions(on)
-        pos = sorted(self.on)
         table: dict = {}
         for row, measure in rows.items():
             row = tuple(row)
-            if len(row) != len(pos):
-                raise ValueError(f"row {row!r} does not match coordinate set {pos}")
-            for p, v in zip(pos, row):
-                if not 0 <= v < len(schema.coords[p].labels):
-                    raise ValueError(f"row {row!r} has an out-of-range value")
             if not isinstance(measure, Measure) or measure.schema != schema:
                 raise ValueError("kernel rows must map to measures on the same schema")
             table[row] = measure
         if not table:
             raise ValueError("kernel has no rows")
+        schema.require_rows(sorted(self.on), table)
         self.rows = table
 
     def has_row(self, row) -> bool:
@@ -68,8 +63,7 @@ class Kernel:
         return self.measure(row).prob(A)
 
     def row_domain(self) -> tuple[tuple, ...]:
-        ranges = [range(len(self.schema.coords[p].labels)) for p in sorted(self.on)]
-        return tuple(itertools.product(*ranges))
+        return tuple(self.schema.rows(self.on))
 
     def is_total(self) -> bool:
         return len(self.rows) == len(self.row_domain())

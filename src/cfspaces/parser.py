@@ -24,10 +24,15 @@ Rationals are written p/q or as decimal literals, which are parsed exactly
 unlisted outcomes take the block default, and omitting both is a coverage
 error.  Comments run from '#' to end of line.  Errors carry line and
 column.
+
+A parsed document keeps only the nonzero entries of each table, so a
+sparse table with 'default = 0' parses and serializes in time proportional
+to its entries, whatever the size of the outcome space.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,16 +230,20 @@ class WorldDecl:
 @dataclass
 class KernelDecl:
     on: tuple[str, ...]  # coordinate keys in ascending schema order
-    rows: tuple  # ((row labels aligned to `on`, total label table), ...)
+    rows: tuple  # ((row labels aligned to `on`, nonzero label table), ...)
 
 
 @dataclass
 class SpaceDocument:
-    """Parsed form of a .cfs file; measure tables are total (defaults applied)."""
+    """Parsed form of a .cfs file.
+
+    The measure and every kernel-row body map full-outcome label tuples to
+    their nonzero weights; outcomes absent from a table weigh zero.
+    """
 
     name: str
     worlds: tuple[WorldDecl, ...]
-    measure: dict | None  # full-outcome label tuple -> Fraction
+    measure: dict | None  # full-outcome label tuple -> nonzero Fraction
     kernels: tuple[KernelDecl, ...] = ()
     mirror: tuple[str, str] | None = None
 
@@ -278,7 +287,12 @@ def _to_measure(schema: SpaceSchema, table: dict) -> Measure:
 
 
 def _parse_table(ts: TokenStream, schema: SpaceSchema) -> dict:
-    """Parse a measure body into a total label table summing to one."""
+    """Parse a measure body into its nonzero entries, keyed by label tuple.
+
+    Coverage and the unit sum are checked by counting the outcomes left to
+    the default, so only a nonzero default, which puts mass on every
+    unlisted outcome, enumerates the outcome space.
+    """
     open_tok = ts.peek()
     ts.expect_sym("{")
     coord_keys = [c.key for c in schema.coords]
@@ -317,28 +331,22 @@ def _parse_table(ts: TokenStream, schema: SpaceSchema) -> dict:
         entries[key] = q
     ts.expect_sym("}")
 
-    table: dict[tuple, Fraction] = {}
-    uncovered = 0
-    for outcome in schema.outcomes():
-        labels = schema.labels_of(outcome)
-        if labels in entries:
-            table[labels] = entries[labels]
-        elif default is not None:
-            table[labels] = default
-        else:
-            uncovered += 1
-    if uncovered:
+    unlisted = schema.n_outcomes - len(entries)
+    if unlisted and default is None:
         raise ParseError(
             f"measure covers {len(entries)} of {schema.n_outcomes} outcomes "
             "and declares no default", open_tok.line, open_tok.col)
-    total = sum(table.values(), Fraction(0))
+    total = sum(entries.values(), Fraction(0)) + (default or 0) * unlisted
     if total != 1:
         gap = 1 - total
         direction = "short by" if gap > 0 else "in excess by"
         raise ParseError(
             f"measure sums to {total}, {direction} {abs(gap)}",
             open_tok.line, open_tok.col)
-    return table
+    if default:
+        every = itertools.product(*(c.labels for c in schema.coords))
+        return {key: q for key in every if (q := entries.get(key, default))}
+    return {key: q for key, q in entries.items() if q}
 
 
 def parse_space(text: str) -> SpaceDocument:
@@ -466,7 +474,7 @@ def serialize_space(doc: SpaceDocument) -> str:
     """Render a document canonically; parse_space(serialize_space(doc)) == doc.
 
     Nonzero entries appear in canonical outcome order as reduced fractions;
-    zero mass is folded into 'default = 0'.
+    a table with fewer nonzero entries than outcomes ends in 'default = 0'.
     """
     schema = doc.schema()
     coord_keys = [c.key for c in schema.coords]
@@ -484,15 +492,11 @@ def serialize_space(doc: SpaceDocument) -> str:
 
     def emit_table(table: dict, indent: str):
         lines = []
-        zero = Fraction(0)
-        have_zeros = False
-        for labels in sorted(table, key=sort_key):
-            if table[labels] == zero:
-                have_zeros = True
-                continue
+        nonzero = sorted((labels for labels, q in table.items() if q), key=sort_key)
+        for labels in nonzero:
             body = ", ".join(f"{c}={lab}" for c, lab in zip(coord_keys, labels))
             lines.append(f"{indent}({body}) = {table[labels]}")
-        if have_zeros:
+        if len(nonzero) < schema.n_outcomes:
             lines.append(f"{indent}default = 0")
         return lines
 
@@ -532,8 +536,12 @@ def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
             for p in sorted(schema.world_positions(world))
         )
         worlds.append(WorldDecl(world, comps, None))
-    measure = {schema.labels_of(o): q for o, q in space.P.items()}
-    _pad_zero(measure, schema)
+    labels = [c.labels for c in schema.coords]
+
+    def labels_of(outcome):  # the rows of a Measure are valid outcomes
+        return tuple(lab[v] for lab, v in zip(labels, outcome))
+
+    measure = {labels_of(o): q for o, q in space.P.items()}
     kernels = []
     if space.mech is not None:
         for S in space.mech.keys():
@@ -545,17 +553,7 @@ def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
             rows = []
             for row in sorted(k.rows):
                 row_labels = tuple(schema.coords[p].labels[v] for p, v in zip(pos, row))
-                body = {schema.labels_of(o): q for o, q in k.rows[row].items()}
-                _pad_zero(body, schema)
+                body = {labels_of(o): q for o, q in k.rows[row].items()}
                 rows.append((row_labels, body))
             kernels.append(KernelDecl(on_keys, tuple(rows)))
     return SpaceDocument(name, tuple(worlds), measure, tuple(kernels), None)
-
-
-def _pad_zero(table: dict, schema: SpaceSchema):
-    if len(table) == schema.n_outcomes:
-        return
-    for outcome in schema.outcomes():
-        labels = schema.labels_of(outcome)
-        if labels not in table:
-            table[labels] = Fraction(0)

@@ -11,7 +11,6 @@ with the reduced fraction and, for probabilities, a six-place decimal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,21 +182,28 @@ _STATEMENT_WORDS = {
     "SYNC", "SOURCE", "CHECK",
 }
 
+# Deepest nesting of '(' and '!' an event expression may use.  The parser
+# and eval_expr recurse once per level, so this keeps both far from the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
-def _parse_primary(ts: TokenStream):
+
+def _parse_primary(ts: TokenStream, depth: int):
+    if (ts.at_sym("(") or ts.at_sym("!")) and depth == MAX_NESTING:
+        ts.error(f"event expression nests deeper than {MAX_NESTING} levels")
     if ts.at_sym("("):
-        open_tok = ts.next()
+        ts.next()
         if ts.at_sym(")"):
             ts.next()
             return FullExpr()
-        inner = _parse_or(ts)
+        inner = _parse_or(ts, depth + 1)
         if not ts.at_sym(")"):
             ts.error("expected ')'")
         ts.next()
         return inner
     if ts.at_sym("!"):
         ts.next()
-        return NotExpr(_parse_primary(ts))
+        return NotExpr(_parse_primary(ts, depth + 1))
     tok = ts.peek()
     if tok.kind == "word":
         # Either a coordinate atom W.c=l or a bound name.
@@ -211,24 +217,24 @@ def _parse_primary(ts: TokenStream):
     ts.error(f"expected an event expression, found {tok.value!r}")
 
 
-def _parse_and(ts: TokenStream):
-    items = [_parse_primary(ts)]
+def _parse_and(ts: TokenStream, depth: int):
+    items = [_parse_primary(ts, depth)]
     while ts.at_sym("&"):
         ts.next()
-        items.append(_parse_primary(ts))
+        items.append(_parse_primary(ts, depth))
     return items[0] if len(items) == 1 else AndExpr(tuple(items))
 
 
-def _parse_or(ts: TokenStream):
-    items = [_parse_and(ts)]
+def _parse_or(ts: TokenStream, depth: int):
+    items = [_parse_and(ts, depth)]
     while ts.at_sym("|"):
         ts.next()
-        items.append(_parse_and(ts))
+        items.append(_parse_and(ts, depth))
     return items[0] if len(items) == 1 else OrExpr(tuple(items))
 
 
 def _parse_expr(ts: TokenStream):
-    return _parse_or(ts)
+    return _parse_or(ts, 0)
 
 
 def _parse_dist(ts: TokenStream):
@@ -443,7 +449,7 @@ def _build_margin(schema, U, dist) -> Margin:
         row = tuple(schema.label_index(p, assignment[schema.coords[p].key]) for p in pos)
         weights[row] = q
     if dist.default is not None:
-        for row in itertools.product(*(range(len(schema.coords[p].labels)) for p in pos)):
+        for row in schema.rows(U):
             weights.setdefault(row, dist.default)
     return Margin(schema, U, weights)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 # Every algorithm in this package enumerates the outcome space, so schemas
 # beyond this size are rejected up front rather than hanging.
@@ -70,6 +70,9 @@ class SpaceSchema:
                     f"schema exceeds {MAX_OUTCOMES} outcomes; refusing to enumerate"
                 )
         self.n_outcomes = n
+        # The `on` of every full-outcome Measure on this schema.
+        self.all_on: tuple[int, ...] = tuple(range(len(self.coords)))
+        self._ranges = tuple(range(len(c.labels)) for c in self.coords)
         self._index = {(c.world, c.name): i for i, c in enumerate(self.coords)}
         self._outcomes: tuple[tuple[int, ...], ...] | None = None
         self._outcome_set: frozenset | None = None
@@ -136,11 +139,14 @@ class SpaceSchema:
 
     # -- outcomes ---------------------------------------------------------
 
+    def rows(self, S) -> Iterator[tuple[int, ...]]:
+        """All rows over the positions in S, in canonical order (last position fastest)."""
+        return itertools.product(*(self._ranges[p] for p in sorted(S)))
+
     def outcomes(self) -> tuple[tuple[int, ...], ...]:
         """All outcomes in canonical order (last coordinate fastest)."""
         if self._outcomes is None:
-            ranges = [range(len(c.labels)) for c in self.coords]
-            self._outcomes = tuple(itertools.product(*ranges))
+            self._outcomes = tuple(self.rows(self.all_on))
         return self._outcomes
 
     def outcome_set(self) -> frozenset:
@@ -148,12 +154,23 @@ class SpaceSchema:
             self._outcome_set = frozenset(self.outcomes())
         return self._outcome_set
 
-    def contains_outcome(self, outcome) -> bool:
-        return outcome in self.outcome_set()
+    def require_rows(self, on, rows):
+        """Reject rows that are not one label index per position in `on` (ascending).
+
+        `rows` is a collection of tuples.  The range check runs once per
+        coordinate, over the column of that coordinate's values.
+        """
+        for row in rows:
+            if len(row) != len(on):
+                raise SchemaError(f"row {row!r} does not match the coordinates {tuple(on)}")
+        for p, column in zip(on, zip(*rows)):
+            if not set(column).issubset(self._ranges[p]):
+                bad = next(v for v in column if v not in self._ranges[p])
+                raise SchemaError(
+                    f"label index {bad!r} out of range for coordinate {self.coords[p].key}")
 
     def require_outcome(self, outcome):
-        if not self.contains_outcome(outcome):
-            raise SchemaError(f"outcome {outcome!r} does not conform to the schema")
+        self.require_rows(self.all_on, [outcome])
 
     def require_event(self, A):
         outcomes = self.outcome_set()

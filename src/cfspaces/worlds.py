@@ -229,13 +229,10 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
     if schema.world_positions(mirror.world_a) | schema.world_positions(mirror.world_b) \
             != schema.all_positions:
         raise SchemaError("the mirror must cover every coordinate of the space")
-    failures = []
+    failures = [
+        SymmetryFailure("measure", None, None, outcome, v, w)
+        for outcome, v, w in _swap_mismatches(space.P, space.P, mirror)]
     uncheckable = []
-    for outcome in schema.outcomes():
-        swapped = mirror.swap_outcome(outcome)
-        v, w = space.P.weight(outcome), space.P.weight(swapped)
-        if v != w:
-            failures.append(SymmetryFailure("measure", None, None, outcome, v, w))
     if space.mech is not None:
         for S in space.mech.keys():
             k = space.mech.get(S)
@@ -249,13 +246,22 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 if not k_star.has_row(row_star):
                     uncheckable.append((S, S_star, row))
                     continue
-                m, m_star = k.rows[row], k_star.rows[row_star]
-                for outcome in schema.outcomes():
-                    v = m.weight(outcome)
-                    w = m_star.weight(mirror.swap_outcome(outcome))
-                    if v != w:
-                        failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
+                for outcome, v, w in _swap_mismatches(k.rows[row], k_star.rows[row_star], mirror):
+                    failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
     return SymmetryReport(failures, uncheckable)
+
+
+def _swap_mismatches(m: Measure, m_star: Measure, mirror: WorldMirror):
+    """(outcome, m(outcome), m_star(swap(outcome))) wherever the two differ.
+
+    Both weights vanish off supp(m) | swap(supp(m_star)), so only that set
+    is visited, in canonical outcome order.
+    """
+    swap = mirror.swap_outcome
+    for outcome in sorted(m.support() | {swap(o) for o in m_star.support()}):
+        v, w = m.weight(outcome), m_star.weight(swap(outcome))
+        if v != w:
+            yield outcome, v, w
 
 
 # -- marginalisation ----------------------------------------------------------

@@ -13,6 +13,7 @@ import itertools
 from math import gcd
 
 from cfspaces import CfSpace, Mechanism, atoms_of, check_axioms
+from cfspaces.worlds import SymmetryFailure
 
 
 def sigma_events(schema, S):
@@ -144,3 +145,28 @@ def brute_symmetric_measure(space, mirror) -> bool:
                     if space.P.prob(rect(a_set, b_set)) != space.P.prob(swapped):
                         return False
     return True
+
+
+def brute_symmetry_failures(space, mirror) -> tuple:
+    """is_symmetric's failures, comparing weights on every outcome of the space."""
+    schema = space.schema
+    failures = []
+    for outcome in schema.outcomes():
+        v, w = space.P.weight(outcome), space.P.weight(mirror.swap_outcome(outcome))
+        if v != w:
+            failures.append(SymmetryFailure("measure", None, None, outcome, v, w))
+    for S in space.mech.keys():
+        S_star = mirror.swap_positions(S)
+        if S_star not in space.mech:
+            continue
+        k, k_star = space.mech.get(S), space.mech.get(S_star)
+        for row in sorted(k.rows):
+            row_star = mirror.swap_row(S, row)
+            if not k_star.has_row(row_star):
+                continue
+            for outcome in schema.outcomes():
+                v = k.rows[row].weight(outcome)
+                w = k_star.rows[row_star].weight(mirror.swap_outcome(outcome))
+                if v != w:
+                    failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
+    return tuple(failures)

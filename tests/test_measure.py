@@ -256,3 +256,10 @@ class TestMargin:
     def test_uniform(self, exam):
         q = Margin.uniform(exam.schema, ["CF.class"])
         assert q.weight((0,)) == Fraction(1, 2)
+
+    def test_margin_on_every_position_is_the_measure(self, exam):
+        s = exam.schema
+        full = Margin(s, s.all_positions, exam.P.as_dict())
+        assert full == exam.P and exam.P == full
+        assert hash(full) == hash(exam.P)
+        assert full != exam.P.marginal(s.world_positions("F"))

@@ -6,11 +6,13 @@ from fractions import Fraction
 from cfspaces import (
     Coordinate,
     Kernel,
+    Margin,
     Measure,
     SpaceSchema,
     WorldMirror,
     causal_sync,
     independent_sigmas,
+    intervene,
     is_symmetric,
     synchronized,
 )
@@ -19,10 +21,11 @@ from oracle_util import (
     brute_independent_sigmas,
     brute_support_condition,
     brute_symmetric_measure,
+    brute_symmetry_failures,
     brute_synchronized,
     fast_support_condition,
 )
-from randspaces import rand_weights, random_cf_space, random_subset
+from randspaces import rand_weights, random_cf_space, random_margin, random_subset
 
 
 def small_schema(seed):
@@ -178,3 +181,17 @@ class TestSymmetryOracle:
             mirror = WorldMirror.derive(schema, "F", "CF")
             assert is_symmetric(space, mirror).ok
             assert brute_symmetric_measure(space, mirror)
+
+    def test_failures_match_the_all_outcomes_loop(self):
+        rng = random.Random(47)
+        asymmetric = 0
+        for seed in range(40):
+            space = random_cf_space(8000 + seed, mirrored=True)
+            mirror = WorldMirror.derive(space.schema, "F", "CF")
+            # a one-world intervention breaks symmetry on some seeds
+            U = frozenset([rng.choice(sorted(space.schema.world_positions("CF")))])
+            for s in (space, intervene(space, U, random_margin(rng, space.schema, U))):
+                failures = is_symmetric(s, mirror).failures
+                assert failures == brute_symmetry_failures(s, mirror)
+                asymmetric += bool(failures)
+        assert asymmetric >= 10

@@ -28,6 +28,15 @@ measure {
 }
 """
 
+# 2^16 outcomes, three of them with mass, in canonical serialized form.
+WIDE = "".join(
+    ["space wide\nworld W {\n"]
+    + [f"  component c{i} {{ 0 1 }}\n" for i in range(16)]
+    + ["}\nmeasure {\n"]
+    + ["  (" + ", ".join(f"W.c{i}={lab}" for i, lab in enumerate(labels)) + f") = {q}\n"
+       for labels, q in (("0" * 16, "1/2"), ("0" * 15 + "1", "1/4"), ("1" * 16, "1/4"))]
+    + ["  default = 0\n}\n"])
+
 
 class TestParseSpace:
     def test_mini_document(self):
@@ -92,6 +101,11 @@ class TestParseSpace:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_space("space x $")
 
+    def test_sparse_table_keeps_nonzero_entries_only(self):
+        doc = parse_space(WIDE)
+        assert len(doc.measure) == 3
+        assert doc.measure[("1",) * 16] == Fraction(1, 4)
+
     def test_kernel_rows_resolve(self):
         space = parse_space(fixture_text("exam")).to_space()
         s = space.schema
@@ -113,6 +127,20 @@ class TestRoundTrip:
             again = parse_space(text)
             assert again == doc
             assert serialize_space(again) == text
+
+    def test_wide_sparse_document_is_byte_identical(self):
+        doc = parse_space(WIDE)
+        assert serialize_space(doc) == WIDE
+        assert parse_space(WIDE) == doc
+
+    def test_explicit_zero_entries_fold_into_default(self):
+        text = MINI.replace("(F.c=b, CF.c=a) = 1/4\n  default = 1/4\n",
+                            "(F.c=b, CF.c=a) = 1/2\n  (F.c=b, CF.c=b) = 0\n")
+        doc = parse_space(text)
+        assert len(doc.measure) == 3
+        out = serialize_space(doc)
+        assert out.endswith("  (F.c=b, CF.c=a) = 1/2\n  default = 0\n}\n")
+        assert parse_space(out) == doc
 
     def test_mirror_world_round_trip(self):
         doc = parse_space(MINI)

@@ -142,6 +142,32 @@ class TestCli:
         assert code == 2
         assert "3:" in err
 
+    @pytest.mark.parametrize("kind", ["intervene-weights", "deep-parens", "not-utf8"])
+    def test_malformed_input_is_one_error_line(self, kind, tmp_path):
+        exam = tmp_path / "exam.cfs"
+        exam.write_text(fixture_text("exam"))
+        script = tmp_path / "q.cfq"
+        args = ["run", str(exam), str(script)]
+        if kind == "intervene-weights":
+            script.write_text("INTERVENE {CF.class} WITH "
+                              "{ (CF.class=Y) = 1/2 (CF.class=N) = 1/3 }; PROB ()")
+        elif kind == "deep-parens":
+            script.write_text("PROB " + "(" * 3000 + "CF.exam=P" + ")" * 3000)
+        else:
+            exam.write_bytes(b"# \xff\xfe\n" + fixture_text("exam").encode())
+            args = ["check", str(exam)]
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_expression_nesting_limit(self, exam):
+        from cfspaces import ParseError
+        from cfspaces.query import MAX_NESTING
+        deepest = "PROB " + "!(" * (MAX_NESTING // 2) + "CF.exam=P" + ")" * (MAX_NESTING // 2)
+        assert run_script(exam, parse_query(deepest)).lines
+        with pytest.raises(ParseError, match=r"^1:\d+: .*nests deeper"):
+            parse_query("PROB !" + deepest[5:])
+
     def test_usage_exit_code(self):
         assert run_cli([])[0] == 5
         assert run_cli(["frobnicate"])[0] == 5
