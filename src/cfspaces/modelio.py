@@ -35,116 +35,56 @@ observed functions and the potential-outcome functions:
     observe X { always = 1  never = 0  complier = 1  defier = 0 }
     observe Y { ... }
     potential Y given (X=1) { always = P ... }
+
+Every '{ key = value ... }' block is a table in the grammar of
+`parser.parse_table`: laws hold weights, function tables hold labels, and
+any table may close with a default for its unlisted keys.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .compilers import POModel, SCMModel, StructuralEq
-from .parser import ParseError, TokenStream
-
-
-def _plain_assignments(ts: TokenStream) -> dict:
-    """Parse '(Name=label, ...)' where names are bare identifiers."""
-    ts.expect_sym("(")
-    out: dict[str, str] = {}
-    while not ts.at_sym(")"):
-        tok = ts.peek()
-        name = ts.expect_word().value
-        ts.expect_sym("=")
-        label = ts.label()
-        if name in out:
-            raise ParseError(f"{name!r} assigned twice", tok.line, tok.col)
-        out[name] = label
-        if ts.at_sym(","):
-            ts.next()
-    ts.expect_sym(")")
-    return out
-
-
-def _labels_block(ts: TokenStream) -> tuple[str, ...]:
-    ts.expect_sym("{")
-    labels = []
-    while not ts.at_sym("}"):
-        labels.append(ts.label())
-    ts.expect_sym("}")
-    if not labels:
-        ts.error("empty label set")
-    return tuple(labels)
-
-
-def _grid(variables) -> list[tuple]:
-    return list(itertools.product(*(labels for _, labels in variables)))
-
-
-def _dist_block(ts: TokenStream, variables) -> dict:
-    """Parse a joint law over named variables, with optional default."""
-    open_tok = ts.peek()
-    ts.expect_sym("{")
-    names = [n for n, _ in variables]
-    entries: dict[tuple, Fraction] = {}
-    default = None
-    while not ts.at_sym("}"):
-        if ts.at_word("default"):
-            ts.next()
-            ts.expect_sym("=")
-            default = ts.rational()
-            continue
-        tok = ts.peek()
-        assignment = _plain_assignments(ts)
-        if set(assignment) != set(names):
-            raise ParseError(
-                f"distribution entry must assign exactly {names}", tok.line, tok.col)
-        key = tuple(assignment[n] for n in names)
-        for (name, labels), lab in zip(variables, key):
-            if lab not in labels:
-                raise ParseError(f"unknown label {lab!r} for {name}", tok.line, tok.col)
-        if key in entries:
-            raise ParseError("duplicate distribution entry", tok.line, tok.col)
-        ts.expect_sym("=")
-        entries[key] = ts.rational()
-    ts.expect_sym("}")
-    table = {}
-    for key in _grid(variables):
-        if key in entries:
-            table[key] = entries[key]
-        elif default is not None:
-            table[key] = default
-        else:
-            raise ParseError(
-                "distribution does not cover its domain and declares no default",
-                open_tok.line, open_tok.col)
-    return table
+from .parser import (
+    ParseError,
+    TokenStream,
+    assignment_key,
+    parse_outcome_tuple,
+    parse_table,
+    product_domain,
+)
 
 
 def parse_scm(text: str):
     """Parse an .scm file; returns (model, coupling or None, name)."""
     ts = TokenStream(text)
     ts.expect_word("scm")
-    name = ts.expect_word().value
+    name = ts.name()
     noise = []
     while ts.at_word("noise"):
         ts.next()
-        nname = ts.expect_word().value
+        nname = ts.name()
         if any(n == nname for n, _ in noise):
             ts.error(f"noise variable {nname!r} declared twice")
-        noise.append((nname, _labels_block(ts)))
+        noise.append((nname, ts.label_set()))
     if not noise:
         ts.error("model declares no noise variables")
     if not ts.at_word("dist"):
         ts.error("expected the noise 'dist' block")
     ts.next()
-    noise_dist = _dist_block(ts, noise)
+    noise_row = assignment_key(ts, ts.name, noise, "noise variable")
+    noise_axes = [labels for _, labels in noise]
+    noise_dist = parse_table(ts, noise_row, ts.rational).law(
+        *product_domain(noise_axes), "noise law", "noise rows")
 
     endo = []
     while ts.at_word("var"):
         ts.next()
-        vname = ts.expect_word().value
+        vname = ts.name()
         if any(v == vname for v, _ in endo) or any(n == vname for n, _ in noise):
             ts.error(f"variable {vname!r} declared twice")
-        endo.append((vname, _labels_block(ts)))
+        endo.append((vname, ts.label_set()))
     if not endo:
         ts.error("model declares no endogenous variables")
 
@@ -155,7 +95,7 @@ def parse_scm(text: str):
     while ts.at_word("fn"):
         ts.next()
         tok = ts.peek()
-        target = ts.expect_word().value
+        target = ts.name()
         if target not in endo_names:
             raise ParseError(f"fn target {target!r} is not a variable", tok.line, tok.col)
         if target in eqs:
@@ -163,7 +103,7 @@ def parse_scm(text: str):
         ts.expect_sym("(")
         inputs = []
         while not ts.at_sym(")"):
-            inputs.append(ts.expect_word().value)
+            inputs.append(ts.name())
             if ts.at_sym(","):
                 ts.next()
         ts.expect_sym(")")
@@ -172,36 +112,31 @@ def parse_scm(text: str):
         if len(parents) + len(noises) != len(inputs):
             unknown = [i for i in inputs if i not in endo_names | noise_names]
             raise ParseError(f"unknown fn inputs {unknown}", tok.line, tok.col)
-        open_tok = ts.peek()
-        ts.expect_sym("{")
-        table = {}
-        while not ts.at_sym("}"):
-            etok = ts.peek()
-            assignment = _plain_assignments(ts)
-            if set(assignment) != set(inputs):
-                raise ParseError(
-                    f"fn entry must assign exactly {inputs}", etok.line, etok.col)
-            key = tuple(assignment[i] for i in parents + noises)
-            if key in table:
-                raise ParseError("duplicate fn entry", etok.line, etok.col)
-            ts.expect_sym("=")
-            out = ts.label()
-            if out not in domains[target]:
-                raise ParseError(
-                    f"fn output {out!r} is not a label of {target}", etok.line, etok.col)
-            table[key] = out
-        ts.expect_sym("}")
-        domain = [domains[p] for p in parents] + [domains[u] for u in noises]
-        if len(table) != len(list(itertools.product(*domain))):
-            raise ParseError(
-                f"fn table for {target} does not cover its input domain",
-                open_tok.line, open_tok.col)
+        if len(set(inputs)) != len(inputs):
+            raise ParseError("repeated fn input", tok.line, tok.col)
+        args = [(i, domains[i]) for i in parents + noises]
+        table = parse_table(
+            ts, assignment_key(ts, ts.name, args, "fn input"),
+            lambda: ts.label(domains[target], f"label of {target}"),
+        ).fill(*product_domain([labels for _, labels in args]),
+               f"fn table for {target}", "input rows")
         eqs[target] = StructuralEq(target, parents, noises, table)
 
     coupling = None
     if ts.at_word("coupling"):
         ts.next()
-        coupling = _coupling_block(ts, noise)
+        assignments = list(itertools.product(*noise_axes))
+
+        def noise_pair():
+            ts.expect_sym("(")
+            u = noise_row()
+            ts.expect_sym(",")
+            u_star = noise_row()
+            ts.expect_sym(")")
+            return u, u_star
+
+        coupling = parse_table(ts, noise_pair, ts.rational).law(
+            *product_domain([assignments, assignments]), "coupling", "noise row pairs")
 
     tok = ts.peek()
     if tok.kind != "eof":
@@ -213,133 +148,58 @@ def parse_scm(text: str):
     return model, coupling, name
 
 
-def _coupling_block(ts: TokenStream, noise) -> dict:
-    open_tok = ts.peek()
-    ts.expect_sym("{")
-    names = [n for n, _ in noise]
-    entries = {}
-    default = None
-    while not ts.at_sym("}"):
-        if ts.at_word("default"):
-            ts.next()
-            ts.expect_sym("=")
-            default = ts.rational()
-            continue
-        tok = ts.peek()
-        ts.expect_sym("(")
-        u = _plain_assignments(ts)
-        ts.expect_sym(",")
-        u_star = _plain_assignments(ts)
-        ts.expect_sym(")")
-        for side in (u, u_star):
-            if set(side) != set(names):
-                raise ParseError(
-                    f"coupling entries must assign exactly {names}", tok.line, tok.col)
-        key = (tuple(u[n] for n in names), tuple(u_star[n] for n in names))
-        if key in entries:
-            raise ParseError("duplicate coupling entry", tok.line, tok.col)
-        ts.expect_sym("=")
-        entries[key] = ts.rational()
-    ts.expect_sym("}")
-    grid = _grid(noise)
-    table = {}
-    for u in grid:
-        for u_star in grid:
-            key = (u, u_star)
-            if key in entries:
-                table[key] = entries[key]
-            elif default is not None:
-                table[key] = default
-            else:
-                raise ParseError(
-                    "coupling does not cover its domain and declares no default",
-                    open_tok.line, open_tok.col)
-    return table
-
-
 def parse_po(text: str):
     """Parse a .po file; returns (model, name)."""
     ts = TokenStream(text)
     ts.expect_word("po")
-    name = ts.expect_word().value
+    name = ts.name()
     ts.expect_word("units")
-    units = _labels_block(ts)
+    units = ts.label_set()
     ts.expect_word("dist")
-    open_tok = ts.peek()
-    ts.expect_sym("{")
-    unit_dist = {}
-    default = None
-    while not ts.at_sym("}"):
-        if ts.at_word("default"):
-            ts.next()
-            ts.expect_sym("=")
-            default = ts.rational()
-            continue
-        tok = ts.peek()
-        unit = ts.label()
-        if unit not in units:
-            raise ParseError(f"unknown unit {unit!r}", tok.line, tok.col)
-        if unit in unit_dist:
-            raise ParseError("duplicate unit weight", tok.line, tok.col)
-        ts.expect_sym("=")
-        unit_dist[unit] = ts.rational()
-    ts.expect_sym("}")
-    for unit in units:
-        if unit not in unit_dist:
-            if default is None:
-                raise ParseError(
-                    "unit law does not cover every unit and declares no default",
-                    open_tok.line, open_tok.col)
-            unit_dist[unit] = default
+
+    def unit():
+        return ts.label(units, "unit")
+
+    unit_dist = parse_table(ts, unit, ts.rational).law(
+        len(units), lambda: units, "unit law", "units")
 
     endo = []
     while ts.at_word("var"):
         ts.next()
-        vname = ts.expect_word().value
+        vname = ts.name()
         if any(v == vname for v, _ in endo):
             ts.error(f"variable {vname!r} declared twice")
-        endo.append((vname, _labels_block(ts)))
+        endo.append((vname, ts.label_set()))
     if not endo:
         ts.error("model declares no variables")
-    endo_names = {v for v, _ in endo}
+    domains = dict(endo)
 
-    def unit_fn(var):
-        ts.expect_sym("{")
-        fn = {}
-        while not ts.at_sym("}"):
-            tok = ts.peek()
-            unit = ts.label()
-            if unit not in units:
-                raise ParseError(f"unknown unit {unit!r}", tok.line, tok.col)
-            if unit in fn:
-                raise ParseError("duplicate unit entry", tok.line, tok.col)
-            ts.expect_sym("=")
-            fn[unit] = ts.label()
-        ts.expect_sym("}")
-        return fn
+    def unit_fn(what, var):
+        return parse_table(ts, unit, lambda: ts.label(domains[var], f"label of {var}")).fill(
+            len(units), lambda: units, f"{what} {var}", "units")
 
     observed = {}
     potentials = {}
     while ts.at_word("observe") or ts.at_word("potential"):
         kind = ts.next().value
         tok = ts.peek()
-        var = ts.expect_word().value
-        if var not in endo_names:
+        var = ts.name()
+        if var not in domains:
             raise ParseError(f"unknown variable {var!r}", tok.line, tok.col)
         if kind == "observe":
             if var in observed:
                 raise ParseError(f"duplicate observe block for {var!r}", tok.line, tok.col)
-            observed[var] = unit_fn(var)
+            observed[var] = unit_fn(kind, var)
         else:
             ts.expect_word("given")
-            assignment = _plain_assignments(ts)
+            assignment = parse_outcome_tuple(ts, ts.name)
             if not assignment:
                 raise ParseError("potential outcome needs a treatment assignment",
                                  tok.line, tok.col)
             key = (var, tuple(sorted(assignment.items())))
             if key in potentials:
                 raise ParseError("duplicate potential-outcome block", tok.line, tok.col)
-            potentials[key] = unit_fn(var)
+            potentials[key] = unit_fn(kind, var)
 
     tok = ts.peek()
     if tok.kind != "eof":

@@ -25,16 +25,23 @@ unlisted outcomes take the block default, and omitting both is a coverage
 error.  Comments run from '#' to end of line.  Errors carry line and
 column.
 
-A parsed document keeps only the nonzero entries of each table, so a
-sparse table with 'default = 0' parses and serializes in time proportional
-to its entries, whatever the size of the outcome space.
+Every table of every input format (.cfs, .scm, .po and the .cfq weight
+table) is read by `parse_table` and completed by `Table.law` or
+`Table.fill`.  A parsed document keeps only the nonzero entries of each
+table, so a sparse table with 'default = 0' parses and serializes in time
+proportional to its entries, whatever the size of the outcome space.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .measure import Measure
 from .mechanism import CfSpace, Kernel, Mechanism
@@ -57,8 +64,7 @@ class ParseError(ValueError):
 _SYMBOLS = "{}()=,./&|!;"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "word", "number", "sym", "eof"
     value: str
     line: int
@@ -66,53 +72,63 @@ class Token:
     pos: int
 
 
+def _token_pattern(digit: str, word_start: str, word_char: str) -> re.Pattern:
+    # Group numbers index _KINDS.  Blanks and comments match without a group.
+    return re.compile(
+        rf"[ \t\r]*(?:(\n)|#[^\n]*|({digit}+(?:\.{digit}+)?)|({word_start}{word_char}*)"
+        rf"|([{re.escape(_SYMBOLS)}])|(.)|\Z)")
+
+
+_KINDS = (None, "nl", "number", "word", "sym", "other")
+
+# A number is a run of str.isdigit characters, with an optional fraction
+# part; a word starts with str.isalpha or '_' and continues with
+# str.isalnum or '_'.  On ASCII these are plain ranges.  Beyond ASCII, re's
+# \w is exactly isalnum or '_', but \d (isdecimal) is narrower than isdigit
+# and [^\W\d] wider than isalpha, by numeric characters that are built into
+# the classes on first use (a scan of every code point).
+_ASCII_TOKENS = _token_pattern("[0-9]", "[A-Za-z_]", "[A-Za-z0-9_]")
+
+
+@functools.cache
+def _unicode_tokens() -> re.Pattern:
+    numeric = "".join(c for c in map(chr, range(sys.maxunicode + 1))
+                      if c.isnumeric() and not c.isdecimal() and not c.isalpha())
+    digits = "".join(c for c in numeric if c.isdigit())
+    return _token_pattern(rf"[\d{digits}]", rf"(?![{numeric}])[^\W\d]", r"\w")
+
+
 def tokenize(text: str) -> list[Token]:
+    tokens = _scan(text, _ASCII_TOKENS)
+    return tokens if tokens is not None else _scan(text, _unicode_tokens())
+
+
+def _scan(text: str, pattern: re.Pattern) -> list[Token] | None:
+    """Tokens of `text`, or None when the ASCII pattern meets a non-ASCII
+    character outside a comment."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in pattern.finditer(text):
+        group = m.lastindex
+        if group is None:
+            continue
+        if group == 1:
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col, start = line, col, i
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("number", text[i:j], start_line, start_col, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("word", text[i:j], start_line, start_col, start))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("sym", ch, start_line, start_col, start))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col, n))
+        start = m.start(group)
+        value = m.group(group)
+        if group == 5:
+            if pattern is _ASCII_TOKENS and not value.isascii():
+                return None
+            raise ParseError(f"unexpected character {value!r}", line, start - line_start + 1)
+        append(Token(_KINDS[group], value, line, start - line_start + 1, start))
+    # End of input takes the column after the last token or blank; a
+    # comment on the last line does not advance it.
+    comment = text.find("#", line_start)
+    end = len(text) if comment < 0 else comment
+    append(Token("eof", "", line, end - line_start + 1, len(text)))
     return tokens
 
 
@@ -156,11 +172,32 @@ class TokenStream:
         tok = self.peek()
         return tok.kind == "sym" and tok.value == sym
 
-    def label(self) -> str:
+    def name(self) -> str:
+        return self.expect_word().value
+
+    def label(self, labels=None, what: str = "label") -> str:
+        """A label; when `labels` is given it must be one of them."""
         tok = self.peek()
         if tok.kind not in ("word", "number") or (tok.kind == "number" and "." in tok.value):
             self.error(f"expected a label, found {tok.value!r}")
+        if labels is not None and tok.value not in labels:
+            self.error(f"unknown {what} {tok.value!r}")
         return self.next().value
+
+    def label_set(self) -> tuple[str, ...]:
+        """Parse '{ l1 l2 ... }': at least one label, none repeated."""
+        open_tok = self.expect_sym("{")
+        labels: dict[str, None] = {}
+        while not self.at_sym("}"):
+            tok = self.peek()
+            label = self.label()
+            if label in labels:
+                self.error(f"label {label!r} listed twice", tok)
+            labels[label] = None
+        self.expect_sym("}")
+        if not labels:
+            self.error("empty label set", open_tok)
+        return tuple(labels)
 
     def rational(self) -> Fraction:
         tok = self.peek()
@@ -188,22 +225,130 @@ class TokenStream:
         return f"{world}.{name}"
 
 
-def parse_outcome_tuple(ts: TokenStream) -> dict:
-    """Parse '(C=l, C=l, ...)' into {coord key: label}; '()' is empty."""
+def parse_outcome_tuple(ts: TokenStream, ref) -> dict:
+    """Parse '(name=label, ...)' into {name: label}; '()' is empty.
+
+    `ref` reads one name: `ts.coord_ref` for 'W.c', `ts.name` for a plain
+    identifier.
+    """
     ts.expect_sym("(")
     assignment: dict[str, str] = {}
     while not ts.at_sym(")"):
         tok = ts.peek()
-        coord = ts.coord_ref()
+        name = ref()
         ts.expect_sym("=")
         label = ts.label()
-        if coord in assignment:
-            raise ParseError(f"coordinate {coord} assigned twice", tok.line, tok.col)
-        assignment[coord] = label
+        if name in assignment:
+            raise ParseError(f"{name} assigned twice", tok.line, tok.col)
+        assignment[name] = label
         if ts.at_sym(","):
             ts.next()
     ts.expect_sym(")")
     return assignment
+
+
+def assignment_key(ts: TokenStream, ref, variables, what: str):
+    """A reader of '(name=label, ...)' keys over `variables`, ((name,
+    labels), ...): each name assigned once to one of its labels, read as the
+    label tuple in the order of `variables`."""
+    names = [name for name, _ in variables]
+    domains = dict(variables)
+
+    def key() -> tuple:
+        tok = ts.peek()
+        assignment = parse_outcome_tuple(ts, ref)
+        for name, label in assignment.items():
+            if name not in domains:
+                raise ParseError(f"unknown {what} {name}", tok.line, tok.col)
+            if label not in domains[name]:
+                raise ParseError(f"unknown label {label!r} for {name}", tok.line, tok.col)
+        if len(assignment) != len(names):
+            missing = [name for name in names if name not in assignment]
+            raise ParseError(f"{what} {missing[0]} is not assigned", tok.line, tok.col)
+        return tuple(assignment[name] for name in names)
+
+    return key
+
+
+# -- tables -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Table:
+    """A '{ key = value ... default = value }' block as written.
+
+    Keys are distinct and the default is None when the block declares
+    none.  Completing the table against its domain checks coverage by
+    count, so the key reader must accept only keys of that domain.
+    """
+
+    entries: dict
+    default: object
+    line: int
+    col: int
+
+    def _unlisted(self, size: int, what: str, unit: str) -> int:
+        unlisted = size - len(self.entries)
+        if unlisted and self.default is None:
+            raise ParseError(
+                f"{what} covers {len(self.entries)} of {size} {unit} and declares no default",
+                self.line, self.col)
+        return unlisted
+
+    def fill(self, size: int, domain, what: str, unit: str) -> dict:
+        """The table over a domain of `size` keys, which `domain()`
+        enumerates; the domain is enumerated only to spread a nonzero
+        default over the unlisted keys."""
+        self._unlisted(size, what, unit)
+        if self.default:
+            return {key: self.entries.get(key, self.default) for key in domain()}
+        return self.entries
+
+    def law(self, size: int, domain, what: str, unit: str) -> dict:
+        """The nonzero weights of a probability table, which must sum to
+        exactly one; see `fill`."""
+        unlisted = self._unlisted(size, what, unit)
+        total = sum(self.entries.values(), Fraction(0)) + (self.default or 0) * unlisted
+        if total != 1:
+            gap = 1 - total
+            direction = "short by" if gap > 0 else "in excess by"
+            raise ParseError(f"{what} sums to {total}, {direction} {abs(gap)}",
+                             self.line, self.col)
+        return {key: q for key, q in self.fill(size, domain, what, unit).items() if q}
+
+
+def parse_table(ts: TokenStream, key, value) -> Table:
+    """Parse '{ key = value ... default = value }' with the readers `key`
+    and `value`.
+
+    A key listed twice and a second default are errors at their line:col.
+    Numbers are unsigned in the grammar, so a negative weight stops at the
+    lexer, also with its line:col.
+    """
+    open_tok = ts.expect_sym("{")
+    entries: dict = {}
+    default = None
+    while not ts.at_sym("}"):
+        tok = ts.peek()
+        if ts.at_word("default"):
+            ts.next()
+            ts.expect_sym("=")
+            if default is not None:
+                raise ParseError("duplicate default", tok.line, tok.col)
+            default = value()
+            continue
+        k = key()
+        if k in entries:
+            raise ParseError("duplicate entry", tok.line, tok.col)
+        ts.expect_sym("=")
+        entries[k] = value()
+    ts.expect_sym("}")
+    return Table(entries, default, open_tok.line, open_tok.col)
+
+
+def product_domain(axes) -> tuple:
+    """(size, enumerator) of the label tuples over a sequence of axes."""
+    return math.prod(map(len, axes)), lambda: itertools.product(*axes)
 
 
 def parse_coordset(ts: TokenStream) -> tuple[str, ...]:
@@ -286,69 +431,6 @@ def _to_measure(schema: SpaceSchema, table: dict) -> Measure:
         raise ParseError(str(exc)) from None
 
 
-def _parse_table(ts: TokenStream, schema: SpaceSchema) -> dict:
-    """Parse a measure body into its nonzero entries, keyed by label tuple.
-
-    Coverage and the unit sum are checked by counting the outcomes left to
-    the default, so only a nonzero default, which puts mass on every
-    unlisted outcome, enumerates the outcome space.
-    """
-    open_tok = ts.peek()
-    ts.expect_sym("{")
-    coord_keys = [c.key for c in schema.coords]
-    entries: dict[tuple, Fraction] = {}
-    default = None
-    while not ts.at_sym("}"):
-        if ts.at_word("default"):
-            tok = ts.next()
-            ts.expect_sym("=")
-            if default is not None:
-                raise ParseError("duplicate default", tok.line, tok.col)
-            default = ts.rational()
-            continue
-        tok = ts.peek()
-        assignment = parse_outcome_tuple(ts)
-        unknown = sorted(set(assignment) - set(coord_keys))
-        if unknown:
-            raise ParseError(f"unknown coordinate {unknown[0]}", tok.line, tok.col)
-        if set(assignment) != set(coord_keys):
-            missing = sorted(set(coord_keys) - set(assignment))
-            raise ParseError(
-                f"measure entry must assign every coordinate; missing {missing}",
-                tok.line, tok.col)
-        try:
-            key = tuple(
-                schema.coords[i].labels[schema.label_index(i, assignment[c])]
-                for i, c in enumerate(coord_keys))
-        except SchemaError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-        if key in entries:
-            raise ParseError("duplicate measure entry", tok.line, tok.col)
-        ts.expect_sym("=")
-        q = ts.rational()
-        if q < 0:
-            raise ParseError("negative weight", tok.line, tok.col)
-        entries[key] = q
-    ts.expect_sym("}")
-
-    unlisted = schema.n_outcomes - len(entries)
-    if unlisted and default is None:
-        raise ParseError(
-            f"measure covers {len(entries)} of {schema.n_outcomes} outcomes "
-            "and declares no default", open_tok.line, open_tok.col)
-    total = sum(entries.values(), Fraction(0)) + (default or 0) * unlisted
-    if total != 1:
-        gap = 1 - total
-        direction = "short by" if gap > 0 else "in excess by"
-        raise ParseError(
-            f"measure sums to {total}, {direction} {abs(gap)}",
-            open_tok.line, open_tok.col)
-    if default:
-        every = itertools.product(*(c.labels for c in schema.coords))
-        return {key: q for key in every if (q := entries.get(key, default))}
-    return {key: q for key, q in entries.items() if q}
-
-
 def parse_space(text: str) -> SpaceDocument:
     ts = TokenStream(text)
     ts.expect_word("space")
@@ -374,16 +456,7 @@ def parse_space(text: str) -> SpaceDocument:
             cname = ts.expect_word().value
             if any(c == cname for c, _ in comps):
                 ts.error(f"component {cname!r} declared twice in world {wname!r}", ctok)
-            ts.expect_sym("{")
-            labels = []
-            while not ts.at_sym("}"):
-                labels.append(ts.label())
-            ts.expect_sym("}")
-            if not labels:
-                ts.error(f"component {cname!r} has no labels", ctok)
-            if len(set(labels)) != len(labels):
-                ts.error(f"component {cname!r} repeats a label", ctok)
-            comps.append((cname, tuple(labels)))
+            comps.append((cname, ts.label_set()))
         if not comps:
             ts.error(f"world {wname!r} declares no components")
         ts.expect_sym("}")
@@ -397,10 +470,19 @@ def parse_space(text: str) -> SpaceDocument:
     except SchemaError as exc:
         raise ParseError(str(exc)) from None
 
+    # Every table of the document is a measure over the whole outcome
+    # space, keyed by the label tuple of an outcome.
+    outcome = assignment_key(ts, ts.coord_ref, [(c.key, c.labels) for c in schema.coords],
+                             "coordinate")
+    outcomes = product_domain([c.labels for c in schema.coords])
+
+    def parse_measure() -> dict:
+        return parse_table(ts, outcome, ts.rational).law(*outcomes, "measure", "outcomes")
+
     measure = None
     if ts.at_word("measure"):
         ts.next()
-        measure = _parse_table(ts, schema)
+        measure = parse_measure()
 
     kernels = []
     seen_sets = set()
@@ -418,30 +500,21 @@ def parse_space(text: str) -> SpaceDocument:
         if on in seen_sets:
             raise ParseError("duplicate kernel for this coordinate set", tok.line, tok.col)
         seen_sets.add(on)
-        pos = sorted(on)
-        on_keys = tuple(schema.coords[p].key for p in pos)
+        on_coords = [schema.coords[p] for p in sorted(on)]
+        on_keys = tuple(c.key for c in on_coords)
+        given = assignment_key(ts, ts.coord_ref, [(c.key, c.labels) for c in on_coords],
+                               "kernel coordinate")
         ts.expect_sym("{")
         rows = []
         seen_rows = set()
         while ts.at_word("given"):
             ts.next()
             tok = ts.peek()
-            assignment = parse_outcome_tuple(ts)
-            if set(assignment) != set(on_keys):
-                raise ParseError(
-                    f"'given' must assign exactly the kernel coordinates {list(on_keys)}",
-                    tok.line, tok.col)
-            row_labels = tuple(assignment[k] for k in on_keys)
-            try:
-                for p, lab in zip(pos, row_labels):
-                    schema.label_index(p, lab)
-            except SchemaError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
+            row_labels = given()
             if row_labels in seen_rows:
                 raise ParseError("duplicate 'given' row", tok.line, tok.col)
             seen_rows.add(row_labels)
-            body = _parse_table(ts, schema)
-            rows.append((row_labels, body))
+            rows.append((row_labels, parse_measure()))
         if not rows:
             ts.error("kernel declares no 'given' rows")
         ts.expect_sym("}")

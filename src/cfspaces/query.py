@@ -11,7 +11,7 @@ with the reduced fraction and, for probabilities, a six-place decimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .measure import (
@@ -29,7 +29,15 @@ from .mechanism import (
     global_source,
     intervene,
 )
-from .parser import ParseError, TokenStream, parse_coordset, parse_outcome_tuple
+from .parser import (
+    ParseError,
+    Table,
+    TokenStream,
+    parse_coordset,
+    parse_outcome_tuple,
+    parse_table,
+    product_domain,
+)
 from .space import SchemaError, cylinder
 from .worlds import check_cross_world
 
@@ -167,12 +175,6 @@ class UniformDist:
 
 
 @dataclass(frozen=True)
-class TableDist:
-    rows: tuple  # (({coord: label}, Fraction), ...)
-    default: Fraction | None
-
-
-@dataclass(frozen=True)
 class QueryScript:
     statements: tuple
 
@@ -237,31 +239,24 @@ def _parse_expr(ts: TokenStream):
     return _parse_or(ts, 0)
 
 
+def _assignment(ts: TokenStream) -> tuple:
+    return tuple(sorted(parse_outcome_tuple(ts, ts.coord_ref).items()))
+
+
 def _parse_dist(ts: TokenStream):
     if ts.at_word("point"):
         ts.next()
-        assignment = parse_outcome_tuple(ts)
+        assignment = _assignment(ts)
         if not assignment:
             ts.error("point() needs at least one coordinate assignment")
-        return PointDist(tuple(sorted(assignment.items())))
+        return PointDist(assignment)
     if ts.at_word("uniform"):
         ts.next()
         return UniformDist()
     if ts.at_sym("{"):
-        ts.next()
-        rows = []
-        default = None
-        while not ts.at_sym("}"):
-            if ts.at_word("default"):
-                ts.next()
-                ts.expect_sym("=")
-                default = ts.rational()
-                continue
-            assignment = parse_outcome_tuple(ts)
-            ts.expect_sym("=")
-            rows.append((tuple(sorted(assignment.items())), ts.rational()))
-        ts.expect_sym("}")
-        return TableDist(tuple(rows), default)
+        # Keyed by the sorted assignment; resolved against the space's
+        # schema when the statement runs.
+        return parse_table(ts, lambda: _assignment(ts), ts.rational)
     ts.error("expected point(...), uniform, or a weight table")
 
 
@@ -438,19 +433,18 @@ def _build_margin(schema, U, dist) -> Margin:
         return margin
     if isinstance(dist, UniformDist):
         return Margin.uniform(schema, U)
-    assert isinstance(dist, TableDist)
+    assert isinstance(dist, Table)
     pos = sorted(U)
-    weights = {}
-    for assignment, q in dist.rows:
+    rows = {}
+    for assignment, q in dist.entries.items():
         assignment = dict(assignment)
         if set(schema.position(c) for c in assignment) != set(U):
             raise SchemaError(
                 "weight table rows must assign exactly the intervened coordinates")
-        row = tuple(schema.label_index(p, assignment[schema.coords[p].key]) for p in pos)
-        weights[row] = q
-    if dist.default is not None:
-        for row in schema.rows(U):
-            weights.setdefault(row, dist.default)
+        rows[tuple(schema.label_index(p, assignment[schema.coords[p].key]) for p in pos)] = q
+    weights = replace(dist, entries=rows).law(
+        *product_domain([range(len(schema.coords[p].labels)) for p in pos]),
+        "weight table", "rows")
     return Margin(schema, U, weights)
 
 

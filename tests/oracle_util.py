@@ -13,6 +13,7 @@ import itertools
 from math import gcd
 
 from cfspaces import CfSpace, Mechanism, atoms_of, check_axioms
+from cfspaces.parser import ParseError, Token
 from cfspaces.worlds import SymmetryFailure
 
 
@@ -170,3 +171,54 @@ def brute_symmetry_failures(space, mirror) -> tuple:
                 if v != w:
                     failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
     return tuple(failures)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The character-by-character lexer that the regex lexer replaced."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col, start = line, col, i
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            tokens.append(Token("number", text[i:j], start_line, start_col, start))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("word", text[i:j], start_line, start_col, start))
+            col += j - i
+            i = j
+            continue
+        if ch in "{}()=,./&|!;":
+            tokens.append(Token("sym", ch, start_line, start_col, start))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col, n))
+    return tokens

@@ -205,7 +205,9 @@ class TestModelFiles:
             "}\n")
         model, coupling, _ = parse_scm(text)
         assert coupling[(("0", "0"), ("0", "0"))] == Fraction(1, 4)
-        assert coupling[(("0", "0"), ("1", "1"))] == 0
+        assert coupling.get((("0", "0"), ("1", "1")), 0) == 0
+        assert len(coupling) == 4
+        assert sum(coupling.values()) == 1
 
     def test_scm_incomplete_fn_table(self):
         text = SCM_TEXT.replace("  (X=1, Uy=1) = 0\n", "")
