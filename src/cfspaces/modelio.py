@@ -192,7 +192,7 @@ def parse_po(text: str):
             observed[var] = unit_fn(kind, var)
         else:
             ts.expect_word("given")
-            assignment = parse_outcome_tuple(ts, ts.name)
+            assignment = parse_outcome_tuple(ts, ts.name, domains)
             if not assignment:
                 raise ParseError("potential outcome needs a treatment assignment",
                                  tok.line, tok.col)

@@ -205,18 +205,26 @@ class TokenStream:
             self.error(f"expected a number, found {tok.value!r}")
         self.next()
         if "." in tok.value:
-            return Fraction(tok.value)
-        value = Fraction(int(tok.value))
-        if self.at_sym("/"):
-            self.next()
-            den = self.peek()
-            if den.kind != "number" or "." in den.value:
-                self.error("expected an integer denominator")
-            self.next()
-            if int(den.value) == 0:
-                self.error("zero denominator", den)
-            value = Fraction(int(tok.value), int(den.value))
-        return value
+            return self._numeral(tok, Fraction)
+        num = self._numeral(tok, int)
+        if not self.at_sym("/"):
+            return Fraction(num)
+        self.next()
+        den_tok = self.peek()
+        if den_tok.kind != "number" or "." in den_tok.value:
+            self.error("expected an integer denominator")
+        self.next()
+        den = self._numeral(den_tok, int)
+        if den == 0:
+            self.error("zero denominator", den_tok)
+        return Fraction(num, den)
+
+    def _numeral(self, tok: Token, convert):
+        """convert(tok.value); digits that int() rejects, such as '²', are an error at tok."""
+        try:
+            return convert(tok.value)
+        except ValueError:
+            self.error(f"invalid number {tok.value!r}", tok)
 
     def coord_ref(self) -> str:
         world = self.expect_word().value
@@ -225,19 +233,22 @@ class TokenStream:
         return f"{world}.{name}"
 
 
-def parse_outcome_tuple(ts: TokenStream, ref) -> dict:
+def parse_outcome_tuple(ts: TokenStream, ref, domains=None) -> dict:
     """Parse '(name=label, ...)' into {name: label}; '()' is empty.
 
     `ref` reads one name: `ts.coord_ref` for 'W.c', `ts.name` for a plain
-    identifier.
+    identifier.  With `domains`, {name: labels}, an unknown variable or
+    label is an error at its token.
     """
     ts.expect_sym("(")
     assignment: dict[str, str] = {}
     while not ts.at_sym(")"):
         tok = ts.peek()
         name = ref()
+        if domains is not None and name not in domains:
+            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
         ts.expect_sym("=")
-        label = ts.label()
+        label = ts.label(None if domains is None else domains[name], f"label of {name}")
         if name in assignment:
             raise ParseError(f"{name} assigned twice", tok.line, tok.col)
         assignment[name] = label

@@ -10,8 +10,10 @@ assembles N-way spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .measure import Measure
 from .mechanism import CfSpace, Kernel, Mechanism
@@ -21,7 +23,6 @@ from .space import (
     SpaceSchema,
     atoms_of,
     is_measurable_wrt,
-    restrict_row,
 )
 
 
@@ -115,12 +116,15 @@ class CrossWorldReport:
 def check_cross_world(space: CfSpace) -> CrossWorldReport:
     """Verify that no kernel moves another world's marginal law.
 
-    For every world j and every present kernel on S, the values on events
-    of world j must agree with the kernel on S restricted to that world's
-    coordinates.  Checking the atoms of each world's sigma-algebra
-    suffices, since kernel rows are measures and both sides are additive.
-    Pairs whose restricted kernel (or row) is absent are reported as
-    uncheckable, not as violations.
+    For every world j and every present kernel on S, each row must agree on
+    the events of world j with the kernel on S & T_j at the restricted row.
+    World j's atoms are the fibres of the projection onto sorted(T_j), so
+    comparing the two rows' marginals on T_j compares every atom, and by
+    additivity every event of the world.  A marginal is integer numerators
+    over its row's common denominator, built in one pass over the support;
+    only a row that differs walks the atoms, reporting each differing one
+    in atom order.  Pairs whose restricted kernel (or row) is absent are
+    reported as uncheckable, not as violations.
     """
     if space.mech is None:
         return CrossWorldReport((), ())
@@ -129,7 +133,8 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     uncheckable = []
     for world in schema.worlds:
         t_world = schema.world_positions(world)
-        world_atoms = atoms_of(schema, t_world)
+        key = _projector(sorted(t_world))
+        references: dict = {}
         for S in space.mech.keys():
             inner = S & t_world
             if inner == S:
@@ -139,18 +144,48 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
                 continue
             k_s = space.mech.get(S)
             k_inner = space.mech.get(inner)
+            on = sorted(S)
+            restrict = _projector([on.index(p) for p in sorted(inner)])
             for row in sorted(k_s.rows):
-                sub = restrict_row(S, row, inner)
+                sub = restrict(row)
                 if not k_inner.has_row(sub):
                     uncheckable.append(CrossWorldUncheckable(world, S, inner, row))
                     continue
-                for atom in world_atoms:
-                    v = k_s.rows[row].prob(atom)
-                    ref = k_inner.rows[sub].prob(atom)
-                    if v != ref:
-                        violations.append(
-                            CrossWorldViolation(world, S, row, atom, v, ref))
+                ref = references.get((inner, sub))
+                if ref is None:
+                    ref = references[inner, sub] = _int_marginal(k_inner.rows[sub], key)
+                ref_nums, ref_den = ref
+                nums, den = _int_marginal(k_s.rows[row], key)
+                if nums.keys() == ref_nums.keys() and all(
+                        n * ref_den == ref_nums[r] * den for r, n in nums.items()):
+                    continue
+                for atom in atoms_of(schema, t_world):
+                    r = key(next(iter(atom)))
+                    n, n_ref = nums.get(r, 0), ref_nums.get(r, 0)
+                    if n * ref_den != n_ref * den:
+                        violations.append(CrossWorldViolation(
+                            world, S, row, atom, Fraction(n, den), Fraction(n_ref, ref_den)))
     return CrossWorldReport(violations, uncheckable)
+
+
+def _projector(indices):
+    """Tuple -> the tuple of its entries at `indices`."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda t: (t[i],)
+    return itemgetter(*indices) if indices else lambda t: ()
+
+
+def _int_marginal(m: Measure, key) -> tuple[dict, int]:
+    """The pushforward of m under `key`, as integer numerators over the
+    lcm of m's weight denominators: (numerators by key, denominator)."""
+    weights = m.as_dict()
+    den = math.lcm(*(q.denominator for q in weights.values()))
+    nums: dict = {}
+    for outcome, q in weights.items():
+        r = key(outcome)
+        nums[r] = nums.get(r, 0) + q.numerator * (den // q.denominator)
+    return nums, den
 
 
 # -- event classification -----------------------------------------------------

@@ -13,8 +13,9 @@ import itertools
 from math import gcd
 
 from cfspaces import CfSpace, Mechanism, atoms_of, check_axioms
+from cfspaces.space import restrict_row
 from cfspaces.parser import ParseError, Token
-from cfspaces.worlds import SymmetryFailure
+from cfspaces.worlds import CrossWorldUncheckable, CrossWorldViolation, SymmetryFailure
 
 
 def sigma_events(schema, S):
@@ -171,6 +172,36 @@ def brute_symmetry_failures(space, mirror) -> tuple:
                 if v != w:
                     failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
     return tuple(failures)
+
+
+def brute_cross_world(space) -> tuple:
+    """check_cross_world's (violations, uncheckable), summing every world
+    atom's probability under each kernel row and its restricted row."""
+    schema = space.schema
+    violations = []
+    uncheckable = []
+    for world in schema.worlds:
+        t_world = schema.world_positions(world)
+        world_atoms = atoms_of(schema, t_world)
+        for S in space.mech.keys():
+            inner = S & t_world
+            if inner == S:
+                continue
+            if inner not in space.mech:
+                uncheckable.append(CrossWorldUncheckable(world, S, inner, None))
+                continue
+            k_s, k_inner = space.mech.get(S), space.mech.get(inner)
+            for row in sorted(k_s.rows):
+                sub = restrict_row(S, row, inner)
+                if not k_inner.has_row(sub):
+                    uncheckable.append(CrossWorldUncheckable(world, S, inner, row))
+                    continue
+                for atom in world_atoms:
+                    v = k_s.rows[row].prob(atom)
+                    ref = k_inner.rows[sub].prob(atom)
+                    if v != ref:
+                        violations.append(CrossWorldViolation(world, S, row, atom, v, ref))
+    return tuple(violations), tuple(uncheckable)
 
 
 def reference_tokenize(text: str) -> list[Token]:

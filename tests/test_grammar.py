@@ -242,6 +242,43 @@ class TestCoverageAndStorage:
         assert run_script(exam, script).exit_code == 0
 
 
+def error_at(command, text, offset, tmp_path):
+    """The one error line of `command` on `text`, which must point at the
+    character at `offset`."""
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    code, out, err = run_text(command, text, tmp_path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {line}:{col}: "), err
+    return err
+
+
+@pytest.mark.parametrize("weight", ["²", "1/²", "²/2", "1.²"])
+def test_digits_that_int_rejects_are_an_error_at_their_token(weight, tmp_path):
+    row = "(F.class=Y, F.exam=P, CF.class=Y, CF.exam=P) = "
+    text = fixture_text("exam").replace(row + "0.32", row + weight, 1)
+    numeral = "1.²" if "." in weight else "²"
+    offset = text.index(row + weight) + len(row) + weight.index(numeral)
+    err = error_at("check", text, offset, tmp_path)
+    assert err.endswith(f"invalid number {numeral!r}\n"), err
+
+
+def test_digits_that_int_accepts_still_read(tmp_path):
+    text = fill(SPACE, {**VALID, "M": ("(W.c=a) = ١/٢", "(W.c=b) = 1/2")})
+    assert run_text("check", text, tmp_path)[0] == 0
+
+
+@pytest.mark.parametrize("assignment, culprit, message", [
+    ("(Z=1)", "Z=1", "unknown variable 'Z'"),
+    ("(X=7)", "7)", "unknown label of X '7'"),
+])
+def test_treatment_assignment_is_checked_where_it_is_written(
+        assignment, culprit, message, tmp_path):
+    text = fill(PO, valid_bodies(PO)).replace("given (X=1)", f"given {assignment}")
+    err = error_at("compile po", text, text.index(culprit), tmp_path)
+    assert err.endswith(message + "\n"), err
+
+
 # -- fuzzing the front ends --------------------------------------------------------
 
 SCM_SEED = fill(SCM, VALID)

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 from cfspaces import (
+    CfSpace,
     Coordinate,
     Kernel,
     Margin,
     Measure,
+    Mechanism,
     SpaceSchema,
     WorldMirror,
     causal_sync,
+    check_cross_world,
     independent_sigmas,
     intervene,
     is_symmetric,
@@ -18,6 +21,7 @@ from cfspaces import (
 )
 from oracle_util import (
     brute_causal_sync,
+    brute_cross_world,
     brute_independent_sigmas,
     brute_support_condition,
     brute_symmetric_measure,
@@ -195,3 +199,54 @@ class TestSymmetryOracle:
                 assert failures == brute_symmetry_failures(s, mirror)
                 asymmetric += bool(failures)
         assert asymmetric >= 10
+
+
+def move_within_fiber(rng, schema, S, row, m):
+    """Move half of one outcome's mass to another outcome agreeing with the
+    row: determinism still holds, the world marginals need not."""
+    fiber = [o for o in schema.outcomes() if tuple(o[p] for p in sorted(S)) == row]
+    if len(fiber) < 2:
+        return m
+    w = m.as_dict()
+    donor = rng.choice(sorted(w))
+    target = rng.choice([o for o in fiber if o != donor])
+    shift = w[donor] / 2
+    w[donor] -= shift
+    w[target] = w.get(target, Fraction(0)) + shift
+    return Measure(schema, w)
+
+
+def tampered_copy(rng, space):
+    """A copy with rows perturbed within their fibers, and with some kernels
+    and some rows dropped."""
+    schema = space.schema
+    kernels = []
+    for S in space.mech.keys():
+        if S and rng.random() < 0.15:
+            continue
+        rows = {}
+        for row, m in sorted(space.mech.get(S).rows.items()):
+            if S and rng.random() < 0.1:
+                continue
+            rows[row] = move_within_fiber(rng, schema, S, row, m) if rng.random() < 0.3 else m
+        if rows:
+            kernels.append(Kernel(schema, S, rows))
+    return CfSpace(schema, space.P, Mechanism(schema, space.P, kernels))
+
+
+class TestCrossWorldOracle:
+    def test_reports_match_the_per_atom_loop(self):
+        rng = random.Random(53)
+        violations = uncheckable = 0
+        for n_worlds in (1, 2, 3):
+            for seed in range(30):
+                space = random_cf_space(9000 + seed, n_worlds=n_worlds)
+                for s in (space, tampered_copy(rng, space)):
+                    report = check_cross_world(s)
+                    expected = brute_cross_world(s)
+                    assert (report.violations, report.uncheckable) == expected
+                    assert all(type(v.value) is type(v.reference) is Fraction
+                               for v in report.violations)
+                    violations += len(report.violations)
+                    uncheckable += len(report.uncheckable)
+        assert violations >= 100 and uncheckable >= 100

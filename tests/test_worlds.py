@@ -26,6 +26,7 @@ from cfspaces import (
     synchronized,
 )
 
+from oracle_util import brute_cross_world
 from randspaces import random_cf_space
 
 
@@ -62,6 +63,54 @@ class TestCrossWorld:
         assert not report.ok
         witness_atoms = {v.atom for v in report.violations}
         assert cylinder(s, {"F.class": "Y", "F.exam": "F"}) in witness_atoms
+
+    # One factual coordinate and two counterfactual ones; every test below
+    # puts a kernel on CF.x, whose factual marginals must equal P's.
+    EDGE = SpaceSchema([
+        Coordinate("F", "x", ("0", "1")),
+        Coordinate("CF", "x", ("0", "1")),
+        Coordinate("CF", "y", ("0", "1")),
+    ])
+
+    def edge_report(self, P, row0, row1):
+        s = self.EDGE
+        P = Measure(s, P)
+        kernel = Kernel(s, s.positions(["CF.x"]), {(0,): Measure(s, row0), (1,): Measure(s, row1)})
+        space = CfSpace(s, P, Mechanism(s, P, [kernel]))
+        report = check_cross_world(space)
+        assert (report.violations, report.uncheckable) == brute_cross_world(space)
+        assert not report.uncheckable
+        return [(v.row, v.atom, v.value, v.reference) for v in report.violations]
+
+    def factual(self, label):
+        return cylinder(self.EDGE, {"F.x": label})
+
+    def test_denominators_scale_without_a_violation(self):
+        # row (0,) has factual marginal 2/6, 4/6 over denominator 6 and P
+        # has 1/3, 2/3 over 3: the same law
+        P = {(0, 0, 0): Fraction(1, 3), (1, 1, 1): Fraction(2, 3)}
+        row0 = {(0, 0, 0): Fraction(1, 6), (0, 0, 1): Fraction(1, 6),
+                (1, 0, 0): Fraction(1, 2), (1, 0, 1): Fraction(1, 6)}
+        row1 = {(0, 1, 0): Fraction(1, 3), (1, 1, 1): Fraction(2, 3)}
+        assert self.edge_report(P, row0, row1) == []
+
+    def test_mass_on_one_side_only(self):
+        # row (1,) puts no factual mass on F.x=0, where P has 1/3
+        P = {(0, 0, 0): Fraction(1, 3), (1, 1, 1): Fraction(2, 3)}
+        row0 = {(0, 0, 1): Fraction(1, 3), (1, 0, 1): Fraction(2, 3)}
+        row1 = {(1, 1, 0): Fraction(1, 2), (1, 1, 1): Fraction(1, 2)}
+        assert self.edge_report(P, row0, row1) == [
+            ((1,), self.factual("0"), Fraction(0), Fraction(1, 3)),
+            ((1,), self.factual("1"), Fraction(1), Fraction(2, 3)),
+        ]
+
+    def test_dirac_rows(self):
+        P = {(0, 0, 0): 1}
+        assert self.edge_report(P, {(0, 0, 1): 1}, {(0, 1, 0): 1}) == []
+        assert self.edge_report(P, {(0, 0, 1): 1}, {(1, 1, 0): 1}) == [
+            ((1,), self.factual("0"), Fraction(0), Fraction(1)),
+            ((1,), self.factual("1"), Fraction(1), Fraction(0)),
+        ]
 
     def test_uncheckable_pairs_reported(self, exam):
         # drop the trivial kernel's partner by building a mechanism whose
