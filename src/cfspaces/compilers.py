@@ -2,28 +2,34 @@
 
 Structural equations are finite function tables keyed by parent and noise
 label tuples, never code, so compilation is purely enumerative and
-acyclicity is a static digraph check.  A standard model compiles to a
-two-world causal space whose worlds share the exogenous noise; a
-backtracking coupling replaces forced noise sharing with an arbitrary joint
-law over two noise copies (and carries no kernels); a potential-outcome
-model compiles to an (N+1)-way probability space, one world per treatment
-value plus the observed world.
+acyclicity is a static digraph check.  Every compiled measure is the image
+of one finite law: a standard model pushes its noise law through the twin
+network, worlds F and CF sharing the noise, and each kernel row does the
+same with the intervened variables fixed in their world's sub-model; a
+backtracking coupling pushes a joint law over two noise copies through one
+model (and carries no kernels); a potential-outcome model pushes its unit
+law into an (N+1)-way probability space, worlds W1..WN, one per treatment
+assignment, plus the observed world OBS.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 from typing import Mapping
 
-from .measure import Measure
+from .measure import Measure, law, pushforward
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import Coordinate, SpaceSchema
 
 # Materialising a full mechanism is exponential in the coordinate count;
 # beyond this budget the caller must list the kernel sets it wants.
 KERNEL_BUDGET = 4096
+
+# World names of the compiled spaces: factual and counterfactual copies of
+# a structural model, and the observed world of a potential-outcome model.
+F, CF, OBS = "F", "CF", "OBS"
 
 
 class CyclicModelError(ValueError):
@@ -52,21 +58,12 @@ class SCMModel:
             raise ValueError("noise and endogenous variable names must be distinct")
         noise_domains = dict(self.noise)
         endo_domains = dict(self.endo)
-        total = Fraction(0)
-        self.noise_dist = {}
-        for u, q in noise_dist.items():
-            u = tuple(u)
+        noise_dist = {tuple(u): q for u, q in noise_dist.items()}
+        for u in noise_dist:
             if len(u) != len(self.noise) or any(
                     lab not in noise_domains[n] for (n, _), lab in zip(self.noise, u)):
                 raise ValueError(f"noise assignment {u!r} does not match the noise variables")
-            q = Fraction(q)
-            if q < 0:
-                raise ValueError("negative noise weight")
-            total += q
-            if q:
-                self.noise_dist[u] = q
-        if total != 1:
-            raise ValueError(f"noise weights sum to {total}, not 1")
+        self.noise_dist = law(noise_dist, "noise")
         self.eqs = {}
         for name in self.endo_names:
             if name not in eqs:
@@ -128,49 +125,47 @@ class SCMModel:
             values[name] = eq.table[tuple(key)]
         return values
 
-    def same_structure(self, other: "SCMModel") -> bool:
-        return (
-            self.noise == other.noise
-            and self.endo == other.endo
-            and {n: (e.parents, e.noises, dict(e.table)) for n, e in self.eqs.items()}
-            == {n: (e.parents, e.noises, dict(e.table)) for n, e in other.eqs.items()}
-        )
+
+def _two_world_schema(model: SCMModel) -> SpaceSchema:
+    return SpaceSchema([Coordinate(w, name, labels) for w in (F, CF) for name, labels in model.endo])
 
 
-def _two_world_schema(model: SCMModel, worlds=("F", "CF")) -> SpaceSchema:
-    coords = [Coordinate(w, name, labels) for w in worlds for name, labels in model.endo]
-    return SpaceSchema(coords)
+def _indexer(model: SCMModel):
+    """Solution of the model -> its half outcome: one label index per
+    endogenous variable, in declaration order."""
+    index = [(name, {lab: i for i, lab in enumerate(labels)}) for name, labels in model.endo]
+    return lambda values: tuple(ix[values[name]] for name, ix in index)
 
 
-def compile_scm(model: SCMModel, worlds=("F", "CF"), kernel_sets=None) -> CfSpace:
+def compile_scm(model: SCMModel, kernel_sets=None) -> CfSpace:
     """Compile a structural model into a two-world causal space.
 
-    Both worlds share the exogenous noise, so the pre-intervention worlds
-    are synchronised.  Each kernel row fixes the intervened variables in
-    its world's sub-model and pushes the noise law through both solutions.
-    The full mechanism is emitted when it fits the kernel budget; otherwise
-    `kernel_sets` must list the wanted coordinate sets.
+    Both worlds share the exogenous noise: the measure and every kernel row
+    are the image of the noise law under the twin network, the pair of
+    sub-model solutions for one noise row.  A row fixes the intervened
+    variables in its world's sub-model; the measure fixes none, so the
+    pre-intervention worlds are synchronised.  The full mechanism is
+    emitted when it fits the kernel budget; otherwise `kernel_sets` must
+    list the wanted coordinate sets.
     """
-    model.topo_order()  # rejects cyclic models up front
-    schema = _two_world_schema(model, worlds)
+    schema = _two_world_schema(model)
     n = len(model.endo_names)
-    label_index = {
-        name: {lab: i for i, lab in enumerate(labels)} for name, labels in model.endo
-    }
+    half = _indexer(model)
+    weights = tuple(model.noise_dist.values())
+    halves: dict = {}
 
-    def outcome_of(values_f: Mapping, values_cf: Mapping) -> tuple:
-        return tuple(
-            [label_index[name][values_f[name]] for name in model.endo_names]
-            + [label_index[name][values_cf[name]] for name in model.endo_names]
-        )
+    def solve(interventions: tuple) -> list:
+        """The sub-model's half outcome for each noise row, solved once."""
+        if interventions not in halves:
+            halves[interventions] = [
+                half(model.evaluate(u, dict(interventions))) for u in model.noise_dist]
+        return halves[interventions]
 
-    solutions = {u: model.evaluate(u) for u in model.noise_dist}
-    weights: dict = {}
-    for u, q in model.noise_dist.items():
-        key = outcome_of(solutions[u], solutions[u])
-        weights[key] = weights.get(key, Fraction(0)) + q
-    P = Measure(schema, weights, _trusted=True)
+    def twin(do_f: tuple, do_cf: tuple) -> Measure:
+        outcomes = map(add, solve(do_f), solve(do_cf))
+        return Measure(schema, pushforward(zip(outcomes, weights)), _trusted=True)
 
+    P = twin((), ())  # solving the model rejects a cyclic one
     if kernel_sets is None:
         if (1 << (2 * n)) > KERNEL_BUDGET:
             raise ValueError(
@@ -180,79 +175,38 @@ def compile_scm(model: SCMModel, worlds=("F", "CF"), kernel_sets=None) -> CfSpac
             for c in itertools.combinations(range(2 * n), r)
         ]
     kernels = []
-    sub_cache: dict = {}
-
-    def solve(interventions: tuple) -> dict:
-        if interventions not in sub_cache:
-            sub_cache[interventions] = {
-                u: model.evaluate(u, dict(interventions)) for u in model.noise_dist
-            }
-        return sub_cache[interventions]
-
     for S in kernel_sets:
         S = schema.positions(S)
-        pos = sorted(S)
+        coords = [schema.coords[p] for p in sorted(S)]
+        k = sum(p < n for p in S)  # the factual coordinates come first
         rows = {}
         for row in schema.rows(S):
-            do_f, do_cf = [], []
-            for p, v in zip(pos, row):
-                coord = schema.coords[p]
-                (do_f if p < n else do_cf).append((coord.name, coord.labels[v]))
-            sol_f = solve(tuple(sorted(do_f)))
-            sol_cf = solve(tuple(sorted(do_cf)))
-            w: dict = {}
-            for u, q in model.noise_dist.items():
-                key = outcome_of(sol_f[u], sol_cf[u])
-                w[key] = w.get(key, Fraction(0)) + q
-            rows[row] = Measure(schema, w, _trusted=True)
+            do = [(c.name, c.labels[v]) for c, v in zip(coords, row)]
+            rows[row] = twin(tuple(sorted(do[:k])), tuple(sorted(do[k:])))
         kernels.append(Kernel(schema, S, rows))
     return CfSpace(schema, P, Mechanism(schema, P, kernels))
 
 
-def compile_backtracking(model: SCMModel, coupling, model_star: SCMModel | None = None,
-                         worlds=("F", "CF")) -> CfSpace:
-    """Compile a backtracking coupling of two identical models.
+def compile_backtracking(model: SCMModel, coupling) -> CfSpace:
+    """Compile a backtracking coupling of two noise copies of one model.
 
-    The joint law over the two noise copies replaces forced noise sharing;
-    no intervention takes place in either world, so the result carries no
+    The joint law over the noise copies (u, u*) replaces forced noise
+    sharing: the measure is its image under (solution at u, solution at u*).
+    No intervention takes place in either world, so the result carries no
     mechanism.  A diagonal coupling reproduces the standard compilation's
     measure.
     """
-    if model_star is None:
-        model_star = model
-    elif not model.same_structure(model_star):
-        raise ValueError("backtracking requires structurally identical models")
-    model.topo_order()
-    schema = _two_world_schema(model, worlds)
-    label_index = {
-        name: {lab: i for i, lab in enumerate(labels)} for name, labels in model.endo
-    }
+    schema = _two_world_schema(model)
+    half = _indexer(model)
     noise_rows = set(itertools.product(*(labels for _, labels in model.noise)))
-    total = Fraction(0)
-    resolved = {}
-    for (u, u_star), q in coupling.items():
-        u, u_star = tuple(u), tuple(u_star)
+    coupling = {(tuple(u), tuple(u_star)): q for (u, u_star), q in coupling.items()}
+    for u, u_star in coupling:
         if u not in noise_rows or u_star not in noise_rows:
             raise ValueError(f"coupling entry ({u!r}, {u_star!r}) does not match the noise domain")
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError("negative coupling weight")
-        total += q
-        if q:
-            resolved[(u, u_star)] = q
-    if total != 1:
-        raise ValueError(f"coupling weights sum to {total}, not 1")
-    sols = {u: model.evaluate(u) for u in {p[0] for p in resolved}}
-    sols_star = {u: model_star.evaluate(u) for u in {p[1] for p in resolved}}
-    weights: dict = {}
-    for (u, u_star), q in resolved.items():
-        vf, vcf = sols[u], sols_star[u_star]
-        key = tuple(
-            [label_index[nm][vf[nm]] for nm in model.endo_names]
-            + [label_index[nm][vcf[nm]] for nm in model.endo_names]
-        )
-        weights[key] = weights.get(key, Fraction(0)) + q
-    P = Measure(schema, weights, _trusted=True)
+    coupling = law(coupling, "coupling")
+    halves = {u: half(model.evaluate(u)) for u in set(itertools.chain.from_iterable(coupling))}
+    P = Measure(schema, pushforward(
+        (halves[u] + halves[u_star], q) for (u, u_star), q in coupling.items()), _trusted=True)
     return CfSpace(schema, P, None)
 
 
@@ -265,19 +219,10 @@ class POModel:
             raise ValueError("duplicate units")
         self.endo = tuple((name, tuple(labels)) for name, labels in endo)
         domains = dict(self.endo)
-        total = Fraction(0)
-        self.unit_dist = {}
-        for unit, q in unit_dist.items():
+        for unit in unit_dist:
             if unit not in self.units:
                 raise ValueError(f"unknown unit {unit!r}")
-            q = Fraction(q)
-            if q < 0:
-                raise ValueError("negative unit weight")
-            total += q
-            if q:
-                self.unit_dist[unit] = q
-        if total != 1:
-            raise ValueError(f"unit weights sum to {total}, not 1")
+        self.unit_dist = law(unit_dist, "unit")
 
         def check_fn(fn, var, what):
             if set(fn) != set(self.units):
@@ -313,13 +258,13 @@ class POModel:
         return tuple(seen)
 
 
-def compile_po(model: POModel, observed_world: str = "OBS") -> CfSpace:
+def compile_po(model: POModel) -> CfSpace:
     """Compile a potential-outcome model into an (N+1)-way probability space.
 
-    One world per distinct treatment assignment, carrying the variables
-    that have a potential-outcome function under it, plus the observed
-    world carrying every endogenous variable.  The measure is the
-    pushforward of the unit law through all the functions jointly; no
+    One world W1..WN per distinct treatment assignment, carrying the
+    variables that have a potential-outcome function under it, plus the
+    observed world OBS carrying every endogenous variable.  The measure is
+    the pushforward of the unit law through all the functions jointly; no
     mechanism is emitted.
     """
     assignments = model.assignments()
@@ -334,12 +279,10 @@ def compile_po(model: POModel, observed_world: str = "OBS") -> CfSpace:
                 coords.append(Coordinate(world, name, domains[name]))
                 columns.append((model.potentials[(name, assignment)], domains[name]))
     for name in endo_order:
-        coords.append(Coordinate(observed_world, name, domains[name]))
+        coords.append(Coordinate(OBS, name, domains[name]))
         columns.append((model.observed[name], domains[name]))
     schema = SpaceSchema(coords)
-    weights: dict = {}
-    for unit, q in model.unit_dist.items():
-        key = tuple(labels.index(fn[unit]) for fn, labels in columns)
-        weights[key] = weights.get(key, Fraction(0)) + q
-    P = Measure(schema, weights, _trusted=True)
+    P = Measure(schema, pushforward(
+        (tuple(labels.index(fn[unit]) for fn, labels in columns), q)
+        for unit, q in model.unit_dist.items()), _trusted=True)
     return CfSpace(schema, P, None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .space import SpaceSchema, atoms_of
+from .space import SpaceSchema, atoms_of, projector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -18,6 +18,38 @@ ONE = Fraction(1)
 
 class ConditioningUndefinedError(ValueError):
     """Conditioning on an event of probability zero is undefined."""
+
+
+def law(weights: Mapping, what: str = "") -> dict:
+    """The nonzero part of a finite law, checked in one pass.
+
+    Weights become Fractions; they must be nonnegative and sum to exactly
+    one.  `what` names the law in messages ("noise" gives "negative noise
+    weight ...").
+    """
+    what = f"{what} weight" if what else "weight"
+    w: dict = {}
+    total = ZERO
+    for key, q in weights.items():
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        if q < 0:
+            raise ValueError(f"negative {what} {q} at {key!r}")
+        if q:
+            w[key] = q
+            total += q
+    if total != 1:
+        raise ValueError(f"{what}s sum to {total}, not 1")
+    return w
+
+
+def pushforward(pairs: Iterable) -> dict:
+    """Total weight per key over (key, weight) pairs: the image of a law
+    under the map that produced the keys."""
+    w: dict = {}
+    for key, q in pairs:
+        w[key] = w[key] + q if key in w else q
+    return w
 
 
 class Margin:
@@ -39,24 +71,17 @@ class Margin:
     def _fill(self, schema: SpaceSchema, on: tuple, weights: Mapping, trusted: bool):
         self.schema = schema
         self.on = on
-        w: dict = {}
-        total = ZERO
-        for row, q in weights.items():
-            q = q if isinstance(q, Fraction) else Fraction(q)
-            if q < 0:
-                raise ValueError(f"negative weight {q} at {row!r}")
-            if q == 0:
-                continue
-            row = tuple(row)
-            if row in w:
-                raise ValueError(f"duplicate weight entry for {row!r}")
-            w[row] = q
-            total += q
         if not trusted:
-            schema.require_rows(on, w)
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
-        self._w = w
+            rows: dict = {}
+            for row, q in weights.items():
+                row = tuple(row)
+                if row in rows:
+                    raise ValueError(f"duplicate weight entry for {row!r}")
+                rows[row] = q
+            weights = rows
+        self._w = law(weights)
+        if not trusted:
+            schema.require_rows(on, self._w)
 
     @staticmethod
     def point(schema: SpaceSchema, assignment: Mapping) -> "Margin":
@@ -92,12 +117,9 @@ class Margin:
         sub = tuple(sorted(self.schema.positions(S)))
         if not set(sub) <= set(self.on):
             raise ValueError(f"positions {sub} are not within the projection {self.on}")
-        index = {p: i for i, p in enumerate(self.on)}
-        w: dict = {}
-        for row, q in self._w.items():
-            r = tuple(row[index[p]] for p in sub)
-            w[r] = w.get(r, ZERO) + q
-        return Margin(self.schema, sub, w, _trusted=True)
+        key = projector([self.on.index(p) for p in sub])
+        return Margin(self.schema, sub, pushforward(zip(map(key, self._w), self._w.values())),
+                      _trusted=True)
 
     def is_product(self, S1, S2) -> bool:
         """Whether the measure factorizes across two disjoint position sets."""

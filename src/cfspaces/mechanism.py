@@ -323,26 +323,24 @@ class EffectVerdict:
 
 
 def _missing_required_keys(space: CfSpace, U, cap: int = 8) -> list[frozenset]:
-    """Find kernel keys blocking a no-effect certificate, a few at most."""
+    """The kernel keys blocking a no-effect certificate, a few at most: each
+    S meeting U, or S - U, that is absent or row-partial, in size order.
+    Every S the scan passes without a find is a present kernel, so the scan
+    is bounded by the mechanism's size."""
     mech = space.mech
     found = []
+    if not U:
+        return found
     positions = sorted(space.schema.all_positions)
-    budget = 100000
-    for size in range(len(positions) + 1):
+    for size in range(1, len(positions) + 1):
         for combo in itertools.combinations(positions, size):
-            budget -= 1
-            if budget <= 0:
-                return found
             S = frozenset(combo)
             if not S & U:
                 continue
             for side in (S, S - U):
-                if side not in mech._k:
-                    if side not in found:
-                        found.append(side)
-                elif not mech._k[side].is_total():
-                    if side not in found:
-                        found.append(side)
+                k = mech._k.get(side)
+                if (k is None or not k.is_total()) and side not in found:
+                    found.append(side)
             if len(found) >= cap:
                 return found
     return found
@@ -397,22 +395,10 @@ def classify_effect(space: CfSpace, U, A) -> EffectVerdict:
             break
     if dormant_witness is not None:
         return EffectVerdict("dormant", dormant_witness)
-    required = [S for S in mech.keys() if S & U]
-    n = len(schema.coords)
-    fully_covered = (
-        len(required) == (1 << n) - (1 << (n - len(U))) if U else True
-    ) and all(
-        mech.get(S).is_total() and (S - U) in mech and mech.get(S - U).is_total()
-        for S in required
-    )
-    if fully_covered:
-        return EffectVerdict("no_effect")
     missing = _missing_required_keys(space, U)
-    if not missing:
-        # the scan is budgeted; at minimum the full joint kernel family is
-        # what a certificate would need
-        missing = [schema.all_positions]
-    return EffectVerdict("undetermined", missing=tuple(missing))
+    if missing:
+        return EffectVerdict("undetermined", missing=tuple(missing))
+    return EffectVerdict("no_effect")
 
 
 @dataclass(frozen=True)

@@ -233,11 +233,11 @@ class TokenStream:
         return f"{world}.{name}"
 
 
-def parse_outcome_tuple(ts: TokenStream, ref, domains=None) -> dict:
+def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variable") -> dict:
     """Parse '(name=label, ...)' into {name: label}; '()' is empty.
 
     `ref` reads one name: `ts.coord_ref` for 'W.c', `ts.name` for a plain
-    identifier.  With `domains`, {name: labels}, an unknown variable or
+    identifier.  With `domains`, {name: labels}, an unknown `what` or
     label is an error at its token.
     """
     ts.expect_sym("(")
@@ -246,7 +246,7 @@ def parse_outcome_tuple(ts: TokenStream, ref, domains=None) -> dict:
         tok = ts.peek()
         name = ref()
         if domains is not None and name not in domains:
-            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+            raise ParseError(f"unknown {what} {name!r}", tok.line, tok.col)
         ts.expect_sym("=")
         label = ts.label(None if domains is None else domains[name], f"label of {name}")
         if name in assignment:
@@ -262,21 +262,15 @@ def assignment_key(ts: TokenStream, ref, variables, what: str):
     """A reader of '(name=label, ...)' keys over `variables`, ((name,
     labels), ...): each name assigned once to one of its labels, read as the
     label tuple in the order of `variables`."""
-    names = [name for name, _ in variables]
     domains = dict(variables)
 
     def key() -> tuple:
         tok = ts.peek()
-        assignment = parse_outcome_tuple(ts, ref)
-        for name, label in assignment.items():
-            if name not in domains:
-                raise ParseError(f"unknown {what} {name}", tok.line, tok.col)
-            if label not in domains[name]:
-                raise ParseError(f"unknown label {label!r} for {name}", tok.line, tok.col)
-        if len(assignment) != len(names):
-            missing = [name for name in names if name not in assignment]
-            raise ParseError(f"{what} {missing[0]} is not assigned", tok.line, tok.col)
-        return tuple(assignment[name] for name in names)
+        assignment = parse_outcome_tuple(ts, ref, domains, what)
+        if len(assignment) != len(domains):
+            missing = next(name for name in domains if name not in assignment)
+            raise ParseError(f"{what} {missing} is not assigned", tok.line, tok.col)
+        return tuple(assignment[name] for name in domains)
 
     return key
 

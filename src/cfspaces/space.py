@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 # Every algorithm in this package enumerates the outcome space, so schemas
@@ -210,6 +211,14 @@ def restrict_row(positions, row, sub) -> tuple:
     pos = sorted(positions)
     index = {p: i for i, p in enumerate(pos)}
     return tuple(row[index[p]] for p in sorted(sub))
+
+
+def projector(indices):
+    """Tuple -> the tuple of its entries at `indices`."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda t: (t[i],)
+    return itemgetter(*indices) if indices else lambda t: ()
 
 
 def cylinder(schema: SpaceSchema, assignment: Mapping) -> frozenset:

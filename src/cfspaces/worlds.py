@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
-from .measure import Measure
+from .measure import Measure, pushforward
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import (
     Coordinate,
@@ -23,6 +22,7 @@ from .space import (
     SpaceSchema,
     atoms_of,
     is_measurable_wrt,
+    projector,
 )
 
 
@@ -133,7 +133,7 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     uncheckable = []
     for world in schema.worlds:
         t_world = schema.world_positions(world)
-        key = _projector(sorted(t_world))
+        key = projector(sorted(t_world))
         references: dict = {}
         for S in space.mech.keys():
             inner = S & t_world
@@ -145,7 +145,7 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
             k_s = space.mech.get(S)
             k_inner = space.mech.get(inner)
             on = sorted(S)
-            restrict = _projector([on.index(p) for p in sorted(inner)])
+            restrict = projector([on.index(p) for p in sorted(inner)])
             for row in sorted(k_s.rows):
                 sub = restrict(row)
                 if not k_inner.has_row(sub):
@@ -168,24 +168,13 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     return CrossWorldReport(violations, uncheckable)
 
 
-def _projector(indices):
-    """Tuple -> the tuple of its entries at `indices`."""
-    if len(indices) == 1:
-        i, = indices
-        return lambda t: (t[i],)
-    return itemgetter(*indices) if indices else lambda t: ()
-
-
 def _int_marginal(m: Measure, key) -> tuple[dict, int]:
     """The pushforward of m under `key`, as integer numerators over the
     lcm of m's weight denominators: (numerators by key, denominator)."""
     weights = m.as_dict()
     den = math.lcm(*(q.denominator for q in weights.values()))
-    nums: dict = {}
-    for outcome, q in weights.items():
-        r = key(outcome)
-        nums[r] = nums.get(r, 0) + q.numerator * (den // q.denominator)
-    return nums, den
+    return pushforward(
+        (key(outcome), q.numerator * (den // q.denominator)) for outcome, q in weights.items()), den
 
 
 # -- event classification -----------------------------------------------------
@@ -326,11 +315,7 @@ def marginalize(space: CfSpace, keep, *, allow_world_drop: bool = False) -> CfSp
     position_map = {p: i for i, p in enumerate(order)}
 
     def push(measure: Measure) -> Measure:
-        w: dict = {}
-        for outcome, q in measure.as_dict().items():
-            small = tuple(outcome[p] for p in order)
-            w[small] = w.get(small, Fraction(0)) + q
-        return Measure(new_schema, w, _trusted=True)
+        return Measure(new_schema, measure.marginal(keep).as_dict(), _trusted=True)
 
     new_p = push(space.P)
     mech = None

@@ -10,6 +10,7 @@ full power set of a 16-outcome space fast.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from cfspaces import CfSpace, Mechanism, atoms_of, check_axioms
@@ -202,6 +203,72 @@ def brute_cross_world(space) -> tuple:
                     if v != ref:
                         violations.append(CrossWorldViolation(world, S, row, atom, v, ref))
     return tuple(violations), tuple(uncheckable)
+
+
+def _summed(pairs) -> dict:
+    """Fraction total per outcome, zero totals dropped."""
+    out: dict = {}
+    for outcome, q in pairs:
+        out[outcome] = out.get(outcome, Fraction(0)) + Fraction(q)
+    return {o: q for o, q in out.items() if q}
+
+
+def _noise_rows(model):
+    return itertools.product(*(labels for _, labels in model.noise))
+
+
+def brute_compile_scm(model, space) -> tuple:
+    """The twin-network compilation by enumeration: (P, {S: {row: weights}})
+    for every kernel key of `space`.  Each noise row's factual and
+    counterfactual solutions, read through schema.outcome_of, carry the
+    row's noise weight."""
+    schema = space.schema
+
+    def weights(do_f: dict, do_cf: dict) -> dict:
+        def outcome(u):
+            sol = {"F": model.evaluate(u, do_f), "CF": model.evaluate(u, do_cf)}
+            return schema.outcome_of([sol[c.world][c.name] for c in schema.coords])
+
+        return _summed((outcome(u), model.noise_dist.get(u, 0)) for u in _noise_rows(model))
+
+    kernels = {}
+    for S in space.mech.keys():
+        coords = [schema.coords[p] for p in sorted(S)]
+        kernels[S] = {}
+        for labels in itertools.product(*(c.labels for c in coords)):
+            do = {"F": {}, "CF": {}}
+            for c, lab in zip(coords, labels):
+                do[c.world][c.name] = lab
+            row = tuple(c.labels.index(lab) for c, lab in zip(coords, labels))
+            kernels[S][row] = weights(do["F"], do["CF"])
+    return weights({}, {}), kernels
+
+
+def brute_compile_backtracking(model, coupling, schema) -> dict:
+    """The backtracking measure by enumeration over every pair of noise rows."""
+    def outcome(u, u_star):
+        sol = {"F": model.evaluate(u), "CF": model.evaluate(u_star)}
+        return schema.outcome_of([sol[c.world][c.name] for c in schema.coords])
+
+    return _summed(
+        (outcome(u, u_star), coupling.get((u, u_star), 0))
+        for u in _noise_rows(model) for u_star in _noise_rows(model))
+
+
+def brute_compile_po(model, schema) -> dict:
+    """The potential-outcome measure by enumeration over the units: world Wj
+    reads the functions under the j-th treatment assignment, OBS the
+    observed functions."""
+    assignments = model.assignments()
+
+    def label(c, unit):
+        if c.world == "OBS":
+            return model.observed[c.name][unit]
+        return model.potentials[(c.name, assignments[int(c.world[1:]) - 1])][unit]
+
+    return _summed(
+        (schema.outcome_of([label(c, unit) for c in schema.coords]), model.unit_dist.get(unit, 0))
+        for unit in model.units)
 
 
 def reference_tokenize(text: str) -> list[Token]:

@@ -22,6 +22,8 @@ from cfspaces import (
     synchronized,
 )
 
+from oracle_util import brute_compile_backtracking, brute_compile_po, brute_compile_scm
+
 XOR = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}
 IDENT = {("0",): "0", ("1",): "1"}
 
@@ -70,6 +72,128 @@ def rand_dist(rng):
             break
     total = sum(ws)
     return {c: Fraction(w, total) for c, w in zip(cells, ws)}
+
+
+def rand_law(rng, keys):
+    """Random weights over `keys`, some of them zero, summing to one."""
+    while True:
+        ws = [rng.choice((0, 0, 1, 2, 3)) for _ in keys]
+        if sum(ws):
+            return {k: Fraction(w, sum(ws)) for k, w in zip(keys, ws) if w}
+
+
+def random_dag_model(rng, n_vars):
+    """A random acyclic model: n_vars endogenous variables declared out of
+    evaluation order, one or two noise variables, random function tables."""
+    labels = ("0", "1") if n_vars == 3 else ("0", "1", "2")
+    noise = [(f"U{i}", ("a", "b")) for i in range(rng.randint(1, 2))]
+    names = [f"V{i}" for i in range(n_vars)]
+    order = rng.sample(names, n_vars)
+    eqs = {}
+    for i, name in enumerate(order):
+        parents = tuple(p for p in order[:i] if rng.random() < 0.6)
+        noises = tuple(u for u, _ in noise if rng.random() < 0.7)
+        domain = [labels] * len(parents) + [("a", "b")] * len(noises)
+        table = {k: rng.choice(labels) for k in itertools.product(*domain)}
+        eqs[name] = StructuralEq(name, parents, noises, table)
+    noise_rows = list(itertools.product(*(ls for _, ls in noise)))
+    return SCMModel(noise, rand_law(rng, noise_rows), [(n, labels) for n in names], eqs)
+
+
+def random_po_model(rng):
+    units = tuple(f"u{i}" for i in range(rng.randint(2, 5)))
+    endo = [("X", ("0", "1")), ("Y", ("p", "q", "r"))]
+    domains = dict(endo)
+
+    def fn(var):
+        return {u: rng.choice(domains[var]) for u in units}
+
+    potentials = {}
+    for x in ("0", "1"):
+        if rng.random() < 0.7:
+            potentials[("Y", (("X", x),))] = fn("Y")
+    if rng.random() < 0.5:
+        potentials[("X", (("Y", "p"),))] = fn("X")
+    return POModel(units, rand_law(rng, units), endo, {"X": fn("X"), "Y": fn("Y")}, potentials)
+
+
+def noise_law(weights):
+    model = SCMModel([("U", ("0", "1"))], weights, [("V", ("0", "1"))],
+                     {"V": StructuralEq("V", (), ("U",), IDENT)})
+    return model.noise_dist
+
+
+def coupling_law(weights):
+    # V copies U, so the outcome (i, j) is the noise pair (i, j)
+    space = compile_backtracking(one_var_model(), weights)
+    return {((str(i),), (str(j),)): q for (i, j), q in space.P.as_dict().items()}
+
+
+def unit_law(weights):
+    model = POModel(("0", "1"), weights, [("X", ("0", "1"))], {"X": {"0": "0", "1": "1"}}, {})
+    return model.unit_dist
+
+
+@pytest.mark.parametrize("what, build, keys, outside, outside_error", [
+    ("noise", noise_law, [("0",), ("1",)], ("2",), "does not match the noise variables"),
+    ("coupling", coupling_law, [(("0",), ("0",)), (("0",), ("1",))], (("0",), ("2",)),
+     "does not match the noise domain"),
+    ("unit", unit_law, ["0", "1"], "2", "unknown unit"),
+])
+def test_law_checks(what, build, keys, outside, outside_error):
+    a, b = keys
+    with pytest.raises(ValueError, match=f"^negative {what} weight -1/2"):
+        build({a: Fraction(3, 2), b: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match=f"^{what} weights sum to 1/2, not 1$"):
+        build({a: Fraction(1, 2)})
+    with pytest.raises(ValueError, match=outside_error):
+        build({a: 1, outside: 0})
+    dropped = build({a: 1, b: 0})
+    assert dropped == {a: 1} and all(type(q) is Fraction for q in dropped.values())
+    coerced = build({a: "1/3", b: "2/3"})
+    assert coerced == {a: Fraction(1, 3), b: Fraction(2, 3)}
+    assert all(type(q) is Fraction for q in coerced.values())
+
+
+class TestAgainstEnumeration:
+    """The compilers against brute enumeration of the noise rows, the
+    coupling or the units (tests/oracle_util.py)."""
+
+    def test_scm_measure_and_every_kernel_row(self):
+        for seed in range(12):
+            rng = random.Random(7000 + seed)
+            model = random_dag_model(rng, 2 + seed % 2)
+            space = compile_scm(model)
+            names = [name for name, _ in model.endo]
+            assert [c.key for c in space.schema.coords] == (
+                [f"F.{v}" for v in names] + [f"CF.{v}" for v in names])
+            P, kernels = brute_compile_scm(model, space)
+            assert space.P.as_dict() == P
+            assert len(kernels) == 1 << len(space.schema.coords)
+            for S, rows in kernels.items():
+                k = space.mech.get(S)
+                assert {r: m.as_dict() for r, m in k.rows.items()} == rows
+
+    def test_backtracking_coupling(self):
+        for seed in range(8):
+            rng = random.Random(7100 + seed)
+            model = random_dag_model(rng, 1 + seed % 3)
+            noise_rows = list(itertools.product(*(ls for _, ls in model.noise)))
+            coupling = rand_law(rng, list(itertools.product(noise_rows, noise_rows)))
+            space = compile_backtracking(model, coupling)
+            assert space.P.as_dict() == brute_compile_backtracking(model, coupling, space.schema)
+
+    def test_po_unit_law(self):
+        for seed in range(8):
+            model = random_po_model(random.Random(7200 + seed))
+            space = compile_po(model)
+            assert space.schema.worlds[-1] == "OBS"
+            assert space.P.as_dict() == brute_compile_po(model, space.schema)
+
+    def test_kernel_sets_leave_the_measure_alone(self):
+        for seed in range(4):
+            model = random_dag_model(random.Random(7300 + seed), 2)
+            assert compile_scm(model, kernel_sets=[frozenset({0})]).P == compile_scm(model).P
 
 
 class TestCompileSCM:
@@ -195,17 +319,6 @@ class TestBacktracking:
         space = compile_backtracking(model, pb)
         assert space.P.as_dict() == {
             (0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 1): Fraction(1, 4)}
-
-    def test_structurally_different_models_rejected(self):
-        other = SCMModel(
-            noise=[("U", ("0", "1"))],
-            noise_dist={("0",): Fraction(1, 2), ("1",): Fraction(1, 2)},
-            endo=[("V", ("0", "1"))],
-            eqs={"V": StructuralEq("V", (), ("U",), {("0",): "1", ("1",): "0"})},
-        )
-        diag = {(u, u): Fraction(1, 2) for u in [("0",), ("1",)]}
-        with pytest.raises(ValueError, match="identical"):
-            compile_backtracking(one_var_model(), diag, other)
 
 
 def toy_po_model():

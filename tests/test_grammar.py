@@ -224,7 +224,7 @@ class TestCoverageAndStorage:
     def test_unknown_labels_are_reported_where_they_are_written(self):
         with pytest.raises(ParseError, match=r"^5:30: unknown label of V '2'"):
             parse_scm(fill(SCM, {**VALID, "F": ("(U=0) = 0", "(U=1) = 2")}))
-        with pytest.raises(ParseError, match=r"^5:12: unknown label '2' for U"):
+        with pytest.raises(ParseError, match=r"^5:15: unknown label of U '2'"):
             parse_scm(fill(SCM, {**VALID, "F": ("(U=2) = 0", "(U=1) = 1")}))
 
     def test_weight_table_default(self, exam):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,11 +11,14 @@ from cfspaces import (
     Measure,
     Mechanism,
     MissingKernelError,
+    SCMModel,
+    StructuralEq,
     causal_independent,
     causal_sync,
     causally_equal,
     check_axioms,
     classify_effect,
+    compile_scm,
     conditional_active_effect,
     cylinder,
     global_source,
@@ -190,6 +194,27 @@ class TestClassifyEffect:
             if verdict.tag == "no_effect":
                 k = space.mech.get(u)
                 assert all(m.prob(a) == space.P.prob(a) for m in k.rows.values())
+
+
+    def test_blocking_keys_come_back_smallest_first_at_most_eight(self):
+        # a 3-variable SCM (six coordinates) keeping every kernel off the
+        # last coordinate and the kernel on it alone: every S that meets
+        # U = {5} is absent, so the scan lists them by size, cut at 8
+        ident = {(u,): u for u in "01"}
+        model = SCMModel(
+            [(f"U{i}", ("0", "1")) for i in range(3)],
+            {u: Fraction(1, 8) for u in itertools.product("01", repeat=3)},
+            [(f"V{i}", ("0", "1")) for i in range(3)],
+            {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(3)})
+        u = frozenset({5})
+        kept = [frozenset(c) for r in range(6) for c in itertools.combinations(range(5), r)]
+        space = compile_scm(model, kernel_sets=kept + [u])
+        a = cylinder(space.schema, {"F.V0": "1"})
+        verdict = classify_effect(space, u, a)
+        assert verdict.tag == "undetermined"
+        assert verdict.missing == tuple(frozenset(s) for s in [
+            {0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}, {0, 1, 5}, {0, 2, 5}, {0, 3, 5}])
+        assert classify_effect(compile_scm(model), u, a).tag == "no_effect"
 
 
 class TestConditionalEffect:
