@@ -26,8 +26,6 @@ from .measure import (
     independent_given,
     independent_given_sigma,
     independent_sigmas,
-    independent_sigmas_given,
-    independent_sigmas_given_sigma,
     prob,
     synchronized,
 )

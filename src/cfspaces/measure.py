@@ -79,8 +79,11 @@ class Margin:
                     raise ValueError(f"duplicate weight entry for {row!r}")
                 rows[row] = q
             weights = rows
-        self._w = law(weights)
-        if not trusted:
+        if trusted:
+            # Every trusted constructor passes nonzero Fractions summing to one.
+            self._w = weights
+        else:
+            self._w = law(weights)
             schema.require_rows(on, self._w)
 
     @staticmethod
@@ -121,25 +124,6 @@ class Margin:
         return Margin(self.schema, sub, pushforward(zip(map(key, self._w), self._w.values())),
                       _trusted=True)
 
-    def is_product(self, S1, S2) -> bool:
-        """Whether the measure factorizes across two disjoint position sets."""
-        a = tuple(sorted(self.schema.positions(S1)))
-        b = tuple(sorted(self.schema.positions(S2)))
-        if set(a) & set(b) or set(a) | set(b) != set(self.on):
-            raise ValueError("factorization check needs a partition of the projection")
-        ma, mb = self.marginal(a), self.marginal(b)
-        index = {p: i for i, p in enumerate(self.on)}
-        for ra in ma.support():
-            for rb in mb.support():
-                joint = [0] * len(self.on)
-                for p, v in zip(a, ra):
-                    joint[index[p]] = v
-                for p, v in zip(b, rb):
-                    joint[index[p]] = v
-                if self.weight(tuple(joint)) != ma.weight(ra) * mb.weight(rb):
-                    return False
-        return True
-
     def __eq__(self, other):
         return (
             isinstance(other, Margin)
@@ -179,12 +163,11 @@ class Measure(Margin):
 
     @classmethod
     def mixture(cls, schema: SpaceSchema, parts: Iterable[tuple[Fraction, "Measure"]]) -> "Measure":
-        """The convex combination sum_i q_i * P_i (weights must sum to 1)."""
+        """The convex combination sum_i q_i * P_i; the q_i must form a law."""
+        parts = list(parts)
         w: dict = {}
-        for q, part in parts:
-            if q == 0:
-                continue
-            for outcome, p in part._w.items():
+        for i, q in law(dict(enumerate(q for q, _ in parts)), "mixture").items():
+            for outcome, p in parts[i][1]._w.items():
                 w[outcome] = w.get(outcome, ZERO) + q * p
         return cls(schema, w, _trusted=True)
 
@@ -323,20 +306,6 @@ def independent_sigmas(P: Measure, S1, S2) -> bool:
             if P.prob(a & b) != pa * P.prob(b):
                 return False
     return True
-
-
-def independent_sigmas_given(P: Measure, G, S1, S2) -> bool:
-    return independent_sigmas(P.condition(G), S1, S2)
-
-
-def independent_sigmas_given_sigma(P: Measure, sigma, S1, S2) -> bool:
-    cond = condition_sigma(P, sigma)
-    nulls = set(cond.null_atoms)
-    return all(
-        independent_sigmas(cond.table[block], S1, S2)
-        for block in cond.atoms
-        if block not in nulls
-    )
 
 
 def as_equal(P: Measure, A, B) -> bool:

@@ -59,9 +59,6 @@ class Kernel:
                 f"kernel on {sorted(self.on)} has no row {tuple(row)!r}"
             ) from None
 
-    def value(self, row, A) -> Fraction:
-        return self.measure(row).prob(A)
-
     def row_domain(self) -> tuple[tuple, ...]:
         return tuple(self.schema.rows(self.on))
 
@@ -76,10 +73,21 @@ class Kernel:
 
 
 class Mechanism:
-    """A partial family of causal kernels; always contains the empty key."""
+    """A partial family of causal kernels; always contains the empty key.
 
-    def __init__(self, schema: SpaceSchema, P: Measure, kernels: Iterable[Kernel] = ()):
+    The mechanism that `intervene` returns holds (parent, U, Q) and builds
+    the kernel on S from the parent's kernel on S | U when `get(S)` or `S in
+    mech` first asks; a kernel on S ⊇ U is the parent's.  Kernels and absent
+    keys are cached (racing threads build equal kernels).  `keys()`,
+    `is_total()` and `derivation()` scan which rows are present; `kernels()`
+    builds them all.
+    """
+
+    def __init__(self, schema: SpaceSchema, P: Measure, kernels: Iterable[Kernel] = (), *,
+                 _do: tuple | None = None):
         self.schema = schema
+        self._source = _do  # (parent, U, Q) of a derived mechanism
+        self._scanned = None
         table: dict = {}
         for k in kernels:
             if k.schema != schema:
@@ -87,34 +95,96 @@ class Mechanism:
             if k.on in table:
                 raise ValueError(f"duplicate kernel for coordinate set {sorted(k.on)}")
             table[k.on] = k
-        if frozenset() not in table:
+        if _do is None and frozenset() not in table:
             table[frozenset()] = Kernel(schema, (), {(): P})
         self._k = table
 
+    def _lookup(self, S: frozenset) -> Kernel | None:
+        # Ancestors derive first, oldest first: a long chain needs no recursion.
+        chain, mech, key = [], self, S
+        while key not in mech._k and mech._source is not None:
+            chain.append((mech, key))
+            mech, key = mech._source[0], key | mech._source[1]
+        for mech, key in reversed(chain):
+            mech._k[key] = mech._derive(key)
+        return self._k.get(S)
+
+    def _derive(self, S: frozenset) -> Kernel | None:
+        parent, U, Q = self._source
+        k_w = parent._lookup(S | U)
+        if k_w is None or U <= S:
+            return k_w
+        rows = {row: Measure.mixture(self.schema, ((q, k_w.rows[full]) for q, full in parts))
+                for row, parts in _mixing_plan(S, U, Q, k_w.rows) if parts is not None}
+        return Kernel(self.schema, S, rows) if rows else None
+
+    def _layout(self) -> dict:
+        """S -> the rows of the kernel on S, for every present key."""
+        if self._source is None:
+            return {S: k.rows for S, k in self._k.items()}
+        chain, mech = [], self  # unscanned ancestors are scanned first
+        while mech._source is not None and mech._scanned is None:
+            chain.append(mech)
+            mech = mech._source[0]
+        for mech in reversed(chain):
+            mech._scanned = mech._scan()
+        return self._scanned[1]
+
+    def _scan(self) -> tuple:
+        """(drop notes, layout) of a derived mechanism, read off the
+        parent's layout: no kernel is built."""
+        parent, U, Q = self._source
+        present = parent._layout()
+        layout: dict = {}
+        dropped = []
+        for W in parent.keys():
+            if not U <= W:
+                if W | U not in present:
+                    dropped.append(DerivationNote(W, None, W | U))
+                continue
+            # Every S with S | U == W, i.e. S = (W \ U) | X for X within W & U.
+            overlap = sorted(W & U)
+            for r in range(len(overlap) + 1):
+                for extra in itertools.combinations(overlap, r):
+                    S = (W - U) | frozenset(extra)
+                    plan = list(_mixing_plan(S, U, Q, present[W]))
+                    dropped += [DerivationNote(S, row, W) for row, parts in plan if parts is None]
+                    rows = {row for row, parts in plan if parts is not None}
+                    if rows:
+                        layout[S] = rows
+                    else:
+                        dropped.append(DerivationNote(S, None, W))
+        return tuple(dropped), layout
+
     def __contains__(self, S) -> bool:
-        return self.schema.positions(S) in self._k
+        return self._lookup(self.schema.positions(S)) is not None
 
     def get(self, S) -> Kernel:
         S = self.schema.positions(S)
-        try:
-            return self._k[S]
-        except KeyError:
-            raise MissingKernelError(f"no kernel for coordinate set {sorted(S)}") from None
+        k = self._lookup(S)
+        if k is None:
+            raise MissingKernelError(f"no kernel for coordinate set {sorted(S)}")
+        return k
 
     def keys(self) -> tuple[frozenset, ...]:
-        return tuple(sorted(self._k, key=lambda s: (len(s), sorted(s))))
+        return tuple(sorted(self._layout(), key=lambda s: (len(s), sorted(s))))
 
     def kernels(self) -> tuple[Kernel, ...]:
-        return tuple(self._k[k] for k in self.keys())
+        return tuple(self._lookup(S) for S in self.keys())
+
+    def derivation(self) -> DerivationReport | None:
+        """What the intervention that made this mechanism derived and
+        dropped; None for a mechanism given kernel by kernel."""
+        # keys() scans before the notes are read
+        return None if self._source is None else DerivationReport(self.keys(), self._scanned[0])
 
     def is_total(self) -> bool:
-        n = len(self.schema.coords)
-        if len(self._k) != 1 << n:
-            return False
-        return all(k.is_total() for k in self._k.values())
+        layout = self._layout()
+        return len(layout) == 1 << len(self.schema.coords) and all(
+            len(rows) == len(tuple(self.schema.rows(S))) for S, rows in layout.items())
 
     def __repr__(self):
-        return f"Mechanism({len(self._k)} kernels)"
+        return f"Mechanism({len(self.keys())} kernels)"
 
 
 @dataclass(frozen=True)
@@ -141,8 +211,7 @@ class CfSpace:
     spaces.
     """
 
-    def __init__(self, schema: SpaceSchema, P: Measure, mech: Mechanism | None = None,
-                 derivation: DerivationReport | None = None):
+    def __init__(self, schema: SpaceSchema, P: Measure, mech: Mechanism | None = None):
         if P.schema != schema:
             raise ValueError("measure schema does not match the space schema")
         if mech is not None and mech.schema != schema:
@@ -150,7 +219,11 @@ class CfSpace:
         self.schema = schema
         self.P = P
         self.mech = mech
-        self.derivation = derivation
+
+    @property
+    def derivation(self) -> DerivationReport | None:
+        """The derivation report of an intervened space, None otherwise."""
+        return None if self.mech is None else self.mech.derivation()
 
     @property
     def worlds(self) -> tuple[str, ...]:
@@ -239,14 +312,27 @@ def _merge_rows(S, row_s, S2, row_s2) -> tuple:
     return tuple(values[p] for p in sorted(values))
 
 
+def _mixing_plan(S: frozenset, U: frozenset, Q: Margin, rows_w):
+    """For each row on S that a row in `rows_w` (of the kernel on W = S | U)
+    restricts to: the (weight, row on W) pairs whose mixture integrates the
+    Q-marginal on U \\ S out, or None when `rows_w` lacks one of them."""
+    W = S | U
+    rest = U - S
+    q_rest = Q.marginal(rest).rows()
+    for row_s in sorted({restrict_row(W, row, S) for row in rows_w}):
+        parts = [(q, _merge_rows(S, row_s, rest, row_rest)) for row_rest, q in q_rest]
+        yield row_s, parts if all(full in rows_w for _, full in parts) else None
+
+
 def intervene(space: CfSpace, U, Q: Margin) -> CfSpace:
     """Intervene on the coordinates in U with the measure Q.
 
-    The new measure mixes the rows of the kernel on U by Q.  Each new
-    kernel on S is derived from the present kernel on S | U by integrating
-    the Q-marginal over U \\ S; kernels whose prerequisite is absent are
-    omitted and recorded in the derivation report attached to the result.
-    Interventions compose by repeated application.
+    The new measure mixes the rows of the kernel on U by Q; it is built at
+    once.  Each new kernel on S is derived from the present kernel on
+    S | U by integrating the Q-marginal over U \\ S, the first time it is
+    read (a kernel on S ⊇ U is carried over unchanged).  Kernels whose
+    prerequisite is absent are omitted and recorded in the derivation
+    report of the result.  Interventions compose by repeated application.
     """
     schema = space.schema
     U = schema.positions(U)
@@ -260,47 +346,7 @@ def intervene(space: CfSpace, U, Q: Margin) -> CfSpace:
         raise MissingKernelError(
             f"kernel on {sorted(U)} lacks rows {missing} needed by the intervention measure")
     new_p = Measure.mixture(schema, ((q, k_u.rows[row]) for row, q in Q.rows()))
-
-    new_kernels = []
-    derived = []
-    dropped = []
-    for W in space.mech.keys():
-        if not U <= W:
-            if space.mech.schema.positions(W | U) not in space.mech._k:
-                dropped.append(DerivationNote(W, None, W | U))
-            continue
-        k_w = space.mech.get(W)
-        # Every S with S | U == W, i.e. S = (W \ U) | X for X within W & U.
-        overlap = sorted(W & U)
-        for r in range(len(overlap) + 1):
-            for extra in itertools.combinations(overlap, r):
-                S = (W - U) | frozenset(extra)
-                rest = U - S
-                q_rest = Q.marginal(rest)
-                rows: dict = {}
-                seen_rows = sorted({restrict_row(W, row, S) for row in k_w.rows})
-                for row_s in seen_rows:
-                    parts = []
-                    complete = True
-                    for row_rest, q in q_rest.rows():
-                        full = _merge_rows(S, row_s, rest, row_rest)
-                        if not k_w.has_row(full):
-                            complete = False
-                            break
-                        parts.append((q, k_w.rows[full]))
-                    if complete:
-                        rows[row_s] = Measure.mixture(schema, parts)
-                    else:
-                        dropped.append(DerivationNote(S, row_s, W))
-                if rows:
-                    new_kernels.append(Kernel(schema, S, rows))
-                    derived.append(S)
-                else:
-                    dropped.append(DerivationNote(S, None, W))
-    report = DerivationReport(tuple(sorted(derived, key=lambda s: (len(s), sorted(s)))),
-                              tuple(dropped))
-    mech = Mechanism(schema, new_p, new_kernels)
-    return CfSpace(schema, new_p, mech, derivation=report)
+    return CfSpace(schema, new_p, Mechanism(schema, new_p, _do=(space.mech, U, Q)))
 
 
 # -- causal effect taxonomy ---------------------------------------------------
@@ -338,8 +384,7 @@ def _missing_required_keys(space: CfSpace, U, cap: int = 8) -> list[frozenset]:
             if not S & U:
                 continue
             for side in (S, S - U):
-                k = mech._k.get(side)
-                if (k is None or not k.is_total()) and side not in found:
+                if side not in found and (side not in mech or not mech.get(side).is_total()):
                     found.append(side)
             if len(found) >= cap:
                 return found

@@ -174,10 +174,11 @@ class SpaceSchema:
         self.require_rows(self.all_on, [outcome])
 
     def require_event(self, A):
+        """Reject an event with a non-outcome member, naming the first one."""
         outcomes = self.outcome_set()
-        for member in A:
-            if member not in outcomes:
-                raise SchemaError(f"event member {member!r} does not conform to the schema")
+        if not outcomes.issuperset(A):
+            bad = next(member for member in A if member not in outcomes)
+            raise SchemaError(f"event member {bad!r} does not conform to the schema")
 
     def outcome_of(self, labels) -> tuple[int, ...]:
         """Build an outcome from one label (or index) per coordinate."""

@@ -13,7 +13,16 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from cfspaces import CfSpace, Mechanism, atoms_of, check_axioms
+from cfspaces import (
+    CfSpace,
+    DerivationNote,
+    Kernel,
+    Measure,
+    Mechanism,
+    MissingKernelError,
+    atoms_of,
+    check_axioms,
+)
 from cfspaces.space import restrict_row
 from cfspaces.parser import ParseError, Token
 from cfspaces.worlds import CrossWorldUncheckable, CrossWorldViolation, SymmetryFailure
@@ -203,6 +212,82 @@ def brute_cross_world(space) -> tuple:
                     if v != ref:
                         violations.append(CrossWorldViolation(world, S, row, atom, v, ref))
     return tuple(violations), tuple(uncheckable)
+
+
+def brute_intervene(space, U, Q) -> tuple:
+    """do(U, Q) from the definition, every kernel built at once: (the
+    intervened space with a plain mechanism, derived keys, drop notes).
+
+    The new measure is sum_r Q(r) K_U(r).  The kernel on S comes from the
+    kernel on W = S | U alone: its row s is sum_t Q'(t) K_W(s, t), where Q'
+    is the marginal of Q on U - S and (s, t) the row on W agreeing with s
+    on S and with t on U - S.  A kernel on S that contains U is the same sum
+    with the one-row marginal on the empty set, so it is recomputed here,
+    never taken from the parent.  The rows s are those that some row of
+    K_W restricts to.  A row whose sum needs a row K_W lacks is dropped
+    with the note (S, s, W), and a kernel left without rows with (S, None,
+    W); a kernel of the space on some W that misses part of U while W | U
+    is absent gets (W, None, W | U).  Notes follow the keys W in size
+    order, then the S of each W by the size of their part inside U.
+    """
+    schema = space.schema
+    U = schema.positions(U)
+    mech = space.mech
+    k_u = mech.get(U)
+    needed = [row for row, _ in Q.rows() if not k_u.has_row(row)]
+    if needed:
+        raise MissingKernelError(f"kernel on {sorted(U)} lacks rows {needed}")
+
+    def mix(terms) -> Measure:
+        total: dict = {}
+        for q, m in terms:
+            for outcome, p in m.as_dict().items():
+                total[outcome] = total.get(outcome, Fraction(0)) + q * p
+        return Measure(schema, total)  # the untrusted path checks the law
+
+    P = mix((q, k_u.measure(row)) for row, q in Q.rows())
+    u_pos = sorted(U)
+    keys = mech.keys()
+    kernels, dropped = [], []
+    for W in keys:
+        if not U <= W:
+            if W | U not in keys:
+                dropped.append(DerivationNote(W, None, W | U))
+            continue
+        k_w = mech.get(W)
+        w_pos = sorted(W)
+        inside = sorted(W & U)
+        for size in range(len(inside) + 1):
+            for extra in itertools.combinations(inside, size):
+                S = (W - U) | frozenset(extra)
+                s_pos, rest = sorted(S), sorted(U - S)
+                q_rest: dict = {}
+                for row, q in Q.rows():
+                    values = dict(zip(u_pos, row))
+                    t = tuple(values[p] for p in rest)
+                    q_rest[t] = q_rest.get(t, Fraction(0)) + q
+                rows = {}
+                seen = {tuple(dict(zip(w_pos, row))[p] for p in s_pos) for row in k_w.rows}
+                for s in sorted(seen):
+                    terms = []
+                    for t, q in q_rest.items():
+                        values = dict(zip(s_pos, s))
+                        values.update(zip(rest, t))
+                        full = tuple(values[p] for p in w_pos)
+                        if not k_w.has_row(full):
+                            terms = None
+                            break
+                        terms.append((q, k_w.measure(full)))
+                    if terms is None:
+                        dropped.append(DerivationNote(S, s, W))
+                    else:
+                        rows[s] = mix(terms)
+                if rows:
+                    kernels.append(Kernel(schema, S, rows))
+                else:
+                    dropped.append(DerivationNote(S, None, W))
+    derived = tuple(sorted((k.on for k in kernels), key=lambda s: (len(s), sorted(s))))
+    return CfSpace(schema, P, Mechanism(schema, P, kernels)), derived, tuple(dropped)
 
 
 def _summed(pairs) -> dict:

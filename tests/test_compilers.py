@@ -19,8 +19,10 @@ from cfspaces import (
     cylinder,
     independent_sigmas,
     intervene,
+    marginalize,
     synchronized,
 )
+from cfspaces.measure import law
 
 from oracle_util import brute_compile_backtracking, brute_compile_po, brute_compile_scm
 
@@ -194,6 +196,34 @@ class TestAgainstEnumeration:
         for seed in range(4):
             model = random_dag_model(random.Random(7300 + seed), 2)
             assert compile_scm(model, kernel_sets=[frozenset({0})]).P == compile_scm(model).P
+
+
+def test_trusted_measures_are_already_laws():
+    """Measures built on the trusted path skip `law`; each must already be
+    what `law` returns: nonzero Fractions summing to one."""
+    rng = random.Random(8800)
+    checked = 0
+    for seed in range(8):
+        space = compile_scm(random_dag_model(rng, 2 + seed % 2))
+        schema = space.schema
+        U = frozenset(rng.sample(sorted(schema.all_positions), rng.randint(1, 2)))
+        after = intervene(space, U, Margin(schema, U, rand_law(rng, list(schema.rows(U)))))
+        twice = intervene(after, U, Margin.uniform(schema, U))
+        margins = [Margin.uniform(schema, U)]
+        for s in (space, after, twice):
+            margins.append(s.P)
+            margins += [m for k in s.mech.kernels() for m in k.rows.values()]
+            event = cylinder(schema, {0: schema.outcomes()[0][0]})
+            if s.P.prob(event):
+                margins.append(condition_event(s.P, event))
+            margins += [s.P.marginal(schema.world_positions(w)) for w in schema.worlds]
+            margins.append(marginalize(s, schema.world_positions("CF"), allow_world_drop=True).P)
+        for m in margins:
+            w = m.as_dict()
+            assert all(type(q) is Fraction for q in w.values())
+            assert law(w) == w
+            checked += 1
+    assert checked > 2000
 
 
 class TestCompileSCM:

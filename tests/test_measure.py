@@ -42,6 +42,16 @@ class TestMeasureBasics:
         with pytest.raises(ValueError):
             Measure(s, {(0, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2)})
 
+    def test_mixture_weights_must_form_a_law(self):
+        s = two_by_two()
+        a, b = Measure.dirac(s, (0, 0)), Measure.dirac(s, (1, 1))
+        mix = Measure.mixture(s, [(Fraction(1, 4), a), (0, b), (Fraction(3, 4), b)])
+        assert mix.as_dict() == {(0, 0): Fraction(1, 4), (1, 1): Fraction(3, 4)}
+        with pytest.raises(ValueError, match="^mixture weights sum to 1/2, not 1$"):
+            Measure.mixture(s, [(Fraction(1, 4), a), (Fraction(1, 4), b)])
+        with pytest.raises(ValueError, match="^negative mixture weight -1/2 at 1$"):
+            Measure.mixture(s, [(Fraction(3, 2), a), (Fraction(-1, 2), b)])
+
     def test_exam_row_mass(self, exam):
         a = cylinder(exam.schema, {"F.class": "Y", "F.exam": "P"})
         assert prob(exam.P, a) == Fraction(43, 100)
@@ -245,13 +255,6 @@ class TestMargin:
         marg = exam.P.marginal(exam.schema.world_positions("CF"))
         assert marg.weight((0, 0)) == Fraction(43, 100)
         assert marg.weight((1, 1)) == Fraction(17, 100)
-
-    def test_product_detection(self, coin_indep, coin_sync):
-        s = coin_indep.schema
-        m = coin_indep.P.marginal(s.all_positions)
-        assert m.is_product(s.world_positions("F"), s.world_positions("CF"))
-        m2 = coin_sync.P.marginal(s.all_positions)
-        assert not m2.is_product(s.world_positions("F"), s.world_positions("CF"))
 
     def test_uniform(self, exam):
         q = Margin.uniform(exam.schema, ["CF.class"])

@@ -140,6 +140,56 @@ class TestIntervene:
         assert twice.P == direct.P
 
 
+class TestLazyIntervention:
+    def test_kernels_are_built_when_read(self, monkeypatch):
+        ident = {(u,): u for u in "01"}
+        model = SCMModel(
+            [(f"U{i}", ("0", "1")) for i in range(3)],
+            {u: Fraction(1, 8) for u in itertools.product("01", repeat=3)},
+            [(f"V{i}", ("0", "1")) for i in range(3)],
+            {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(3)})
+        space = compile_scm(model)
+        calls = []
+        mixture = Measure.mixture.__func__
+
+        def counting(cls, schema, parts):
+            calls.append(schema)
+            return mixture(cls, schema, parts)
+
+        monkeypatch.setattr(Measure, "mixture", classmethod(counting))
+        u = frozenset({4})
+        new = intervene(space, u, Margin.uniform(space.schema, u))
+        assert len(calls) == 1  # the new measure only
+        assert len(new.derivation.derived) == 64 and new.mech.is_total()
+        assert len(calls) == 1  # the scan builds nothing
+        assert new.mech.get(()).rows[()] == new.P
+        assert len(calls) == 2
+        assert new.mech.get({1, 4}) is space.mech.get({1, 4})  # carried over
+        assert {1} in new.mech
+        k = new.mech.get({1})
+        assert len(calls) == 2 + len(k.rows)  # one mixture per row
+        assert new.mech.get({1}) is k
+        assert len(calls) == 2 + len(k.rows)
+        assert check_axioms(new).ok
+        # P, then one mixture per row of the 32 keys that miss U: 3**5 rows
+        assert len(calls) == 1 + 3 ** 5
+
+    def test_long_chains_need_no_deep_recursion(self):
+        ident = {(u,): u for u in "01"}
+        model = SCMModel(
+            [(f"U{i}", ("0", "1")) for i in range(2)],
+            {u: Fraction(1, 4) for u in itertools.product("01", repeat=2)},
+            [(f"V{i}", ("0", "1")) for i in range(2)],
+            {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(2)})
+        space = compile_scm(model)
+        s = space.schema
+        for i in range(1200):
+            U = frozenset({2 + i % 2})
+            space = intervene(space, U, Margin.uniform(s, U))
+        # the kernels on the factual coordinates were never built on the way
+        assert space.derivation.dropped == () and check_axioms(space).ok
+
+
 class TestClassifyEffect:
     def test_active_on_second_component(self, dormant):
         s = dormant.schema

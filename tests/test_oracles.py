@@ -1,15 +1,22 @@
 """Fast-path implementations against exhaustive brute-force quantification."""
 
+import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
+
+import pytest
 
 from cfspaces import (
     CfSpace,
     Coordinate,
+    DerivationReport,
     Kernel,
     Margin,
     Measure,
     Mechanism,
+    MissingKernelError,
     SpaceSchema,
     WorldMirror,
     causal_sync,
@@ -23,6 +30,7 @@ from oracle_util import (
     brute_causal_sync,
     brute_cross_world,
     brute_independent_sigmas,
+    brute_intervene,
     brute_support_condition,
     brute_symmetric_measure,
     brute_symmetry_failures,
@@ -250,3 +258,110 @@ class TestCrossWorldOracle:
                     violations += len(report.violations)
                     uncheckable += len(report.uncheckable)
         assert violations >= 100 and uncheckable >= 100
+
+
+def random_intervention(rng, space):
+    """A coordinate set, mostly a present key, and a law on it."""
+    keys = space.mech.keys()
+    if rng.random() < 0.7:
+        U = rng.choice(keys)
+    else:
+        U = random_subset(rng, space.schema.all_positions)
+    return U, random_margin(rng, space.schema, U, dirac=rng.random() < 0.4)
+
+
+def assert_same_intervention(rng, got, expected):
+    """The lazy result against the eager oracle's, read in a random order:
+    presence, every row of every kernel, absences, the keys, the report."""
+    space, derived, dropped = expected
+    report = DerivationReport(derived, dropped)
+    scan_first = rng.random() < 0.5
+    if scan_first:
+        assert got.derivation == report
+    n = len(space.schema.coords)
+    every = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    rng.shuffle(every)
+    for S in every:
+        present = S in space.mech
+        assert (S in got.mech) == present
+        if present:
+            assert got.mech.get(S).rows == space.mech.get(S).rows
+        else:
+            with pytest.raises(MissingKernelError):
+                got.mech.get(S)
+    assert got.P == space.P
+    assert got.mech.keys() == space.mech.keys() == derived
+    assert got.mech.is_total() == space.mech.is_total()
+    if not scan_first:
+        assert got.derivation == report
+
+
+class TestInterveneOracle:
+    def test_lazy_interventions_match_the_eager_definition(self):
+        rng = random.Random(67)
+        runs = chained = refused = notes = row_notes = 0
+        for n_worlds in (1, 2, 3):
+            for seed in range(24):
+                space = random_cf_space(9500 + seed, n_worlds=n_worlds)
+                if seed % 3:
+                    space = tampered_copy(rng, space)
+                U, Q = random_intervention(rng, space)
+                try:
+                    expected = brute_intervene(space, U, Q)
+                except MissingKernelError:
+                    with pytest.raises(MissingKernelError):
+                        intervene(space, U, Q)
+                    refused += 1
+                    continue
+                assert_same_intervention(rng, intervene(space, U, Q), expected)
+                runs += 1
+                notes += len(expected[2])
+                row_notes += sum(note.row is not None for note in expected[2])
+                # A chain derives from a parent that has built nothing yet.
+                U2, Q2 = random_intervention(rng, expected[0])
+                try:
+                    expected2 = brute_intervene(expected[0], U2, Q2)
+                except MissingKernelError:
+                    with pytest.raises(MissingKernelError):
+                        intervene(intervene(space, U, Q), U2, Q2)
+                    refused += 1
+                    continue
+                assert_same_intervention(
+                    rng, intervene(intervene(space, U, Q), U2, Q2), expected2)
+                chained += 1
+        assert runs >= 50 and chained >= 40 and refused >= 10
+        assert notes >= 40 and row_notes >= 25
+
+    def test_racing_threads_read_the_same_kernels(self):
+        rng = random.Random(71)
+        for seed in range(12):
+            space = random_cf_space(9600 + seed, n_worlds=2, mode="coupled")
+            U, Q = random_intervention(rng, space)
+            U2, Q2 = random_intervention(rng, space)
+            once, _, _ = brute_intervene(space, U, Q)
+            expected, derived, dropped = brute_intervene(once, U2, Q2)
+            lazy = intervene(intervene(space, U, Q), U2, Q2)
+            n = len(space.schema.coords)
+            every = [frozenset(c) for r in range(n + 1)
+                     for c in itertools.combinations(range(n), r)]
+            seen = {}
+
+            def read(i):
+                order = random.Random(i).sample(every, len(every))
+                seen[i] = ({S: lazy.mech.get(S).rows for S in order if S in lazy.mech},
+                           lazy.derivation)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 6
+            want = {S: expected.mech.get(S).rows for S in expected.mech.keys()}
+            for rows, report in seen.values():
+                assert rows == want and report == DerivationReport(derived, dropped)

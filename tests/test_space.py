@@ -139,6 +139,15 @@ class TestAtoms:
                 assert sum(len(b) for b in blocks) == s.n_outcomes
 
 
+class TestRequireEvent:
+    def test_first_bad_member_is_named(self):
+        s = two_by_two()
+        s.require_event(frozenset(s.outcomes()))
+        with pytest.raises(SchemaError) as err:
+            s.require_event([(0, 1), (0, 2), (1, 1), (5,)])
+        assert str(err.value) == "event member (0, 2) does not conform to the schema"
+
+
 class TestMeasurability:
     def test_cylinder_on_own_base(self, exam):
         s = exam.schema
