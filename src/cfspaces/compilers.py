@@ -23,10 +23,6 @@ from .measure import Measure, law, pushforward
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import Coordinate, SpaceSchema
 
-# Materialising a full mechanism is exponential in the coordinate count;
-# beyond this budget the caller must list the kernel sets it wants.
-KERNEL_BUDGET = 4096
-
 # World names of the compiled spaces: factual and counterfactual copies of
 # a structural model, and the observed world of a potential-outcome model.
 F, CF, OBS = "F", "CF", "OBS"
@@ -137,16 +133,15 @@ def _indexer(model: SCMModel):
     return lambda values: tuple(ix[values[name]] for name, ix in index)
 
 
-def compile_scm(model: SCMModel, kernel_sets=None) -> CfSpace:
+def compile_scm(model: SCMModel) -> CfSpace:
     """Compile a structural model into a two-world causal space.
 
     Both worlds share the exogenous noise: the measure and every kernel row
     are the image of the noise law under the twin network, the pair of
     sub-model solutions for one noise row.  A row fixes the intervened
     variables in its world's sub-model; the measure fixes none, so the
-    pre-intervention worlds are synchronised.  The full mechanism is
-    emitted when it fits the kernel budget; otherwise `kernel_sets` must
-    list the wanted coordinate sets.
+    pre-intervention worlds are synchronised.  Only the measure is built
+    here, which rejects a cyclic model; each kernel is built when first read.
     """
     schema = _two_world_schema(model)
     n = len(model.endo_names)
@@ -165,26 +160,17 @@ def compile_scm(model: SCMModel, kernel_sets=None) -> CfSpace:
         outcomes = map(add, solve(do_f), solve(do_cf))
         return Measure(schema, pushforward(zip(outcomes, weights)), _trusted=True)
 
-    P = twin((), ())  # solving the model rejects a cyclic one
-    if kernel_sets is None:
-        if (1 << (2 * n)) > KERNEL_BUDGET:
-            raise ValueError(
-                "full mechanism exceeds the kernel budget; pass kernel_sets explicitly")
-        kernel_sets = [
-            frozenset(c) for r in range(2 * n + 1)
-            for c in itertools.combinations(range(2 * n), r)
-        ]
-    kernels = []
-    for S in kernel_sets:
-        S = schema.positions(S)
+    def kernel(S: frozenset) -> Kernel:
         coords = [schema.coords[p] for p in sorted(S)]
         k = sum(p < n for p in S)  # the factual coordinates come first
         rows = {}
         for row in schema.rows(S):
             do = [(c.name, c.labels[v]) for c, v in zip(coords, row)]
             rows[row] = twin(tuple(sorted(do[:k])), tuple(sorted(do[k:])))
-        kernels.append(Kernel(schema, S, rows))
-    return CfSpace(schema, P, Mechanism(schema, P, kernels))
+        return Kernel(schema, S, rows)
+
+    P = twin((), ())  # solving the model rejects a cyclic one
+    return CfSpace(schema, P, Mechanism(schema, P, _build=kernel))
 
 
 def compile_backtracking(model: SCMModel, coupling) -> CfSpace:

@@ -75,18 +75,19 @@ class Kernel:
 class Mechanism:
     """A partial family of causal kernels; always contains the empty key.
 
-    The mechanism that `intervene` returns holds (parent, U, Q) and builds
-    the kernel on S from the parent's kernel on S | U when `get(S)` or `S in
-    mech` first asks; a kernel on S ⊇ U is the parent's.  Kernels and absent
-    keys are cached (racing threads build equal kernels).  `keys()`,
-    `is_total()` and `derivation()` scan which rows are present; `kernels()`
-    builds them all.
+    A lazy mechanism builds the kernel on S when `get(S)` or `S in mech`
+    first asks: a compiled one with its builder, the one `intervene`
+    returns from the parent's kernel on S | U (a kernel on S ⊇ U is the
+    parent's).  Kernels and absent keys are cached (racing threads build
+    equal kernels).  `keys()`, `is_total()` and `derivation()` scan which
+    rows are present; `kernels()` builds them all.
     """
 
     def __init__(self, schema: SpaceSchema, P: Measure, kernels: Iterable[Kernel] = (), *,
-                 _do: tuple | None = None):
+                 _do: tuple | None = None, _build=None):
         self.schema = schema
         self._source = _do  # (parent, U, Q) of a derived mechanism
+        self._build = _build  # S -> the kernel on S, of a compiled mechanism
         self._scanned = None
         table: dict = {}
         for k in kernels:
@@ -105,6 +106,8 @@ class Mechanism:
         while key not in mech._k and mech._source is not None:
             chain.append((mech, key))
             mech, key = mech._source[0], key | mech._source[1]
+        if key not in mech._k and mech._build is not None:
+            mech._k[key] = mech._build(key)
         for mech, key in reversed(chain):
             mech._k[key] = mech._derive(key)
         return self._k.get(S)
@@ -120,6 +123,10 @@ class Mechanism:
 
     def _layout(self) -> dict:
         """S -> the rows of the kernel on S, for every present key."""
+        if self._build is not None:  # every row of every key
+            m = len(self.schema.coords)
+            return {frozenset(S): set(self.schema.rows(S))
+                    for r in range(m + 1) for S in itertools.combinations(range(m), r)}
         if self._source is None:
             return {S: k.rows for S, k in self._k.items()}
         chain, mech = [], self  # unscanned ancestors are scanned first
@@ -184,7 +191,8 @@ class Mechanism:
             len(rows) == len(tuple(self.schema.rows(S))) for S, rows in layout.items())
 
     def __repr__(self):
-        return f"Mechanism({len(self.keys())} kernels)"
+        built = tuple(self._k.values())  # one copy, while other threads may build
+        return f"Mechanism(kernels built: {len(built) - built.count(None)})"
 
 
 @dataclass(frozen=True)

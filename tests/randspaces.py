@@ -1,4 +1,5 @@
-"""Seeded generators for random valid counterfactual causal spaces.
+"""Seeded generators for random valid counterfactual causal spaces, and for
+random acyclic structural models to compile into them.
 
 A mechanism is valid iff every kernel row is a coupling of per-world
 marginal measures drawn from families that agree on restrictions (the
@@ -16,7 +17,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from cfspaces import CfSpace, Coordinate, Kernel, Margin, Measure, Mechanism, SpaceSchema
+from cfspaces import (
+    CfSpace,
+    Coordinate,
+    Kernel,
+    Margin,
+    Measure,
+    Mechanism,
+    SCMModel,
+    SpaceSchema,
+    StructuralEq,
+)
 
 
 def rand_weights(rng, cells, allow_zero=True, max_w=6):
@@ -207,3 +218,29 @@ def random_event(rng, schema) -> frozenset:
 
 def random_subset(rng, items) -> frozenset:
     return frozenset(x for x in items if rng.random() < 0.5)
+
+
+def rand_law(rng, keys):
+    """Random weights over `keys`, some of them zero, summing to one."""
+    while True:
+        ws = [rng.choice((0, 0, 1, 2, 3)) for _ in keys]
+        if sum(ws):
+            return {k: Fraction(w, sum(ws)) for k, w in zip(keys, ws) if w}
+
+
+def random_dag_model(rng, n_vars):
+    """A random acyclic model: n_vars endogenous variables declared out of
+    evaluation order, one or two noise variables, random function tables."""
+    labels = ("0", "1") if n_vars == 3 else ("0", "1", "2")
+    noise = [(f"U{i}", ("a", "b")) for i in range(rng.randint(1, 2))]
+    names = [f"V{i}" for i in range(n_vars)]
+    order = rng.sample(names, n_vars)
+    eqs = {}
+    for i, name in enumerate(order):
+        parents = tuple(p for p in order[:i] if rng.random() < 0.6)
+        noises = tuple(u for u, _ in noise if rng.random() < 0.7)
+        domain = [labels] * len(parents) + [("a", "b")] * len(noises)
+        table = {k: rng.choice(labels) for k in itertools.product(*domain)}
+        eqs[name] = StructuralEq(name, parents, noises, table)
+    noise_rows = list(itertools.product(*(ls for _, ls in noise)))
+    return SCMModel(noise, rand_law(rng, noise_rows), [(n, labels) for n in names], eqs)

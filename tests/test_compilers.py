@@ -6,6 +6,7 @@ import pytest
 
 from cfspaces import (
     CyclicModelError,
+    DerivationReport,
     Margin,
     POModel,
     SCMModel,
@@ -24,7 +25,13 @@ from cfspaces import (
 )
 from cfspaces.measure import law
 
-from oracle_util import brute_compile_backtracking, brute_compile_po, brute_compile_scm
+from oracle_util import (
+    brute_compile_backtracking,
+    brute_compile_po,
+    brute_compile_scm,
+    brute_intervene,
+)
+from randspaces import rand_law, random_dag_model, random_margin, random_subset
 
 XOR = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}
 IDENT = {("0",): "0", ("1",): "1"}
@@ -74,32 +81,6 @@ def rand_dist(rng):
             break
     total = sum(ws)
     return {c: Fraction(w, total) for c, w in zip(cells, ws)}
-
-
-def rand_law(rng, keys):
-    """Random weights over `keys`, some of them zero, summing to one."""
-    while True:
-        ws = [rng.choice((0, 0, 1, 2, 3)) for _ in keys]
-        if sum(ws):
-            return {k: Fraction(w, sum(ws)) for k, w in zip(keys, ws) if w}
-
-
-def random_dag_model(rng, n_vars):
-    """A random acyclic model: n_vars endogenous variables declared out of
-    evaluation order, one or two noise variables, random function tables."""
-    labels = ("0", "1") if n_vars == 3 else ("0", "1", "2")
-    noise = [(f"U{i}", ("a", "b")) for i in range(rng.randint(1, 2))]
-    names = [f"V{i}" for i in range(n_vars)]
-    order = rng.sample(names, n_vars)
-    eqs = {}
-    for i, name in enumerate(order):
-        parents = tuple(p for p in order[:i] if rng.random() < 0.6)
-        noises = tuple(u for u, _ in noise if rng.random() < 0.7)
-        domain = [labels] * len(parents) + [("a", "b")] * len(noises)
-        table = {k: rng.choice(labels) for k in itertools.product(*domain)}
-        eqs[name] = StructuralEq(name, parents, noises, table)
-    noise_rows = list(itertools.product(*(ls for _, ls in noise)))
-    return SCMModel(noise, rand_law(rng, noise_rows), [(n, labels) for n in names], eqs)
 
 
 def random_po_model(rng):
@@ -172,9 +153,19 @@ class TestAgainstEnumeration:
             P, kernels = brute_compile_scm(model, space)
             assert space.P.as_dict() == P
             assert len(kernels) == 1 << len(space.schema.coords)
-            for S, rows in kernels.items():
+            for S in rng.sample(sorted(kernels, key=sorted), len(kernels)):
                 k = space.mech.get(S)
-                assert {r: m.as_dict() for r, m in k.rows.items()} == rows
+                assert {r: m.as_dict() for r, m in k.rows.items()} == kernels[S]
+            # Intervening on a compiled space none of whose kernels was read
+            # matches the eager definition on the space read in full.
+            U = random_subset(rng, space.schema.all_positions)
+            Q = random_margin(rng, space.schema, U, dirac=seed % 3 == 0)
+            got = intervene(compile_scm(model), U, Q)
+            want, derived, dropped = brute_intervene(space, U, Q)
+            assert got.P == want.P
+            for S in rng.sample(derived, len(derived)):
+                assert got.mech.get(S).rows == want.mech.get(S).rows
+            assert got.derivation == DerivationReport(derived, dropped)
 
     def test_backtracking_coupling(self):
         for seed in range(8):
@@ -191,11 +182,6 @@ class TestAgainstEnumeration:
             space = compile_po(model)
             assert space.schema.worlds[-1] == "OBS"
             assert space.P.as_dict() == brute_compile_po(model, space.schema)
-
-    def test_kernel_sets_leave_the_measure_alone(self):
-        for seed in range(4):
-            model = random_dag_model(random.Random(7300 + seed), 2)
-            assert compile_scm(model, kernel_sets=[frozenset({0})]).P == compile_scm(model).P
 
 
 def test_trusted_measures_are_already_laws():
@@ -298,8 +284,9 @@ class TestCompileSCM:
                      "B": StructuralEq("B", ("A",), (), flip)},
             ).topo_order()
 
-    def test_kernel_budget(self):
-        # seven binary variables means 2^14 kernels, beyond the budget
+    def test_seven_variables_build_only_the_kernels_read(self):
+        # 2^14 kernels: compiling builds the empty one, and intervening on
+        # {0} then reading the kernel on {1} builds two more
         n = 7
         model = SCMModel(
             noise=[(f"U{i}", ("0", "1")) for i in range(n)],
@@ -309,11 +296,14 @@ class TestCompileSCM:
             eqs={f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), IDENT)
                  for i in range(n)},
         )
-        with pytest.raises(ValueError, match="budget"):
-            compile_scm(model)
-        space = compile_scm(model, kernel_sets=[frozenset(), frozenset({0})])
-        assert len(space.mech.keys()) == 2
-        assert check_axioms(space).ok
+        space = compile_scm(model)
+        s = space.schema
+        assert repr(space.mech) == "Mechanism(kernels built: 1)"
+        done = intervene(space, {0}, Margin.point(s, {"F.V0": "1"}))
+        assert done.P.prob(cylinder(s, {"F.V0": "1", "CF.V0": "0"})) == Fraction(1, 2)
+        assert done.mech.get({1}).measure((1,)).prob(cylinder(s, {"F.V0": "1"})) == 1
+        assert repr(space.mech) == "Mechanism(kernels built: 3)"
+        assert repr(done.mech) == "Mechanism(kernels built: 1)"
 
 
 class TestBacktracking:

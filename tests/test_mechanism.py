@@ -141,7 +141,24 @@ class TestIntervene:
 
 
 class TestLazyIntervention:
-    def test_kernels_are_built_when_read(self, monkeypatch):
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts of kernels built, mixtures and model solves."""
+        counts = {"kernels": 0, "mixtures": 0, "solves": 0}
+        init, mixture, evaluate = Kernel.__init__, Measure.mixture.__func__, SCMModel.evaluate
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(Kernel, "__init__", counting("kernels", init))
+        monkeypatch.setattr(Measure, "mixture", classmethod(counting("mixtures", mixture)))
+        monkeypatch.setattr(SCMModel, "evaluate", counting("solves", evaluate))
+        return counts
+
+    def test_kernels_are_built_when_read(self, work):
         ident = {(u,): u for u in "01"}
         model = SCMModel(
             [(f"U{i}", ("0", "1")) for i in range(3)],
@@ -149,30 +166,61 @@ class TestLazyIntervention:
             [(f"V{i}", ("0", "1")) for i in range(3)],
             {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(3)})
         space = compile_scm(model)
-        calls = []
-        mixture = Measure.mixture.__func__
-
-        def counting(cls, schema, parts):
-            calls.append(schema)
-            return mixture(cls, schema, parts)
-
-        monkeypatch.setattr(Measure, "mixture", classmethod(counting))
+        assert work["kernels"] == 1  # the empty kernel only
+        assert len(space.mech.keys()) == 64 and space.mech.is_total()
+        assert space.derivation is None and repr(space)
+        assert work["kernels"] == 1  # nothing scans a compiled mechanism's kernels
+        assert {1, 4} in space.mech and work["kernels"] == 2
+        k14 = space.mech.get({1, 4})
+        assert space.mech.get({1, 4}) is k14 and work["kernels"] == 2
+        assert space.mech.get({0}).on == {0} and work["kernels"] == 3
         u = frozenset({4})
         new = intervene(space, u, Margin.uniform(space.schema, u))
-        assert len(calls) == 1  # the new measure only
-        assert len(new.derivation.derived) == 64 and new.mech.is_total()
-        assert len(calls) == 1  # the scan builds nothing
+        assert work["mixtures"] == 1  # the new measure only
+        assert work["kernels"] == 4  # the kernel on U
+        assert len(new.derivation.derived) == 64 and new.mech.is_total() and repr(new)
+        assert work["mixtures"] == 1 and work["kernels"] == 4  # the scan builds nothing
         assert new.mech.get(()).rows[()] == new.P
-        assert len(calls) == 2
-        assert new.mech.get({1, 4}) is space.mech.get({1, 4})  # carried over
+        assert work["mixtures"] == 2 and work["kernels"] == 5
+        assert new.mech.get({1, 4}) is k14  # carried over
         assert {1} in new.mech
         k = new.mech.get({1})
-        assert len(calls) == 2 + len(k.rows)  # one mixture per row
+        assert work["mixtures"] == 2 + len(k.rows)  # one mixture per row
         assert new.mech.get({1}) is k
-        assert len(calls) == 2 + len(k.rows)
+        assert work["mixtures"] == 2 + len(k.rows)
         assert check_axioms(new).ok
-        # P, then one mixture per row of the 32 keys that miss U: 3**5 rows
-        assert len(calls) == 1 + 3 ** 5
+        # P, then one mixture per row of the 32 keys that miss U: 3**5 rows;
+        # kernels: the parent's on (), on {0} and on the 32 keys that hold
+        # U, and the 32 derived ones
+        assert work["mixtures"] == 1 + 3 ** 5 and work["kernels"] == 2 + 32 + 32
+
+    def test_an_eight_variable_chain_builds_what_it_reads(self, work):
+        # X_i = X_{i-1} xor U_i over 8 fair coins: 65,536 outcomes, 4^8 kernels
+        n = 8
+        xor = {(a, b): str(int(a) ^ int(b)) for a in "01" for b in "01"}
+        eqs = {"X0": StructuralEq("X0", (), ("U0",), {(u,): u for u in "01"})}
+        eqs.update({f"X{i}": StructuralEq(f"X{i}", (f"X{i - 1}",), (f"U{i}",), xor)
+                    for i in range(1, n)})
+        model = SCMModel(
+            [(f"U{i}", ("0", "1")) for i in range(n)],
+            {u: Fraction(1, 2 ** n) for u in itertools.product("01", repeat=n)},
+            [(f"X{i}", ("0", "1")) for i in range(n)], eqs)
+        space = compile_scm(model)
+        assert work == {"kernels": 1, "mixtures": 0, "solves": 2 ** n}
+        s = space.schema
+        U = s.positions(["CF.X4"])
+        new = intervene(space, U, Margin.uniform(s, U))
+        # the last variables agree in both worlds only as often as the
+        # re-drawn CF.X4 agrees with F.X4
+        assert new.P.prob(cylinder(s, {"F.X7": "1", "CF.X7": "1"})) == Fraction(1, 4)
+        assert space.P.prob(cylinder(s, {"F.X7": "1", "CF.X7": "1"})) == Fraction(1, 2)
+        # the kernel on U: one sub-model per forced label, solved per noise row
+        assert work == {"kernels": 2, "mixtures": 1, "solves": 3 * 2 ** n}
+        k = new.mech.get(s.positions(["F.X0"]))
+        assert k.measure((1,)).prob(cylinder(s, {"F.X7": "1"})) == Fraction(1, 2)
+        # the parent's kernel on {F.X0, CF.X4} and the derived one
+        assert work == {"kernels": 4, "mixtures": 1 + 2, "solves": 5 * 2 ** n}
+        assert repr(new) and work["kernels"] == 4
 
     def test_long_chains_need_no_deep_recursion(self):
         ident = {(u,): u for u in "01"}
@@ -258,13 +306,15 @@ class TestClassifyEffect:
             {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(3)})
         u = frozenset({5})
         kept = [frozenset(c) for r in range(6) for c in itertools.combinations(range(5), r)]
-        space = compile_scm(model, kernel_sets=kept + [u])
+        full = compile_scm(model)
+        space = CfSpace(full.schema, full.P,
+                        Mechanism(full.schema, full.P, [full.mech.get(S) for S in kept + [u]]))
         a = cylinder(space.schema, {"F.V0": "1"})
         verdict = classify_effect(space, u, a)
         assert verdict.tag == "undetermined"
         assert verdict.missing == tuple(frozenset(s) for s in [
             {0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}, {0, 1, 5}, {0, 2, 5}, {0, 3, 5}])
-        assert classify_effect(compile_scm(model), u, a).tag == "no_effect"
+        assert classify_effect(full, u, a).tag == "no_effect"
 
 
 class TestConditionalEffect:

@@ -21,6 +21,7 @@ from cfspaces import (
     WorldMirror,
     causal_sync,
     check_cross_world,
+    compile_scm,
     independent_sigmas,
     intervene,
     is_symmetric,
@@ -28,6 +29,7 @@ from cfspaces import (
 )
 from oracle_util import (
     brute_causal_sync,
+    brute_compile_scm,
     brute_cross_world,
     brute_independent_sigmas,
     brute_intervene,
@@ -37,7 +39,13 @@ from oracle_util import (
     brute_synchronized,
     fast_support_condition,
 )
-from randspaces import rand_weights, random_cf_space, random_margin, random_subset
+from randspaces import (
+    rand_weights,
+    random_cf_space,
+    random_dag_model,
+    random_margin,
+    random_subset,
+)
 
 
 def small_schema(seed):
@@ -333,23 +341,41 @@ class TestInterveneOracle:
         assert notes >= 40 and row_notes >= 25
 
     def test_racing_threads_read_the_same_kernels(self):
+        def tables(kernel):
+            return {row: m.as_dict() for row, m in kernel.rows.items()}
+
         rng = random.Random(71)
+        cases = []  # (space the threads read, {S: {row: weights}}, derivation report)
         for seed in range(12):
             space = random_cf_space(9600 + seed, n_worlds=2, mode="coupled")
             U, Q = random_intervention(rng, space)
             U2, Q2 = random_intervention(rng, space)
             once, _, _ = brute_intervene(space, U, Q)
             expected, derived, dropped = brute_intervene(once, U2, Q2)
-            lazy = intervene(intervene(space, U, Q), U2, Q2)
-            n = len(space.schema.coords)
+            want = {S: tables(expected.mech.get(S)) for S in expected.mech.keys()}
+            cases.append((intervene(intervene(space, U, Q), U2, Q2), want,
+                          DerivationReport(derived, dropped)))
+        for seed in range(4):
+            # Fresh compiled spaces: the threads race to build every kernel
+            # and share the compiler's memo of sub-model solutions.
+            model = random_dag_model(random.Random(9700 + seed), 2 + seed % 2)
+            fresh = compile_scm(model)
+            P, want = brute_compile_scm(model, fresh)
+            assert fresh.P.as_dict() == P
+            cases.append((fresh, want, None))
+        for lazy, want, report in cases:
+            n = len(lazy.schema.coords)
             every = [frozenset(c) for r in range(n + 1)
                      for c in itertools.combinations(range(n), r)]
             seen = {}
 
             def read(i):
-                order = random.Random(i).sample(every, len(every))
-                seen[i] = ({S: lazy.mech.get(S).rows for S in order if S in lazy.mech},
-                           lazy.derivation)
+                rows = {}
+                for S in random.Random(i).sample(every, len(every)):
+                    if S in lazy.mech:
+                        rows[S] = tables(lazy.mech.get(S))
+                    repr(lazy)  # reads the cache while other threads fill it
+                seen[i] = (rows, lazy.derivation)
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -362,6 +388,5 @@ class TestInterveneOracle:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads) and len(seen) == 6
-            want = {S: expected.mech.get(S).rows for S in expected.mech.keys()}
-            for rows, report in seen.values():
-                assert rows == want and report == DerivationReport(derived, dropped)
+            for rows, got in seen.values():
+                assert rows == want and got == report

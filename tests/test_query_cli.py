@@ -234,6 +234,25 @@ class TestCli:
         assert code == 0
         assert out == "PROB (CF.Y=1) = 1/2 ~ 0.500000\n"
 
+    def test_compile_scm_refuses_more_kernels_than_the_budget(self, tmp_path, monkeypatch):
+        def refused(model):
+            raise AssertionError("a refused model must not be compiled")
+
+        monkeypatch.setattr("cfspaces.cli.compile_scm", refused)
+        n = 7  # 4^7 = 16384 kernels to write
+        model = tmp_path / "wide.scm"
+        model.write_text(
+            "scm wide\n"
+            + "".join(f"noise U{i} {{ 0 1 }}\n" for i in range(n))
+            + f"dist {{ default = 1/{2 ** n} }}\n"
+            + "".join(f"var V{i} {{ 0 1 }}\n" for i in range(n))
+            + "".join(f"fn V{i} (U{i}) {{ (U{i}=0) = 0  (U{i}=1) = 1 }}\n" for i in range(n)))
+        out_file = tmp_path / "wide.cfs"
+        code, out, err = run_cli(["compile", "scm", str(model), "-o", str(out_file)])
+        assert (code, out) == (2, "")
+        assert err == "error: 16384 kernels to write, beyond the budget of 4096\n"
+        assert not out_file.exists()
+
     def test_compile_bscm_needs_coupling(self, tmp_path):
         model = tmp_path / "m.scm"
         model.write_text(
