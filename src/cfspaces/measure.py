@@ -120,7 +120,7 @@ class Margin:
         sub = tuple(sorted(self.schema.positions(S)))
         if not set(sub) <= set(self.on):
             raise ValueError(f"positions {sub} are not within the projection {self.on}")
-        key = projector([self.on.index(p) for p in sub])
+        key = projector(self.on, sub)
         return Margin(self.schema, sub, pushforward(zip(map(key, self._w), self._w.values())),
                       _trusted=True)
 
@@ -285,12 +285,8 @@ def independent_given(P: Measure, G, A, B) -> bool:
 def independent_given_sigma(P: Measure, sigma, A, B) -> bool:
     """Conditional independence given a sigma-algebra (positive atoms only)."""
     cond = condition_sigma(P, sigma)
-    for block in cond.atoms:
-        if block in set(cond.null_atoms):
-            continue
-        if not independent(cond.table[block], A, B):
-            return False
-    return True
+    null = set(cond.null_atoms)
+    return all(independent(cond.table[block], A, B) for block in cond.atoms if block not in null)
 
 
 def independent_sigmas(P: Measure, S1, S2) -> bool:
@@ -318,10 +314,9 @@ def as_equal_given(P: Measure, G, A, B) -> bool:
     return as_equal(P.condition(G), A, B)
 
 
-def support_trace(P: Measure, S) -> frozenset:
-    """The partition of the support induced by the atoms of sigma(S)."""
-    supp = P.support()
-    return frozenset(block & supp for block in atoms_of(P.schema, S) if block & supp)
+def support_trace(schema: SpaceSchema, supp, S) -> frozenset:
+    """The partition of the support set `supp` induced by the atoms of sigma(S)."""
+    return frozenset(block & supp for block in atoms_of(schema, S) if block & supp)
 
 
 def synchronized(P: Measure, S1, S2) -> bool:
@@ -333,4 +328,5 @@ def synchronized(P: Measure, S1, S2) -> bool:
     check that every event of one algebra is almost surely equal to some
     event of the other, and vice versa.
     """
-    return support_trace(P, S1) == support_trace(P, S2)
+    supp = P.support()
+    return support_trace(P.schema, supp, S1) == support_trace(P.schema, supp, S2)

@@ -17,12 +17,14 @@ verdict carrying the blocking keys, rather than inventing a completion.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .measure import Margin, Measure, condition_event
-from .space import SpaceSchema, atoms_of, project, restrict_row
+from .measure import (
+    Margin, Measure, as_equal, condition_event, condition_sigma, independent, support_trace)
+from .space import SpaceSchema, atoms_of, projector
 
 
 class MissingKernelError(LookupError):
@@ -284,13 +286,8 @@ def check_axioms(space: CfSpace) -> AxiomReport:
     if space.mech is None:
         return AxiomReport(())
     violations = []
-    empty = space.mech.get(())
-    base = empty.rows.get(())
-    if base is None:
-        violations.append(AxiomViolation(
-            "trivial-intervention", frozenset(), (), (),
-            "empty kernel has no row ()"))
-    elif base != space.P:
+    base = space.mech.get(()).rows[()]  # a kernel has rows; () is the only one on ∅
+    if base != space.P:
         for outcome in space.schema.outcomes():
             if base.weight(outcome) != space.P.weight(outcome):
                 violations.append(AxiomViolation(
@@ -300,10 +297,11 @@ def check_axioms(space: CfSpace) -> AxiomReport:
                 break
     for S in space.mech.keys():
         kernel = space.mech.get(S)
+        row_of = projector(space.schema.all_on, sorted(S))
         for row in sorted(kernel.rows):
             measure = kernel.rows[row]
             for outcome in sorted(measure.support()):
-                if project(outcome, S) != row:
+                if row_of(outcome) != row:
                     violations.append(AxiomViolation(
                         "interventional-determinism", S, row, outcome,
                         f"mass {measure.weight(outcome)} on outcome disagreeing with the row"))
@@ -313,22 +311,15 @@ def check_axioms(space: CfSpace) -> AxiomReport:
 # -- interventions ----------------------------------------------------------
 
 
-def _merge_rows(S, row_s, S2, row_s2) -> tuple:
-    """Combine rows on disjoint position sets into a row on their union."""
-    values = dict(zip(sorted(S), row_s))
-    values.update(zip(sorted(S2), row_s2))
-    return tuple(values[p] for p in sorted(values))
-
-
 def _mixing_plan(S: frozenset, U: frozenset, Q: Margin, rows_w):
     """For each row on S that a row in `rows_w` (of the kernel on W = S | U)
     restricts to: the (weight, row on W) pairs whose mixture integrates the
     Q-marginal on U \\ S out, or None when `rows_w` lacks one of them."""
-    W = S | U
-    rest = U - S
+    on_w, on_s, rest = sorted(S | U), sorted(S), sorted(U - S)
     q_rest = Q.marginal(rest).rows()
-    for row_s in sorted({restrict_row(W, row, S) for row in rows_w}):
-        parts = [(q, _merge_rows(S, row_s, rest, row_rest)) for row_rest, q in q_rest]
+    restrict, merge = projector(on_w, on_s), projector(on_s + rest, on_w)
+    for row_s in sorted({restrict(row) for row in rows_w}):
+        parts = [(q, merge(row_s + row_rest)) for row_rest, q in q_rest]
         yield row_s, parts if all(full in rows_w for _, full in parts) else None
 
 
@@ -436,8 +427,9 @@ def classify_effect(space: CfSpace, U, A) -> EffectVerdict:
         if partner not in mech:
             continue
         k_s, k_p = mech.get(S), mech.get(partner)
+        restrict = projector(sorted(S), sorted(partner))
         for row in sorted(k_s.rows):
-            sub = restrict_row(S, row, partner)
+            sub = restrict(row)
             if not k_p.has_row(sub):
                 continue
             v, w = k_s.rows[row].prob(A), k_p.rows[sub].prob(A)
@@ -530,16 +522,14 @@ def causal_independent(space: CfSpace, U, A, B) -> bool:
     """
     A, B = frozenset(A), frozenset(B)
     k = _total_kernel(space, space.schema.positions(U))
-    return all(
-        m.prob(A & B) == m.prob(A) * m.prob(B) for m in k.rows.values()
-    )
+    return all(independent(m, A, B) for m in k.rows.values())
 
 
 def causally_equal(space: CfSpace, U, A, B) -> bool:
     """Whether every row of the kernel on U nullifies the symmetric difference."""
-    delta = frozenset(A) ^ frozenset(B)
+    A, B = frozenset(A), frozenset(B)
     k = _total_kernel(space, space.schema.positions(U))
-    return all(m.prob(delta) == 0 for m in k.rows.values())
+    return all(as_equal(m, A, B) for m in k.rows.values())
 
 
 def causal_sync(space: CfSpace, U, S1, S2) -> bool:
@@ -552,25 +542,38 @@ def causal_sync(space: CfSpace, U, S1, S2) -> bool:
     """
     schema = space.schema
     k = _total_kernel(space, schema.positions(U))
-    supp: set = set()
-    for m in k.rows.values():
-        supp |= m.support()
-    trace1 = frozenset(b & supp for b in atoms_of(schema, S1) if b & supp)
-    trace2 = frozenset(b & supp for b in atoms_of(schema, S2) if b & supp)
-    return trace1 == trace2
+    supp = frozenset().union(*(m.support() for m in k.rows.values()))
+    return support_trace(schema, supp, S1) == support_trace(schema, supp, S2)
 
 
 # -- sources ------------------------------------------------------------------
 
 
-def _positive_atoms(space: CfSpace, U):
-    """(row, block) pairs for the P-positive atoms of sigma(U)."""
-    out = []
-    for block in atoms_of(space.schema, U):
-        if space.P.prob(block) > 0:
-            row = project(next(iter(sorted(block))), U)
-            out.append((row, block))
-    return out
+def _source_scan(space: CfSpace, U: frozenset, k: Kernel):
+    """(row, the kernel row or None, P given the atom) at each P-positive
+    atom of sigma(U), in atom order."""
+    cond = condition_sigma(space.P, U)
+    null = set(cond.null_atoms)
+    row_of = projector(space.schema.all_on, sorted(U))
+    for block in cond.atoms:
+        if block not in null:
+            row = row_of(next(iter(block)))
+            yield row, k.rows.get(row), cond.table[block]
+
+
+def _is_version(space: CfSpace, U: frozenset, agrees) -> bool:
+    """Whether agrees(kernel row, P given the atom) at every P-positive
+    atom of sigma(U); see `is_source` for absent rows."""
+    blocked = []
+    for row, m, given in _source_scan(space, U, space.kernel(U)):
+        if m is None:
+            blocked.append(row)
+        elif not agrees(m, given):
+            return False
+    if blocked:
+        raise MissingKernelError(
+            f"kernel on {sorted(U)} lacks rows {blocked} at P-positive atoms")
+    return True
 
 
 def is_source(space: CfSpace, U, target) -> bool:
@@ -581,44 +584,17 @@ def is_source(space: CfSpace, U, target) -> bool:
     exempt.  A definite mismatch answers False even if other rows are
     absent; an absence that blocks certification raises MissingKernelError.
     """
-    schema = space.schema
-    U = schema.positions(U)
+    U = space.schema.positions(U)
     if isinstance(target, (frozenset, set)) and all(isinstance(x, tuple) for x in target):
         events = [frozenset(target)]
     else:
-        events = list(atoms_of(schema, target))
-    k = space.kernel(U)
-    blocked = []
-    for row, block in _positive_atoms(space, U):
-        if not k.has_row(row):
-            blocked.append(row)
-            continue
-        p_block = space.P.prob(block)
-        for A in events:
-            if k.rows[row].prob(A) != space.P.prob(A & block) / p_block:
-                return False
-    if blocked:
-        raise MissingKernelError(
-            f"kernel on {sorted(U)} lacks rows {blocked} at P-positive atoms")
-    return True
+        events = list(atoms_of(space.schema, target))
+    return _is_version(space, U, lambda m, given: all(m.prob(A) == given.prob(A) for A in events))
 
 
 def global_source(space: CfSpace, U) -> bool:
     """Whether the kernel on U matches conditioning on sigma(U) everywhere."""
-    schema = space.schema
-    U = schema.positions(U)
-    k = space.kernel(U)
-    blocked = []
-    for row, block in _positive_atoms(space, U):
-        if not k.has_row(row):
-            blocked.append(row)
-            continue
-        if k.rows[row] != condition_event(space.P, block):
-            return False
-    if blocked:
-        raise MissingKernelError(
-            f"kernel on {sorted(U)} lacks rows {blocked} at P-positive atoms")
-    return True
+    return _is_version(space, space.schema.positions(U), operator.eq)
 
 
 @dataclass(frozen=True)
@@ -637,18 +613,14 @@ def verify_fundamental(space: CfSpace, U, Q: Margin) -> FundamentalReport:
     (ii) in the intervened space that kernel is a version of conditioning
     on sigma(U) at every positive atom.
     """
-    schema = space.schema
-    U = schema.positions(U)
+    U = space.schema.positions(U)
     old = space.kernel(U)
     new_space = intervene(space, U, Q)
     new = new_space.kernel(U)
-    kernel_mismatches = []
-    for row in sorted(set(old.rows) | set(new.rows)):
-        if old.rows.get(row) != new.rows.get(row):
-            kernel_mismatches.append(row)
-    source_mismatches = []
-    for row, block in _positive_atoms(new_space, U):
-        if not new.has_row(row) or new.rows[row] != condition_event(new_space.P, block):
-            source_mismatches.append(row)
+    kernel_mismatches = tuple(
+        row for row in sorted(set(old.rows) | set(new.rows))
+        if old.rows.get(row) != new.rows.get(row))
+    source_mismatches = tuple(
+        row for row, m, given in _source_scan(new_space, U, new) if m != given)
     ok = not kernel_mismatches and not source_mismatches
-    return FundamentalReport(ok, tuple(kernel_mismatches), tuple(source_mismatches))
+    return FundamentalReport(ok, kernel_mismatches, source_mismatches)

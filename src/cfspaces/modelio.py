@@ -79,8 +79,9 @@ def parse_scm(text: str):
         *product_domain(noise_axes), "noise law", "noise rows")
 
     endo = []
+    declared = []  # the `var` token of each variable
     while ts.at_word("var"):
-        ts.next()
+        declared.append(ts.next())
         vname = ts.name()
         if any(v == vname for v, _ in endo) or any(n == vname for n, _ in noise):
             ts.error(f"variable {vname!r} declared twice")
@@ -141,6 +142,9 @@ def parse_scm(text: str):
     tok = ts.peek()
     if tok.kind != "eof":
         ts.error(f"unexpected {tok.value!r} after the model")
+    for tok, (vname, _) in zip(declared, endo):
+        if vname not in eqs:
+            ts.error(f"no structural equation for {vname}", tok)
     try:
         model = SCMModel(noise, noise_dist, endo, eqs)
     except ValueError as exc:
@@ -164,8 +168,9 @@ def parse_po(text: str):
         len(units), lambda: units, "unit law", "units")
 
     endo = []
+    declared = []
     while ts.at_word("var"):
-        ts.next()
+        declared.append(ts.next())
         vname = ts.name()
         if any(v == vname for v, _ in endo):
             ts.error(f"variable {vname!r} declared twice")
@@ -204,6 +209,9 @@ def parse_po(text: str):
     tok = ts.peek()
     if tok.kind != "eof":
         ts.error(f"unexpected {tok.value!r} after the model")
+    for tok, (vname, _) in zip(declared, endo):
+        if vname not in observed:
+            ts.error(f"no observed function for {vname}", tok)
     try:
         model = POModel(units, unit_dist, endo, observed, potentials)
     except ValueError as exc:

@@ -207,15 +207,11 @@ def project(outcome, S) -> tuple:
     return tuple(outcome[i] for i in sorted(S))
 
 
-def restrict_row(positions, row, sub) -> tuple:
-    """Restrict a row keyed by sorted(positions) to sorted(sub) positions."""
-    pos = sorted(positions)
-    index = {p: i for i, p in enumerate(pos)}
-    return tuple(row[index[p]] for p in sorted(sub))
-
-
-def projector(indices):
-    """Tuple -> the tuple of its entries at `indices`."""
+def projector(src, dst):
+    """The map from a row over the positions `src`, in that order, to its
+    row over the positions `dst`, each of which is in `src`."""
+    index = {p: i for i, p in enumerate(src)}
+    indices = [index[p] for p in dst]
     if len(indices) == 1:
         i, = indices
         return lambda t: (t[i],)
@@ -255,8 +251,9 @@ def atoms_of(schema: SpaceSchema, S) -> tuple[frozenset, ...]:
     if cached is not None:
         return cached
     groups: dict[tuple, list] = {}
+    key = projector(schema.all_on, sorted(S))
     for outcome in schema.outcomes():
-        groups.setdefault(project(outcome, S), []).append(outcome)
+        groups.setdefault(key(outcome), []).append(outcome)
     blocks = tuple(frozenset(g) for g in groups.values())
     schema._atom_cache[S] = blocks
     return blocks

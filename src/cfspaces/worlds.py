@@ -74,8 +74,12 @@ class WorldMirror:
 
     def swap_row(self, S, row) -> tuple:
         """Map a row on sorted(S) to the corresponding row on the mirrored set."""
-        values = {self.counterpart(p): v for p, v in zip(sorted(S), row)}
-        return tuple(values[p] for p in sorted(values))
+        return self._row_swap(S)(row)
+
+    def _row_swap(self, S):
+        """The map from rows on sorted(S) to rows on the mirrored set."""
+        on = sorted(S)
+        return projector([self.counterpart(p) for p in on], sorted(self.swap_positions(on)))
 
 
 # -- the cross-world axiom ----------------------------------------------------
@@ -133,7 +137,7 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     uncheckable = []
     for world in schema.worlds:
         t_world = schema.world_positions(world)
-        key = projector(sorted(t_world))
+        key = projector(schema.all_on, sorted(t_world))
         references: dict = {}
         for S in space.mech.keys():
             inner = S & t_world
@@ -144,8 +148,7 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
                 continue
             k_s = space.mech.get(S)
             k_inner = space.mech.get(inner)
-            on = sorted(S)
-            restrict = projector([on.index(p) for p in sorted(inner)])
+            restrict = projector(sorted(S), sorted(inner))
             for row in sorted(k_s.rows):
                 sub = restrict(row)
                 if not k_inner.has_row(sub):
@@ -265,8 +268,9 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 uncheckable.append((S, S_star, None))
                 continue
             k_star = space.mech.get(S_star)
+            swap = mirror._row_swap(S)
             for row in sorted(k.rows):
-                row_star = mirror.swap_row(S, row)
+                row_star = swap(row)
                 if not k_star.has_row(row_star):
                     uncheckable.append((S, S_star, row))
                     continue

@@ -23,9 +23,14 @@ from cfspaces import (
     atoms_of,
     check_axioms,
 )
-from cfspaces.space import restrict_row
 from cfspaces.parser import ParseError, Token
 from cfspaces.worlds import CrossWorldUncheckable, CrossWorldViolation, SymmetryFailure
+
+
+def restrict_row(positions, row, sub):
+    """Restrict a row keyed by sorted(positions) to the sorted positions in sub."""
+    values = dict(zip(sorted(positions), row))
+    return tuple(values[p] for p in sorted(sub))
 
 
 def sigma_events(schema, S):

@@ -40,7 +40,6 @@ from cfspaces import (
 )
 from cfspaces.cli import main as cli_main
 from cfspaces.compilers import CyclicModelError
-from cfspaces.space import restrict_row
 
 import test_compilers as models
 from oracle_util import (
@@ -50,6 +49,7 @@ from oracle_util import (
     brute_symmetric_measure,
     brute_synchronized,
     fast_support_condition,
+    restrict_row,
 )
 from randspaces import random_cf_space, random_event, random_margin
 from cfspaces import WorldMirror, causal_sync

@@ -279,6 +279,17 @@ def test_treatment_assignment_is_checked_where_it_is_written(
     assert err.endswith(message + "\n"), err
 
 
+@pytest.mark.parametrize("template, command, declaration, message", [
+    (SCM, "compile scm", "var W { 0 1 }", "no structural equation for W"),
+    (PO, "compile po", "var Z { 0 1 }", "no observed function for Z"),
+])
+def test_variable_without_its_function_is_reported_at_its_declaration(
+        template, command, declaration, message, tmp_path):
+    text = fill(template, valid_bodies(template)).replace("var ", f"{declaration}\nvar ", 1)
+    err = error_at(command, text, text.index(declaration), tmp_path)
+    assert err.endswith(message + "\n"), err
+
+
 # -- fuzzing the front ends --------------------------------------------------------
 
 SCM_SEED = fill(SCM, VALID)

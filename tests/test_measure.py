@@ -190,6 +190,11 @@ class TestIndependence:
         a = cylinder(s, {"F.c": "H"})
         b = cylinder(s, {"CF.c": "H"})
         assert independent_given_sigma(coin_indep.P, frozenset(), a, b)
+        # one shared flip: dependent given nothing, independent given both
+        # coins, where only the null atoms (H, T) and (T, H) would disagree
+        shared = Measure(s, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+        assert not independent_given_sigma(shared, frozenset(), a, b)
+        assert independent_given_sigma(shared, s.all_positions, a, b)
 
     def test_conditional_independence_given_event(self, star):
         # given clear skies everywhere, the star sightings are maximally

@@ -6,12 +6,15 @@ import pytest
 
 from cfspaces import (
     CfSpace,
+    Coordinate,
+    EffectVerdict,
     Kernel,
     Margin,
     Measure,
     Mechanism,
     MissingKernelError,
     SCMModel,
+    SpaceSchema,
     StructuralEq,
     causal_independent,
     causal_sync,
@@ -42,6 +45,30 @@ def tampered_empty_kernel(space):
     fake = Measure(space.schema, w)
     mech = Mechanism(space.schema, fake)  # empty kernel now maps to `fake`
     return CfSpace(space.schema, space.P, mech)
+
+
+def kernel_on_a(n_labels, rows):
+    """A uniform law on W.a (n_labels labels) x W.b (two labels) with a
+    kernel on {W.a} holding only `rows`, a map from a's label index to a
+    row measure (a function of the schema and P)."""
+    schema = SpaceSchema([Coordinate("W", "a", tuple(str(i) for i in range(n_labels))),
+                          Coordinate("W", "b", ("0", "1"))])
+    P = Measure.uniform(schema)
+    kernel = Kernel(schema, {0}, {(i,): m(schema, P) for i, m in rows.items()})
+    return CfSpace(schema, P, Mechanism(schema, P, [kernel]))
+
+
+def conditioned(schema, P, i):
+    return P.condition(cylinder(schema, {"W.a": i}))
+
+
+def conditioned_on(i):
+    return lambda schema, P: conditioned(schema, P, i)
+
+
+def spread(schema, P):
+    """A row that ignores its own value: interventional determinism fails."""
+    return P
 
 
 class TestCheckAxioms:
@@ -268,6 +295,13 @@ class TestClassifyEffect:
         assert verdict.tag == "undetermined"
         assert s.positions(["F.class"]) in verdict.missing
 
+    def test_row_partial_kernel_without_a_witness_is_undetermined(self, dormant):
+        # the one row of the kernel on {W.c2} keeps P(W.c1=0) at 1/2
+        s = dormant.schema
+        u = s.positions(["W.c2"])
+        verdict = classify_effect(dormant, u, cylinder(s, {"W.c1": "0"}))
+        assert verdict == EffectVerdict("undetermined", missing=(u,))
+
     def test_no_effect_needs_total_mechanism(self):
         # a total mechanism where one coordinate provably does nothing
         space = random_cf_space(424242, mode="product")
@@ -425,6 +459,29 @@ class TestSources:
         new = intervene(exam, u, Margin.uniform(s, u))
         assert is_source(new, u, s.world_positions("CF"))
 
+    def test_global_source_answers_false(self, exam):
+        assert not global_source(exam, exam.schema.positions(["CF.class"]))
+
+    def test_absent_row_without_a_mismatch_raises(self):
+        space = kernel_on_a(2, {1: conditioned_on(1)})
+        b = cylinder(space.schema, {"W.b": "1"})
+        with pytest.raises(MissingKernelError, match=r"lacks rows \[\(0,\)\]"):
+            is_source(space, {0}, b)
+        with pytest.raises(MissingKernelError, match=r"lacks rows \[\(0,\)\]"):
+            global_source(space, {0})
+
+    def test_a_mismatch_beats_an_absent_row(self, dormant):
+        def pin(schema, P):
+            return Measure.dirac(schema, (1, 1))
+
+        for space in (kernel_on_a(2, {1: pin}), kernel_on_a(2, {0: pin})):
+            b = cylinder(space.schema, {"W.b": "1"})
+            assert not is_source(space, {0}, b)
+            assert not global_source(space, {0})
+        # the mismatching row (W.c2=0) comes before the absent (W.c2=1)
+        s = dormant.schema
+        assert not global_source(dormant, s.positions(["W.c2"]))
+
 
 class TestFundamental:
     def test_exam_intervention(self, exam):
@@ -437,6 +494,15 @@ class TestFundamental:
         report = verify_fundamental(dormant, frozenset(),
                                     Margin(dormant.schema, (), {(): 1}))
         assert report.ok
+
+    def test_tampered_kernel_lists_absent_and_mismatched_rows_in_order(self):
+        # rows 0 and 3 absent, row 1 spreads its mass over every atom, row 2
+        # is the conditional; intervening with row 1 makes every atom positive
+        space = kernel_on_a(4, {1: spread, 2: conditioned_on(2)})
+        report = verify_fundamental(space, {0}, Margin.point(space.schema, {"W.a": "1"}))
+        assert not report.ok
+        assert report.kernel_mismatches == ()
+        assert report.source_mismatches == ((0,), (1,), (3,))
 
     def test_randomized_suite(self):
         rng = random.Random(2024)

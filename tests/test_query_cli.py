@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from cfspaces import parse_query, run_script
+from cfspaces import build_nway, compile_scm, parse_scm
 from cfspaces.cli import main
 from cfspaces.query import fmt_decimal
 from cfspaces.repro import FIXTURES, fixture_text
@@ -61,6 +62,20 @@ class TestQueryScripts:
             "value 1/4 ~ 0.250000 baseline 1/2 ~ 0.500000")
         assert run.lines[1].startswith(
             "EFFECT {W.c1} ON (W.c3=0) = dormant witness {W.c1, W.c2}(W.c1=0, W.c2=0)")
+        run = run_script(dormant, parse_query(
+            "EFFECT {W.c1} ON (W.c3=0) GIVEN (W.c2=0); "
+            "EFFECT {W.c2} ON (W.c1=0) GIVEN (W.c3=1); EFFECT {W.c3} ON (W.c3=0)"))
+        assert run.lines == [
+            "EFFECT {W.c1} ON (W.c3=0) GIVEN (W.c2=0) = inactive baseline 1/2 ~ 0.500000",
+            "EFFECT {W.c2} ON (W.c1=0) GIVEN (W.c3=1) = undetermined missing rows (W.c2=1)",
+            "EFFECT {W.c3} ON (W.c3=0) = undetermined missing {W.c3}"]
+        # a compiled model has every kernel, and Y does not listen to X
+        model, _, _ = parse_scm(
+            "scm m noise U { 0 1 } noise V { 0 1 } dist { default = 1/4 } "
+            "var X { 0 1 } var Y { 0 1 } "
+            "fn X (U) { (U=0) = 0 (U=1) = 1 } fn Y (V) { (V=0) = 0 (V=1) = 1 }")
+        run = run_script(compile_scm(model), parse_query("EFFECT {CF.X} ON (CF.Y=1)"))
+        assert run.lines == ["EFFECT {CF.X} ON (CF.Y=1) = no-effect"]
 
     def test_effect_given(self, exam):
         run = run_script(exam, parse_query(
@@ -87,6 +102,22 @@ class TestQueryScripts:
         run = run_script(exam, parse_query("CHECK"))
         assert run.lines == ["CHECK = ok"]
         assert run.exit_code == 0
+        # the kernel on {CF.c} moves world F's coin; {F.c} lacks the row T
+        half = Fraction(1, 2)
+        coins = build_nway(
+            {"F": [("c", ("H", "T"))], "CF": [("c", ("H", "T"))]},
+            {(a, b): half / 2 for a in (0, 1) for b in (0, 1)},
+            {("CF.c",): {("H",): {("H", "H"): 1}, ("T",): {("H", "T"): half, ("T", "T"): half}},
+             ("F.c",): {("H",): {("H", "H"): half, ("H", "T"): half}},
+             ("F.c", "CF.c"): {(a, b): {(a, b): 1} for a in "HT" for b in "HT"}})
+        run = run_script(coins, parse_query("CHECK"))
+        assert run.lines == [
+            "CHECK = 2 violation(s)",
+            "  violation no-cross-world-effect world F kernel {CF.c} given (CF.c=H): 1 != 1/2",
+            "  violation no-cross-world-effect world F kernel {CF.c} given (CF.c=H): 0 != 1/2",
+            "  uncheckable world F kernel {F.c, CF.c} given (F.c=T, CF.c=H) needs {F.c}",
+            "  uncheckable world F kernel {F.c, CF.c} given (F.c=T, CF.c=T) needs {F.c}"]
+        assert run.exit_code == 1
 
     def test_transcripts_are_deterministic(self, exam):
         text = ("CONDITION (F.exam=P); INTERVENE {CF.class} WITH "
