@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .measure import (
-    Margin, Measure, as_equal, condition_event, condition_sigma, independent, support_trace)
+    Margin, Measure, as_equal, condition_event, independent, resolve_partition, support_trace)
 from .space import SpaceSchema, atoms_of, projector
 
 
@@ -551,14 +551,14 @@ def causal_sync(space: CfSpace, U, S1, S2) -> bool:
 
 def _source_scan(space: CfSpace, U: frozenset, k: Kernel):
     """(row, the kernel row or None, P given the atom) at each P-positive
-    atom of sigma(U), in atom order."""
-    cond = condition_sigma(space.P, U)
-    null = set(cond.null_atoms)
+    atom of sigma(U), in atom order; an atom is conditioned on only when
+    the scan reaches it."""
+    P = space.P
     row_of = projector(space.schema.all_on, sorted(U))
-    for block in cond.atoms:
-        if block not in null:
+    for block in resolve_partition(space.schema, U):
+        if P.prob(block) > 0:
             row = row_of(next(iter(block)))
-            yield row, k.rows.get(row), cond.table[block]
+            yield row, k.rows.get(row), P.condition(block)
 
 
 def _is_version(space: CfSpace, U: frozenset, agrees) -> bool:

@@ -50,6 +50,7 @@ from .parser import (
     ParseError,
     TokenStream,
     assignment_key,
+    label_reader,
     parse_outcome_tuple,
     parse_table,
     product_domain,
@@ -118,7 +119,7 @@ def parse_scm(text: str):
         args = [(i, domains[i]) for i in parents + noises]
         table = parse_table(
             ts, assignment_key(ts, ts.name, args, "fn input"),
-            lambda: ts.label(domains[target], f"label of {target}"),
+            label_reader(ts, domains[target], f"label of {target}"),
         ).fill(*product_domain([labels for _, labels in args]),
                f"fn table for {target}", "input rows")
         eqs[target] = StructuralEq(target, parents, noises, table)
@@ -160,10 +161,7 @@ def parse_po(text: str):
     ts.expect_word("units")
     units = ts.label_set()
     ts.expect_word("dist")
-
-    def unit():
-        return ts.label(units, "unit")
-
+    unit = label_reader(ts, units, "unit")
     unit_dist = parse_table(ts, unit, ts.rational).law(
         len(units), lambda: units, "unit law", "units")
 
@@ -180,7 +178,7 @@ def parse_po(text: str):
     domains = dict(endo)
 
     def unit_fn(what, var):
-        return parse_table(ts, unit, lambda: ts.label(domains[var], f"label of {var}")).fill(
+        return parse_table(ts, unit, label_reader(ts, domains[var], f"label of {var}")).fill(
             len(units), lambda: units, f"{what} {var}", "units")
 
     observed = {}

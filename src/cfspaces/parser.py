@@ -30,6 +30,13 @@ table) is read by `parse_table` and completed by `Table.law` or
 `Table.fill`.  A parsed document keeps only the nonzero entries of each
 table, so a sparse table with 'default = 0' parses and serializes in time
 proportional to its entries, whatever the size of the outcome space.
+
+Reading costs one regex match per entry, not one token per character
+run: `TokenStream` lexes a token only when the grammar looks at it, and
+`parse_table` reads each 'key = value' entry in its usual one-line
+spelling with one anchored match, resolving names and labels through the
+readers' dicts.  Any entry that the match does not read is read again
+from the same place token by token, and only that path reports errors.
 """
 
 from __future__ import annotations
@@ -99,17 +106,16 @@ def _unicode_tokens() -> re.Pattern:
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens = _scan(text, _ASCII_TOKENS)
-    return tokens if tokens is not None else _scan(text, _unicode_tokens())
+    tokens = list(_lex(text, _ASCII_TOKENS))
+    return tokens if tokens[-1] is not None else list(_lex(text, _unicode_tokens()))
 
 
-def _scan(text: str, pattern: re.Pattern) -> list[Token] | None:
-    """Tokens of `text`, or None when the ASCII pattern meets a non-ASCII
-    character outside a comment."""
-    tokens = []
-    append = tokens.append
-    line, line_start = 1, 0
-    for m in pattern.finditer(text):
+def _lex(text: str, pattern: re.Pattern, pos: int = 0, line: int = 1, line_start: int = 0):
+    """The tokens of `text` from `pos` (on `line`, which starts at
+    `line_start`), ending with an "eof" token.  A character that no token
+    takes is an error at its line:col, except that the ASCII pattern meets
+    a non-ASCII character outside a comment by yielding None and stopping."""
+    for m in pattern.finditer(text, pos):
         group = m.lastindex
         if group is None:
             continue
@@ -121,31 +127,92 @@ def _scan(text: str, pattern: re.Pattern) -> list[Token] | None:
         value = m.group(group)
         if group == 5:
             if pattern is _ASCII_TOKENS and not value.isascii():
-                return None
+                yield None
+                return
             raise ParseError(f"unexpected character {value!r}", line, start - line_start + 1)
-        append(Token(_KINDS[group], value, line, start - line_start + 1, start))
+        yield Token(_KINDS[group], value, line, start - line_start + 1, start)
     # End of input takes the column after the last token or blank; a
     # comment on the last line does not advance it.
     comment = text.find("#", line_start)
     end = len(text) if comment < 0 else comment
-    append(Token("eof", "", line, end - line_start + 1, len(text)))
-    return tokens
+    yield Token("eof", "", line, end - line_start + 1, len(text))
+
+
+# Text in which every character outside comments is one that the ASCII
+# pattern lexes into a token, a blank or a newline: a text that this
+# matches to its end has no lexical error.
+_ASCII_CLEAN = re.compile(rf"(?:[\w \t\r\n{re.escape(_SYMBOLS)}]+|#[^\n]*)*", re.ASCII)
 
 
 class TokenStream:
+    """A cursor over `text` that lexes each token when the grammar first
+    looks at it.
+
+    Lexical errors still come before grammar errors.  One regex pass at
+    construction finds whether the ASCII pattern lexes the whole text;
+    only a text where it does not is scanned whole by `tokenize`, which
+    raises the first lexical error, and is then lexed with the Unicode
+    pattern.  In an ASCII text, `match` reads a whole element, such as a
+    table entry, with one anchored regex match at the cursor.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
+        self._ascii = _ASCII_CLEAN.match(text).end() == len(text)
+        if not self._ascii:
+            tokenize(text)
+        self._pattern = _ASCII_TOKENS if self._ascii else _unicode_tokens()
+        self._tok = None  # the next token, once lexed
+        # The token before the cursor, or an empty one at it, and the
+        # tokens after it, made when first needed.
+        self._last = Token("mark", "", 1, 1, 0)
+        self._tokens = None
 
     def peek(self) -> Token:
-        return self.tokens[self.i]
+        tok = self._tok
+        if tok is None:
+            if self._tokens is None:
+                last = self._last
+                self._tokens = _lex(self.text, self._pattern, last.pos + len(last.value),
+                                    last.line, last.pos - last.col + 1)
+            tok = self._tok = next(self._tokens)
+        return tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.i]
+        tok = self._tok or self.peek()
         if tok.kind != "eof":
-            self.i += 1
+            self._tok = None
+            self._last = tok
         return tok
+
+    def match(self, regex: re.Pattern, resolve):
+        """resolve(*groups) of a match of `regex` at the cursor, which then
+        moves past the match; None, with the cursor left where it was,
+        when the text is not ASCII, `regex` does not match or `resolve`
+        gives None.  After its first group a match spans no newline."""
+        if not self._ascii:
+            return None
+        tok = self._tok
+        if tok is None:
+            tok = self._last
+            pos = tok.pos + len(tok.value)
+        else:
+            pos = tok.pos
+        m = regex.match(self.text, pos)
+        if m is None:
+            return None
+        value = resolve(*m.groups())
+        if value is not None:
+            line, line_start = tok.line, tok.pos - tok.col + 1
+            start = m.start(1)
+            newlines = self.text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = self.text.rfind("\n", pos, start) + 1
+            end = m.end()
+            self._tok = self._tokens = None
+            self._last = Token("mark", "", line, end - line_start + 1, end)
+        return value
 
     def error(self, message, tok: Token | None = None):
         tok = tok or self.peek()
@@ -199,7 +266,12 @@ class TokenStream:
             self.error("empty label set", open_tok)
         return tuple(labels)
 
-    def rational(self) -> Fraction:
+    @property
+    def rational(self) -> Reader:
+        """The reader of a weight: p/q or an exact decimal literal."""
+        return Reader(self, self._rational, _RATIONAL, _rational_value)
+
+    def _rational(self) -> Fraction:
         tok = self.peek()
         if tok.kind != "number":
             self.error(f"expected a number, found {tok.value!r}")
@@ -226,11 +298,84 @@ class TokenStream:
         except ValueError:
             self.error(f"invalid number {tok.value!r}", tok)
 
-    def coord_ref(self) -> str:
-        world = self.expect_word().value
+    def coord_ref(self, world: str | None = None) -> str:
+        """'W.c' as "W.c"; with `world`, the rest after that word."""
+        if world is None:
+            world = self.expect_word().value
         self.expect_sym(".")
         name = self.expect_word().value
         return f"{world}.{name}"
+
+
+# -- readers ----------------------------------------------------------------
+#
+# The patterns below are the usual spellings of keys, labels and weights,
+# in ASCII text and within one line.  Each matches only text that the
+# token path reads to the same value and the same end: a word or number
+# is never followed by a character that would lengthen its token, and an
+# integer weight is never followed by '/' or a comment, which could hide
+# a '/' token.
+
+_BLANK = r"[ \t\r]*"
+_WORD = r"[A-Za-z_]\w*"
+_NAME = rf"{_WORD}(?:\.{_WORD})?"  # a plain name or W.c
+_LABEL = r"(?:[A-Za-z_]\w*|[0-9]+)(?!\w|\.[0-9])"
+_PAIR = rf"{_NAME}{_BLANK}={_BLANK}{_LABEL}"
+_KEY = rf"\({_BLANK}({_PAIR}(?:{_BLANK},{_BLANK}{_PAIR})*){_BLANK}\)"
+_PAIRS = re.compile(rf"({_NAME}){_BLANK}={_BLANK}({_LABEL})", re.ASCII).findall
+_RATIONAL = r"([0-9]+(?:/[0-9]+|\.[0-9]+|(?![ \t\r\n]*[/#])))(?![0-9]|\.[0-9])"
+
+
+@functools.cache
+def _anchored(*patterns: str) -> re.Pattern:
+    """One regex for elements joined by '=' on one line, after any blanks
+    and newlines."""
+    return re.compile(r"[ \t\r\n]*" + f"{_BLANK}={_BLANK}".join(patterns), re.ASCII)
+
+
+class Reader:
+    """Reads one element of the grammar: with one anchored match where
+    that gives its value, token by token otherwise.
+
+    `pattern` has one group, the element's text, and `resolve` maps that
+    text to the value `read` returns for it, or to None when `read` must
+    read it: a name or label that is not in the reader's dicts, a name
+    assigned twice, a zero denominator.  `read` alone reports errors, so
+    every diagnostic keeps its text and its line:col.
+    """
+
+    def __init__(self, ts: TokenStream, read, pattern: str, resolve):
+        self.ts, self.read, self.pattern, self.resolve = ts, read, pattern, resolve
+        self._regex = _anchored(pattern)
+
+    def __call__(self):
+        value = self.ts.match(self._regex, self.resolve)
+        return self.read() if value is None else value
+
+
+@functools.lru_cache(maxsize=4096)
+def _rational_value(text: str) -> Fraction | None:
+    num, slash, den = text.partition("/")
+    try:
+        if slash:
+            den = int(den)
+            return Fraction(int(num), den) if den else None
+        return Fraction(text) if "." in text else Fraction(int(text))
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def label_reader(ts: TokenStream, labels, what: str) -> Reader:
+    """The reader of one of `labels`, as `ts.label(labels, what)`."""
+    return Reader(ts, lambda: ts.label(labels, what), f"({_LABEL})",
+                  lambda text: text if text in labels else None)
+
+
+def key_reader(ts: TokenStream, read, resolve) -> Reader:
+    """A reader of '(name=label, ...)' keys: `read` reads one from the
+    tokens, and `resolve` maps its ((name, label), ...) pairs, as written,
+    to the same key or to None."""
+    return Reader(ts, read, _KEY, functools.cache(lambda text: resolve(_PAIRS(text))))
 
 
 def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variable") -> dict:
@@ -258,13 +403,15 @@ def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variabl
     return assignment
 
 
-def assignment_key(ts: TokenStream, ref, variables, what: str):
+def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
     """A reader of '(name=label, ...)' keys over `variables`, ((name,
     labels), ...): each name assigned once to one of its labels, read as the
     label tuple in the order of `variables`."""
     domains = dict(variables)
+    names = tuple(domains)
+    label_sets = [frozenset(labels) for labels in domains.values()]
 
-    def key() -> tuple:
+    def read() -> tuple:
         tok = ts.peek()
         assignment = parse_outcome_tuple(ts, ref, domains, what)
         if len(assignment) != len(domains):
@@ -272,7 +419,15 @@ def assignment_key(ts: TokenStream, ref, variables, what: str):
             raise ParseError(f"{what} {missing} is not assigned", tok.line, tok.col)
         return tuple(assignment[name] for name in domains)
 
-    return key
+    def resolve(pairs) -> tuple | None:
+        # A name written twice leaves another one unassigned.
+        if len(pairs) != len(names):
+            return None
+        assignment = dict(pairs)
+        key = tuple([assignment.get(name) for name in names])
+        return key if all(map(frozenset.__contains__, label_sets, key)) else None
+
+    return key_reader(ts, read, resolve)
 
 
 # -- tables -------------------------------------------------------------------
@@ -326,14 +481,30 @@ def parse_table(ts: TokenStream, key, value) -> Table:
     """Parse '{ key = value ... default = value }' with the readers `key`
     and `value`.
 
-    A key listed twice and a second default are errors at their line:col.
-    Numbers are unsigned in the grammar, so a negative weight stops at the
-    lexer, also with its line:col.
+    When both readers are `Reader`s, each entry is read with one anchored
+    match of their joined patterns, and only an entry that this does not
+    read goes through the tokens.  A key listed twice and a second default
+    are errors at their line:col.  Numbers are unsigned in the grammar, so
+    a negative weight stops at the lexer, also with its line:col.
     """
     open_tok = ts.expect_sym("{")
     entries: dict = {}
     default = None
-    while not ts.at_sym("}"):
+    fast = isinstance(key, Reader) and isinstance(value, Reader)
+    if fast:
+        regex = _anchored(key.pattern, value.pattern)
+
+        def entry(key_text, value_text):
+            k, v = key.resolve(key_text), value.resolve(value_text)
+            return None if k is None or v is None or k in entries else (k, v)
+
+    while True:
+        kv = fast and ts.match(regex, entry)
+        if kv:
+            entries[kv[0]] = kv[1]
+            continue
+        if ts.at_sym("}"):
+            break
         tok = ts.peek()
         if ts.at_word("default"):
             ts.next()

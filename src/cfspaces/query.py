@@ -31,8 +31,10 @@ from .mechanism import (
 )
 from .parser import (
     ParseError,
+    Reader,
     Table,
     TokenStream,
+    key_reader,
     parse_coordset,
     parse_outcome_tuple,
     parse_table,
@@ -209,13 +211,13 @@ def _parse_primary(ts: TokenStream, depth: int):
     tok = ts.peek()
     if tok.kind == "word":
         # Either a coordinate atom W.c=l or a bound name.
-        if ts.tokens[ts.i + 1].kind == "sym" and ts.tokens[ts.i + 1].value == ".":
-            coord = ts.coord_ref()
-            ts.expect_sym("=")
-            label = ts.label()
-            return AtomExpr(coord, label)
         ts.next()
-        return NameExpr(tok.value)
+        if not ts.at_sym("."):
+            return NameExpr(tok.value)
+        coord = ts.coord_ref(tok.value)
+        ts.expect_sym("=")
+        label = ts.label()
+        return AtomExpr(coord, label)
     ts.error(f"expected an event expression, found {tok.value!r}")
 
 
@@ -239,14 +241,23 @@ def _parse_expr(ts: TokenStream):
     return _parse_or(ts, 0)
 
 
-def _assignment(ts: TokenStream) -> tuple:
-    return tuple(sorted(parse_outcome_tuple(ts, ts.coord_ref).items()))
+def _assignment(ts: TokenStream) -> Reader:
+    """The reader of a '(W.c=l, ...)' assignment, as its sorted pairs."""
+
+    def resolve(pairs) -> tuple | None:
+        assignment = dict(pairs)
+        if len(assignment) == len(pairs) and all("." in name for name in assignment):
+            return tuple(sorted(assignment.items()))
+        return None
+
+    return key_reader(
+        ts, lambda: tuple(sorted(parse_outcome_tuple(ts, ts.coord_ref).items())), resolve)
 
 
 def _parse_dist(ts: TokenStream):
     if ts.at_word("point"):
         ts.next()
-        assignment = _assignment(ts)
+        assignment = _assignment(ts)()
         if not assignment:
             ts.error("point() needs at least one coordinate assignment")
         return PointDist(assignment)
@@ -256,7 +267,7 @@ def _parse_dist(ts: TokenStream):
     if ts.at_sym("{"):
         # Keyed by the sorted assignment; resolved against the space's
         # schema when the statement runs.
-        return parse_table(ts, lambda: _assignment(ts), ts.rational)
+        return parse_table(ts, _assignment(ts), ts.rational)
     ts.error("expected point(...), uniform, or a weight table")
 
 
@@ -327,7 +338,7 @@ def parse_query(text: str) -> QueryScript:
 
 
 def _src(ts: TokenStream, start: int) -> str:
-    end = ts.tokens[ts.i].pos
+    end = ts.peek().pos
     raw = ts.text[start:end]
     raw = "\n".join(line.split("#", 1)[0] for line in raw.split("\n"))
     return " ".join(raw.split())

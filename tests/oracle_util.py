@@ -135,6 +135,23 @@ def brute_causal_sync(space, U, S1, S2) -> bool:
     return covered(ev1, ev2) and covered(ev2, ev1)
 
 
+def mirror_positions(schema, mirror) -> dict:
+    """Position -> the position of the same component in the other world
+    of the mirror, found through coordinate keys and world names alone."""
+    other = {mirror.world_a: mirror.world_b, mirror.world_b: mirror.world_a}
+    return {p: schema.position(f"{other[c.world]}.{c.name}")
+            for p, c in enumerate(schema.coords) if c.world in other}
+
+
+def mirrored_row(schema, mirror, S, row) -> tuple:
+    """A row on sorted(S) as a row on the mirror image of S: each value
+    moves to its coordinate's counterpart, then the values are re-sorted by
+    position."""
+    to = mirror_positions(schema, mirror)
+    image = {to[p]: v for p, v in zip(sorted(S), row)}
+    return tuple(image[p] for p in sorted(image))
+
+
 def brute_symmetric_measure(space, mirror) -> bool:
     """P(A x B) == P(B x A) quantified over all per-world event pairs."""
     schema = space.schema
@@ -157,8 +174,8 @@ def brute_symmetric_measure(space, mirror) -> bool:
                     # mirrored rows keep their values: components match by
                     # name with identical label tuples
                     swapped = rect(
-                        {mirror.swap_row(frozenset(pos_b), b) for b in b_set},
-                        {mirror.swap_row(frozenset(pos_a), a) for a in a_set})
+                        {mirrored_row(schema, mirror, pos_b, b) for b in b_set},
+                        {mirrored_row(schema, mirror, pos_a, a) for a in a_set})
                     if space.P.prob(rect(a_set, b_set)) != space.P.prob(swapped):
                         return False
     return True
@@ -167,23 +184,25 @@ def brute_symmetric_measure(space, mirror) -> bool:
 def brute_symmetry_failures(space, mirror) -> tuple:
     """is_symmetric's failures, comparing weights on every outcome of the space."""
     schema = space.schema
+    to = mirror_positions(schema, mirror)
+    swapped = {o: mirrored_row(schema, mirror, schema.all_on, o) for o in schema.outcomes()}
     failures = []
     for outcome in schema.outcomes():
-        v, w = space.P.weight(outcome), space.P.weight(mirror.swap_outcome(outcome))
+        v, w = space.P.weight(outcome), space.P.weight(swapped[outcome])
         if v != w:
             failures.append(SymmetryFailure("measure", None, None, outcome, v, w))
     for S in space.mech.keys():
-        S_star = mirror.swap_positions(S)
+        S_star = frozenset(to[p] for p in S)
         if S_star not in space.mech:
             continue
         k, k_star = space.mech.get(S), space.mech.get(S_star)
         for row in sorted(k.rows):
-            row_star = mirror.swap_row(S, row)
+            row_star = mirrored_row(schema, mirror, S, row)
             if not k_star.has_row(row_star):
                 continue
             for outcome in schema.outcomes():
                 v = k.rows[row].weight(outcome)
-                w = k_star.rows[row_star].weight(mirror.swap_outcome(outcome))
+                w = k_star.rows[row_star].weight(swapped[outcome])
                 if v != w:
                     failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
     return tuple(failures)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cfspaces import ParseError, parse_po, parse_query, parse_scm, run_script
 from cfspaces.cli import main
-from cfspaces.parser import tokenize
+from cfspaces.parser import TokenStream, tokenize
 from cfspaces.repro import fixture_text
 
 from oracle_util import reference_tokenize
@@ -42,6 +42,21 @@ LEXER_CHARS = st.one_of(
 @given(st.text(LEXER_CHARS, max_size=40))
 def test_lexer_matches_reference(text):
     assert lex(tokenize, text) == lex(reference_tokenize, text)
+
+
+def stream_tokens(text):
+    """Every token of a TokenStream over `text`, lexed one at a time."""
+    ts = TokenStream(text)
+    tokens = [ts.next()]
+    while tokens[-1].kind != "eof":
+        tokens.append(ts.next())
+    return tokens
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.text(LEXER_CHARS, max_size=40))
+def test_lazy_stream_matches_reference(text):
+    assert lex(stream_tokens, text) == lex(reference_tokenize, text)
 
 
 def test_lexer_matches_reference_on_fixtures():
@@ -346,6 +361,55 @@ def test_front_ends_never_raise(command, fuzz_dir):
     @given(token_soup(command))
     def check(text):
         code, _, err = run_text(command, text, fuzz_dir)
+        assert 0 <= code <= 5
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    check()
+
+
+# Characters and tokens that break an entry of a compiled file in every way
+# the grammar can notice: comments, newlines, signs, decimals, non-ASCII
+# digits and letters, and every symbol.
+ENTRY_CHARS = list("{}()=,./#\n \t-$_a01") + ["²", "é", "€"]
+ENTRY_TOKENS = ENTRY_CHARS + ["F.X0", "CF.X2", "F.X9", "1/2", "0.5", "1/0", "1.²", "default",
+                              "given", "F.X0=1", "CF.X1=0"]
+
+
+@st.composite
+def mutated_entries(draw, text):
+    """`text` with one to three of its entry lines edited, character by
+    character or token by token."""
+    lines = text.split("\n")
+    entries = [i for i, line in enumerate(lines) if line.lstrip().startswith("(")]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(entries))
+        line = lines[i]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(line)))
+            cut = draw(st.integers(0, 2))
+            lines[i] = line[:j] + draw(st.sampled_from(ENTRY_CHARS + [""])) + line[j + cut:]
+        else:
+            tokens = [t.value for t in tokenize(line)[:-1]]
+            j = draw(st.integers(0, len(tokens) - 1))
+            edit = draw(st.sampled_from(("insert", "delete", "replace", "duplicate")))
+            if edit == "insert":
+                tokens.insert(j, draw(st.sampled_from(ENTRY_TOKENS)))
+            elif edit == "delete":
+                del tokens[j]
+            elif edit == "replace":
+                tokens[j] = draw(st.sampled_from(ENTRY_TOKENS))
+            else:
+                tokens[j:j] = tokens[j:j + draw(st.integers(1, 6))]
+            lines[i] = "    " + " ".join(tokens)
+    return "\n".join(lines)
+
+
+def test_check_never_raises_on_edited_compiled_entries(compiled_chains, fuzz_dir):
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(mutated_entries(compiled_chains[3]))
+    def check(text):
+        code, _, err = run_text("check", text, fuzz_dir)
         assert 0 <= code <= 5
         if code == 2:
             assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -462,6 +462,19 @@ class TestSources:
     def test_global_source_answers_false(self, exam):
         assert not global_source(exam, exam.schema.positions(["CF.class"]))
 
+    def test_a_failing_scan_conditions_only_the_atoms_it_reaches(self, exam, monkeypatch):
+        # the row (CF.class=Y) already differs from P given CF.class=Y
+        calls = []
+        condition = Measure.condition
+
+        def counted(P, G):
+            calls.append(G)
+            return condition(P, G)
+
+        monkeypatch.setattr(Measure, "condition", counted)
+        assert not global_source(exam, exam.schema.positions(["CF.class"]))
+        assert len(calls) == 1
+
     def test_absent_row_without_a_mismatch_raises(self):
         space = kernel_on_a(2, {1: conditioned_on(1)})
         b = cylinder(space.schema, {"W.b": "1"})

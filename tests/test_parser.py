@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,11 @@ from cfspaces import (
     parse_space,
     serialize_space,
 )
+from cfspaces import parser
+from cfspaces.parser import KernelDecl
 from cfspaces.repro import FIXTURES, fixture_text
 
+from conftest import chain_scm
 from randspaces import random_cf_space
 
 MINI = """\
@@ -223,3 +228,122 @@ class TestModelFiles:
         with pytest.raises(ParseError, match="unknown unit"):
             parse_po(PO_TEXT.replace("observe X { always = 1",
                                      "observe X { sometimes = 1"))
+
+
+# -- the entry path and the token path ------------------------------------------
+
+KEY = re.compile(r"\(([^()]*=[^()]*)\)")
+WEIGHT = re.compile(r"= ([0-9./]+)$", re.M)
+
+
+def token_path_text(text: str) -> str:
+    """`text` with every key and weight respelled so that no anchored match
+    reads them: coordinates in reverse order after a comment and a newline
+    inside the parentheses, and weights as 'p / q'."""
+    def key(m):
+        return "( # c\n" + ", ".join(reversed(m.group(1).split(", "))) + ")"
+
+    def weight(m):
+        q = Fraction(m.group(1))
+        return f"= {q.numerator} / {q.denominator}"
+
+    return KEY.sub(key, WEIGHT.sub(weight, text))
+
+
+def lexed(monkeypatch, parse, text) -> int:
+    """How many tokens parse(text) lexes."""
+    count = 0
+    lex = parser._lex
+
+    def counting(*args):
+        nonlocal count
+        for tok in lex(*args):
+            count += 1
+            yield tok
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "_lex", counting)
+        parse(text)
+    return count
+
+
+class TestEntryPath:
+    def test_token_path_reads_the_same_documents(self, compiled_chains):
+        docs = [parse_space(compiled_chains[n]) for n in (2, 3)]
+        docs += [doc_from_space(random_cf_space(seed, n_worlds=2), f"r{seed}") for seed in range(8)]
+        docs += [parse_space(fixture_text(name)) for name in FIXTURES]
+        for doc in docs:
+            text = serialize_space(doc)
+            respelled = token_path_text(text)
+            assert respelled.count("# c") == text.count("(")
+            assert parse_space(respelled) == parse_space(text) == doc
+
+    def test_token_path_reads_the_same_model(self):
+        text = chain_scm(3)
+        respelled = token_path_text(text)
+        assert respelled.count("# c") == text.count("(") - 3  # fn input lists stay
+        models = [parse_scm(t)[0] for t in (text, respelled)]
+        assert models[0].noise_dist == models[1].noise_dist
+        assert [dict(eq.table) for eq in models[0].eqs.values()] == [
+            dict(eq.table) for eq in models[1].eqs.values()]
+
+    def test_tokens_lexed_do_not_grow_with_entries(self, compiled_chains, monkeypatch):
+        doc = parse_space(compiled_chains[3])
+        P = doc.measure
+
+        def mixed(body):  # the row half and half with P: more entries, same sum
+            return {k: (body.get(k, 0) + P.get(k, 0)) / 2 for k in body.keys() | P.keys()}
+
+        denser = dataclasses.replace(doc, kernels=tuple(
+            KernelDecl(k.on, tuple((row, mixed(body)) for row, body in k.rows))
+            for k in doc.kernels))
+
+        def entries(d):
+            return sum(len(body) for k in d.kernels for _, body in k.rows)
+
+        assert entries(denser) > 1.5 * entries(doc)
+        text, denser_text = serialize_space(doc), serialize_space(denser)
+        assert parse_space(denser_text) == denser
+        tokens = lexed(monkeypatch, parse_space, text)
+        assert lexed(monkeypatch, parse_space, denser_text) <= tokens
+        assert lexed(monkeypatch, parse_space, token_path_text(text)) > 20 * tokens
+
+
+EXAM_ROW = "(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = 0.16"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("(F.class=N, F.grade=P, CF.class=Y, CF.exam=P) = 0.16",
+     "36:17: unknown coordinate 'F.grade'"),
+    ("(F.class=N, F.exam=Q, CF.class=Y, CF.exam=P) = 0.16",
+     "36:24: unknown label of F.exam 'Q'"),
+    ("(F.class=N, F.exam=P, CF.class=Y, F.exam=P) = 0.16", "36:39: F.exam assigned twice"),
+    ("(F.class=N, F.exam=P, CF.class=Y) = 0.16", "36:5: coordinate CF.exam is not assigned"),
+    (EXAM_ROW + "\n    " + EXAM_ROW, "37:5: duplicate entry"),
+    ("(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = 16/0", "36:55: zero denominator"),
+    ("(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = 1.²", "36:52: invalid number '1.²'"),
+    ("(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = 1/1.5",
+     "36:54: expected an integer denominator"),
+    ("(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = -0.16", "36:52: unexpected character '-'"),
+], ids=["unknown coordinate", "unknown label", "assigned twice", "missing coordinate",
+        "duplicate entry", "zero denominator", "1.2", "p/1.5", "negative weight"])
+def test_malformed_entry_diagnostics(row, message):
+    text = fixture_text("exam")
+    assert text.count(EXAM_ROW) == 1
+    with pytest.raises(ParseError) as exc:
+        parse_space(text.replace(EXAM_ROW, row))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("char, message", [
+    ("$", "40:17: unexpected character '$'"),
+    ("€", "40:17: unexpected character '€'"),
+    ("é", "3:12: document declares no worlds"),  # a word of the Unicode lexer
+])
+def test_lexical_errors_come_before_grammar_errors(char, message):
+    lines = fixture_text("exam").split("\n")
+    lines[2] += " exam"
+    lines[39] += " " + char
+    with pytest.raises(ParseError) as exc:
+        parse_space("\n".join(lines))
+    assert str(exc.value) == message
