@@ -74,7 +74,9 @@ def parse_scm(text: str):
     if not ts.at_word("dist"):
         ts.error("expected the noise 'dist' block")
     ts.next()
-    noise_row = assignment_key(ts, ts.name, noise, "noise variable")
+    # A key of a model table is the tuple of its labels.
+    noise_row = assignment_key(ts, ts.name, [(n, dict(zip(labels, labels))) for n, labels in noise],
+                               "noise variable")
     noise_axes = [labels for _, labels in noise]
     noise_dist = parse_table(ts, noise_row, ts.rational).law(
         *product_domain(noise_axes), "noise law", "noise rows")
@@ -92,7 +94,7 @@ def parse_scm(text: str):
 
     noise_names = {n for n, _ in noise}
     endo_names = {v for v, _ in endo}
-    domains = dict(noise + endo)
+    domains = {v: dict(zip(labels, labels)) for v, labels in noise + endo}
     eqs = {}
     while ts.at_word("fn"):
         ts.next()

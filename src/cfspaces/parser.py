@@ -405,11 +405,9 @@ def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variabl
 
 def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
     """A reader of '(name=label, ...)' keys over `variables`, ((name,
-    labels), ...): each name assigned once to one of its labels, read as the
-    label tuple in the order of `variables`."""
+    {label: value}), ...): each name assigned once to one of its labels,
+    read as the tuple of their values in the order of `variables`."""
     domains = dict(variables)
-    names = tuple(domains)
-    label_sets = [frozenset(labels) for labels in domains.values()]
 
     def read() -> tuple:
         tok = ts.peek()
@@ -417,15 +415,15 @@ def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
         if len(assignment) != len(domains):
             missing = next(name for name in domains if name not in assignment)
             raise ParseError(f"{what} {missing} is not assigned", tok.line, tok.col)
-        return tuple(assignment[name] for name in domains)
+        return tuple(values[assignment[name]] for name, values in domains.items())
 
     def resolve(pairs) -> tuple | None:
         # A name written twice leaves another one unassigned.
-        if len(pairs) != len(names):
+        if len(pairs) != len(domains):
             return None
         assignment = dict(pairs)
-        key = tuple([assignment.get(name) for name in names])
-        return key if all(map(frozenset.__contains__, label_sets, key)) else None
+        key = tuple([values.get(assignment.get(name)) for name, values in domains.items()])
+        return None if None in key else key
 
     return key_reader(ts, read, resolve)
 
@@ -528,10 +526,15 @@ def product_domain(axes) -> tuple:
 
 
 def parse_coordset(ts: TokenStream) -> tuple[str, ...]:
+    """Parse '{W.c, ...}': coordinate references, none repeated."""
     ts.expect_sym("{")
-    refs = []
+    refs: dict[str, None] = {}
     while not ts.at_sym("}"):
-        refs.append(ts.coord_ref())
+        tok = ts.peek()
+        ref = ts.coord_ref()
+        if ref in refs:
+            ts.error(f"coordinate {ref!r} listed twice", tok)
+        refs[ref] = None
         if ts.at_sym(","):
             ts.next()
     ts.expect_sym("}")
@@ -550,21 +553,27 @@ class WorldDecl:
 
 @dataclass
 class KernelDecl:
-    on: tuple[str, ...]  # coordinate keys in ascending schema order
-    rows: tuple  # ((row labels aligned to `on`, nonzero label table), ...)
+    """A kernel block: `on` is its set of schema positions, and each row,
+    an index tuple over the ascending positions of `on`, has a table keyed
+    as the document's measure."""
+
+    on: frozenset
+    rows: tuple  # ((row, {outcome: nonzero Fraction}), ...)
 
 
 @dataclass
 class SpaceDocument:
     """Parsed form of a .cfs file.
 
-    The measure and every kernel-row body map full-outcome label tuples to
-    their nonzero weights; outcomes absent from a table weigh zero.
+    Tables are keyed as in `Measure`: the measure and every kernel-row body
+    map outcomes, label-index tuples in schema order, to their nonzero
+    weights, and outcomes absent from a table weigh zero.  Labels appear
+    only in the text that `parse_space` reads and `serialize_space` writes.
     """
 
     name: str
     worlds: tuple[WorldDecl, ...]
-    measure: dict | None  # full-outcome label tuple -> nonzero Fraction
+    measure: dict | None  # outcome -> nonzero Fraction
     kernels: tuple[KernelDecl, ...] = ()
     mirror: tuple[str, str] | None = None
 
@@ -585,26 +594,17 @@ class SpaceDocument:
         schema = self.schema()
         if self.measure is None:
             raise ParseError("document has no measure block; cannot build a space")
-        P = _to_measure(schema, self.measure)
-        kernels = []
-        for decl in self.kernels:
-            on = schema.positions(decl.on)
-            pos = sorted(on)
-            rows = {}
-            for row_labels, body in decl.rows:
-                row = tuple(schema.label_index(p, lab) for p, lab in zip(pos, row_labels))
-                rows[row] = _to_measure(schema, body)
-            kernels.append(Kernel(schema, on, rows))
+        # The constructors check every table again: a document can be built
+        # by hand.
+        try:
+            P = Measure(schema, self.measure)
+            kernels = [Kernel(schema, decl.on, {row: Measure(schema, body)
+                                                for row, body in decl.rows})
+                       for decl in self.kernels]
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         mech = Mechanism(schema, P, kernels) if self.kernels else None
         return CfSpace(schema, P, mech)
-
-
-def _to_measure(schema: SpaceSchema, table: dict) -> Measure:
-    weights = {schema.outcome_of(labels): q for labels, q in table.items()}
-    try:
-        return Measure(schema, weights)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def parse_space(text: str) -> SpaceDocument:
@@ -647,10 +647,10 @@ def parse_space(text: str) -> SpaceDocument:
         raise ParseError(str(exc)) from None
 
     # Every table of the document is a measure over the whole outcome
-    # space, keyed by the label tuple of an outcome.
-    outcome = assignment_key(ts, ts.coord_ref, [(c.key, c.labels) for c in schema.coords],
-                             "coordinate")
-    outcomes = product_domain([c.labels for c in schema.coords])
+    # space, keyed by outcome.
+    index = [(c.key, {lab: i for i, lab in enumerate(c.labels)}) for c in schema.coords]
+    outcome = assignment_key(ts, ts.coord_ref, index, "coordinate")
+    outcomes = schema.n_outcomes, lambda: schema.rows(schema.all_on)
 
     def parse_measure() -> dict:
         return parse_table(ts, outcome, ts.rational).law(*outcomes, "measure", "outcomes")
@@ -666,35 +666,28 @@ def parse_space(text: str) -> SpaceDocument:
         ts.next()
         ts.expect_word("on")
         tok = ts.peek()
-        refs = parse_coordset(ts)
         try:
-            on = schema.positions(refs)
+            on = schema.positions(parse_coordset(ts))
         except SchemaError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
-        if len(refs) != len(on):
-            raise ParseError("duplicate coordinate in kernel set", tok.line, tok.col)
         if on in seen_sets:
             raise ParseError("duplicate kernel for this coordinate set", tok.line, tok.col)
         seen_sets.add(on)
-        on_coords = [schema.coords[p] for p in sorted(on)]
-        on_keys = tuple(c.key for c in on_coords)
-        given = assignment_key(ts, ts.coord_ref, [(c.key, c.labels) for c in on_coords],
+        given = assignment_key(ts, ts.coord_ref, [index[p] for p in sorted(on)],
                                "kernel coordinate")
         ts.expect_sym("{")
-        rows = []
-        seen_rows = set()
+        rows = {}
         while ts.at_word("given"):
             ts.next()
             tok = ts.peek()
-            row_labels = given()
-            if row_labels in seen_rows:
+            row = given()
+            if row in rows:
                 raise ParseError("duplicate 'given' row", tok.line, tok.col)
-            seen_rows.add(row_labels)
-            rows.append((row_labels, parse_measure()))
+            rows[row] = parse_measure()
         if not rows:
             ts.error("kernel declares no 'given' rows")
         ts.expect_sym("}")
-        kernels.append(KernelDecl(on_keys, tuple(rows)))
+        kernels.append(KernelDecl(on, tuple(rows.items())))
 
     mirror = None
     if ts.at_word("mirror"):
@@ -726,7 +719,8 @@ def serialize_space(doc: SpaceDocument) -> str:
     a table with fewer nonzero entries than outcomes ends in 'default = 0'.
     """
     schema = doc.schema()
-    coord_keys = [c.key for c in schema.coords]
+    # "W.c=l" per coordinate, indexed by label index.
+    pairs = [[f"{c.key}={lab}" for lab in c.labels] for c in schema.coords]
     out = [f"space {doc.name}"]
     for decl in doc.worlds:
         if decl.mirror_of is not None:
@@ -737,14 +731,14 @@ def serialize_space(doc: SpaceDocument) -> str:
             out.append(f"  component {cname} {{ {' '.join(labels)} }}")
         out.append("}")
 
-    sort_key = _label_sort_key(schema)
+    def assignment(positions, row) -> str:
+        return ", ".join([pairs[p][v] for p, v in zip(positions, row)])
 
     def emit_table(table: dict, indent: str):
         lines = []
-        nonzero = sorted((labels for labels, q in table.items() if q), key=sort_key)
-        for labels in nonzero:
-            body = ", ".join(f"{c}={lab}" for c, lab in zip(coord_keys, labels))
-            lines.append(f"{indent}({body}) = {table[labels]}")
+        nonzero = sorted(outcome for outcome, q in table.items() if q)
+        for outcome in nonzero:
+            lines.append(f"{indent}({assignment(schema.all_on, outcome)}) = {table[outcome]}")
         if len(nonzero) < schema.n_outcomes:
             lines.append(f"{indent}default = 0")
         return lines
@@ -754,25 +748,16 @@ def serialize_space(doc: SpaceDocument) -> str:
         out.extend(emit_table(doc.measure, "  "))
         out.append("}")
     for kernel in doc.kernels:
-        out.append(f"kernel on {{{', '.join(kernel.on)}}} {{")
-        for row_labels, body in kernel.rows:
-            given = ", ".join(f"{c}={lab}" for c, lab in zip(kernel.on, row_labels))
-            out.append(f"  given ({given}) {{")
+        on = sorted(kernel.on)
+        out.append(f"kernel on {{{', '.join(schema.coords[p].key for p in on)}}} {{")
+        for row, body in kernel.rows:
+            out.append(f"  given ({assignment(on, row)}) {{")
             out.extend(emit_table(body, "    "))
             out.append("  }")
         out.append("}")
     if doc.mirror is not None:
         out.append(f"mirror {doc.mirror[0]} {doc.mirror[1]}")
     return "\n".join(out) + "\n"
-
-
-def _label_sort_key(schema: SpaceSchema):
-    index = [{lab: i for i, lab in enumerate(c.labels)} for c in schema.coords]
-
-    def key(labels):
-        return tuple(index[i][lab] for i, lab in enumerate(labels))
-
-    return key
 
 
 def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
@@ -785,24 +770,12 @@ def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
             for p in sorted(schema.world_positions(world))
         )
         worlds.append(WorldDecl(world, comps, None))
-    labels = [c.labels for c in schema.coords]
-
-    def labels_of(outcome):  # the rows of a Measure are valid outcomes
-        return tuple(lab[v] for lab, v in zip(labels, outcome))
-
-    measure = {labels_of(o): q for o, q in space.P.items()}
     kernels = []
     if space.mech is not None:
         for S in space.mech.keys():
             if not S:
                 continue  # the empty kernel is implied by the measure
             k = space.mech.get(S)
-            pos = sorted(S)
-            on_keys = tuple(schema.coords[p].key for p in pos)
-            rows = []
-            for row in sorted(k.rows):
-                row_labels = tuple(schema.coords[p].labels[v] for p, v in zip(pos, row))
-                body = {labels_of(o): q for o, q in k.rows[row].items()}
-                rows.append((row_labels, body))
-            kernels.append(KernelDecl(on_keys, tuple(rows)))
-    return SpaceDocument(name, tuple(worlds), measure, tuple(kernels), None)
+            rows = tuple((row, k.rows[row].as_dict()) for row in sorted(k.rows))
+            kernels.append(KernelDecl(k.on, rows))
+    return SpaceDocument(name, tuple(worlds), space.P.as_dict(), tuple(kernels), None)

@@ -286,8 +286,6 @@ def parse_query(text: str) -> QueryScript:
         ts.next()
         if tok.value == "LET":
             name_tok = ts.expect_word()
-            if "." in name_tok.value:
-                ts.error("event names must be plain identifiers")
             ts.expect_sym("=")
             ts.expect_word("EVENT")
             ts.expect_sym("(")

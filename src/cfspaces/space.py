@@ -102,13 +102,14 @@ class SpaceSchema:
             return ref
         if isinstance(ref, Coordinate):
             ref = (ref.world, ref.name)
+        key = ref  # errors name the reference as written
         if isinstance(ref, str):
             world, dot, name = ref.partition(".")
             if not dot:
                 raise SchemaError(f"coordinate reference {ref!r} is not of the form world.name")
-            ref = (world, name)
+            key = (world, name)
         try:
-            return self._index[tuple(ref)]
+            return self._index[tuple(key)]
         except (KeyError, TypeError):
             raise SchemaError(f"unknown coordinate {ref!r}") from None
 

@@ -72,10 +72,6 @@ class WorldMirror:
     def swap_positions(self, S) -> frozenset:
         return frozenset(self.counterpart(p) for p in S)
 
-    def swap_row(self, S, row) -> tuple:
-        """Map a row on sorted(S) to the corresponding row on the mirrored set."""
-        return self._row_swap(S)(row)
-
     def _row_swap(self, S):
         """The map from rows on sorted(S) to rows on the mirrored set."""
         on = sorted(S)

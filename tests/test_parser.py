@@ -48,12 +48,12 @@ class TestParseSpace:
         doc = parse_space(MINI)
         assert doc.name == "mini"
         assert doc.worlds[1].mirror_of == "F"
-        assert doc.measure[("a", "a")] == Fraction(8, 25)
-        assert doc.measure[("b", "b")] == Fraction(1, 4)
+        assert doc.measure[(0, 0)] == Fraction(8, 25)
+        assert doc.measure[(1, 1)] == Fraction(1, 4)
 
     def test_decimals_parse_exactly(self):
         doc = parse_space(MINI)
-        assert doc.measure[("a", "b")] == Fraction(9, 50)
+        assert doc.measure[(0, 1)] == Fraction(9, 50)
 
     def test_uniform_via_default_only(self):
         text = MINI.replace(
@@ -109,7 +109,7 @@ class TestParseSpace:
     def test_sparse_table_keeps_nonzero_entries_only(self):
         doc = parse_space(WIDE)
         assert len(doc.measure) == 3
-        assert doc.measure[("1",) * 16] == Fraction(1, 4)
+        assert doc.measure[(1,) * 16] == Fraction(1, 4)
 
     def test_kernel_rows_resolve(self):
         space = parse_space(fixture_text("exam")).to_space()
@@ -158,6 +158,46 @@ class TestRoundTrip:
         # mirrors and declaration sugar aside, the resolved content agrees
         assert {k: v for k, v in rebuilt.measure.items()} == doc.measure
         assert len(rebuilt.kernels) == len(doc.kernels)
+
+
+class TestOutcomeKeys:
+    """Document tables hold the outcome-keyed tables of the space they build."""
+
+    def test_tables_are_the_built_measures_and_rows(self, compiled_chains):
+        texts = [fixture_text(name) for name in FIXTURES] + [compiled_chains[n] for n in (2, 3)]
+        for text in texts:
+            doc = parse_space(text)
+            space = doc.to_space()
+            assert doc.measure == space.P.as_dict()
+            for decl in doc.kernels:
+                kernel = space.mech.get(decl.on)
+                assert decl.on == kernel.on
+                assert [row for row, _ in decl.rows] == list(kernel.rows)
+                for row, body in decl.rows:
+                    assert body == kernel.rows[row].as_dict()
+
+    def test_doc_from_space_holds_the_measure(self, compiled_chains):
+        spaces = [random_cf_space(seed, n_worlds=2) for seed in range(5)]
+        spaces += [parse_space(compiled_chains[n]).to_space() for n in (2, 3)]
+        for space in spaces:
+            doc = doc_from_space(space, "s")
+            assert doc.measure == space.P.as_dict()
+            for decl in doc.kernels:
+                rows = space.mech.get(decl.on).rows
+                assert dict(decl.rows) == {row: m.as_dict() for row, m in rows.items()}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: {(0, 0): Fraction(1, 2)}, "weights sum to 1/2, not 1"),
+        (lambda d: {(0, 2): Fraction(1)}, "label index 2 out of range for coordinate CF.c"),
+    ], ids=["sum", "index"])
+    def test_hand_built_tables_are_checked(self, edit, message):
+        doc = parse_space(MINI)
+        bad = dataclasses.replace(doc, measure=edit(doc.measure))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            bad.to_space()
+        kernel = KernelDecl(frozenset({1}), (((0,), edit(doc.measure)),))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(doc, kernels=(kernel,)).to_space()
 
 
 SCM_TEXT = """\
@@ -332,6 +372,19 @@ def test_malformed_entry_diagnostics(row, message):
     assert text.count(EXAM_ROW) == 1
     with pytest.raises(ParseError) as exc:
         parse_space(text.replace(EXAM_ROW, row))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("coords, message", [
+    ("{CF.zzz}", "30:11: unknown coordinate 'CF.zzz'"),
+    ("{CF.class, CF.class}", "30:22: coordinate 'CF.class' listed twice"),
+    ("{CF.class,\n  CF.class}", "31:3: coordinate 'CF.class' listed twice"),
+])
+def test_kernel_set_diagnostics(coords, message):
+    text = fixture_text("exam")
+    assert text.count("kernel on {CF.class}") == 1
+    with pytest.raises(ParseError) as exc:
+        parse_space(text.replace("kernel on {CF.class}", f"kernel on {coords}"))
     assert str(exc.value) == message
 
 

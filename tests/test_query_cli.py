@@ -166,6 +166,19 @@ class TestCli:
         code, _, _ = run_cli(["run", fixture_path("exam"), str(script)])
         assert code == 4
 
+    @pytest.mark.parametrize("script, message", [
+        ("PROB (CF.zzz=P)", "unknown coordinate 'CF.zzz'"),
+        ("EFFECT {CF.zzz} ON (CF.exam=P)", "unknown coordinate 'CF.zzz'"),
+        ("EFFECT {CF.class, CF.class} ON (CF.exam=P)",
+         "1:19: coordinate 'CF.class' listed twice"),
+        ("PROB ()\nSYNC {F.exam} {CF.exam, F.exam,\n CF.exam}",
+         "3:2: coordinate 'CF.exam' listed twice"),
+    ])
+    def test_coordinate_references_are_named_as_written(self, script, message, tmp_path):
+        path = tmp_path / "q.cfq"
+        path.write_text(script)
+        assert run_cli(["run", fixture_path("exam"), str(path)]) == (2, "", f"error: {message}\n")
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfs"
         bad.write_text("space x\nworld W {\n  component c { a a }\n}\n")

@@ -1,5 +1,6 @@
 """The runtime imports nothing beyond the standard library."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,13 @@ for info in pkgutil.iter_modules(cfspaces.__path__):
 top = {{name.partition(".")[0] for name in set(sys.modules) - before}}
 print("\\n".join(sorted(top - set(sys.stdlib_module_names) - {{"cfspaces"}})))
 """
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; the grammar of any
+    # newer release (such as except*) must not creep in.
+    for path in sorted((SRC / "cfspaces").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_runtime_is_stdlib_only():
