@@ -10,7 +10,6 @@ from .space import (
     atoms_of,
     cylinder,
     is_measurable_wrt,
-    project,
 )
 from .measure import (
     AtomConditional,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Mapping
 
-from .measure import Measure, law, pushforward
+from .measure import Measure, ints, law, pushforward
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import Coordinate, SpaceSchema
 
@@ -146,7 +146,7 @@ def compile_scm(model: SCMModel) -> CfSpace:
     schema = _two_world_schema(model)
     n = len(model.endo_names)
     half = _indexer(model)
-    weights = tuple(model.noise_dist.values())
+    weights = tuple(ints(model.noise_dist)[0].values())
     halves: dict = {}
 
     def solve(interventions: tuple) -> list:
@@ -156,9 +156,12 @@ def compile_scm(model: SCMModel) -> CfSpace:
                 half(model.evaluate(u, dict(interventions))) for u in model.noise_dist]
         return halves[interventions]
 
+    shared: dict = {}  # one tuple per outcome, however many rows hold it
+
     def twin(do_f: tuple, do_cf: tuple) -> Measure:
-        outcomes = map(add, solve(do_f), solve(do_cf))
-        return Measure(schema, pushforward(zip(outcomes, weights)), _trusted=True)
+        joined = list(map(add, solve(do_f), solve(do_cf)))
+        outcomes = map(shared.setdefault, joined, joined)
+        return Measure._of(schema, schema.all_on, pushforward(zip(outcomes, weights)))
 
     def kernel(S: frozenset) -> Kernel:
         coords = [schema.coords[p] for p in sorted(S)]
@@ -189,10 +192,10 @@ def compile_backtracking(model: SCMModel, coupling) -> CfSpace:
     for u, u_star in coupling:
         if u not in noise_rows or u_star not in noise_rows:
             raise ValueError(f"coupling entry ({u!r}, {u_star!r}) does not match the noise domain")
-    coupling = law(coupling, "coupling")
+    coupling, _ = ints(law(coupling, "coupling"))
     halves = {u: half(model.evaluate(u)) for u in set(itertools.chain.from_iterable(coupling))}
-    P = Measure(schema, pushforward(
-        (halves[u] + halves[u_star], q) for (u, u_star), q in coupling.items()), _trusted=True)
+    P = Measure._of(schema, schema.all_on, pushforward(
+        (halves[u] + halves[u_star], n) for (u, u_star), n in coupling.items()))
     return CfSpace(schema, P, None)
 
 
@@ -268,7 +271,7 @@ def compile_po(model: POModel) -> CfSpace:
         coords.append(Coordinate(OBS, name, domains[name]))
         columns.append((model.observed[name], domains[name]))
     schema = SpaceSchema(coords)
-    P = Measure(schema, pushforward(
-        (tuple(labels.index(fn[unit]) for fn, labels in columns), q)
-        for unit, q in model.unit_dist.items()), _trusted=True)
+    P = Measure._of(schema, schema.all_on, pushforward(
+        (tuple(labels.index(fn[unit]) for fn, labels in columns), n)
+        for unit, n in ints(model.unit_dist)[0].items()))
     return CfSpace(schema, P, None)

@@ -1,19 +1,18 @@
 """Probability measures with exact rational arithmetic.
 
-All probabilities are fractions.Fraction values, so every identity checked
+A measure holds integer numerators over one common denominator, and every
+probability it reports is a fractions.Fraction, so every identity checked
 by this package (additivity, independence products, almost-sure equality)
 is an exact equation rather than a floating-point approximation.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .space import SpaceSchema, atoms_of, projector
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ConditioningUndefinedError(ValueError):
@@ -21,26 +20,36 @@ class ConditioningUndefinedError(ValueError):
 
 
 def law(weights: Mapping, what: str = "") -> dict:
-    """The nonzero part of a finite law, checked in one pass.
+    """The nonzero part of a finite law, checked.
 
     Weights become Fractions; they must be nonnegative and sum to exactly
-    one.  `what` names the law in messages ("noise" gives "negative noise
-    weight ...").
+    one, which is summed on their integer numerators.  `what` names the law
+    in messages ("noise" gives "negative noise weight ...").
     """
     what = f"{what} weight" if what else "weight"
     w: dict = {}
-    total = ZERO
     for key, q in weights.items():
         if not isinstance(q, Fraction):
             q = Fraction(q)
-        if q < 0:
+        if q.numerator < 0:
             raise ValueError(f"negative {what} {q} at {key!r}")
         if q:
             w[key] = q
-            total += q
-    if total != 1:
-        raise ValueError(f"{what}s sum to {total}, not 1")
+    nums, den = ints(w)
+    total = sum(nums.values())
+    if total != den:
+        raise ValueError(f"{what}s sum to {Fraction(total, den)}, not 1")
     return w
+
+
+def ints(weights: Mapping) -> tuple[dict, int]:
+    """Fraction weights as (integer numerators, common denominator).
+
+    The denominator is the lcm of the weights' own, which for Fractions in
+    lowest terms is canonical: no prime divides it and every numerator.
+    """
+    den = math.lcm(*(q.denominator for q in weights.values()))
+    return {key: q.numerator * (den // q.denominator) for key, q in weights.items()}, den
 
 
 def pushforward(pairs: Iterable) -> dict:
@@ -61,30 +70,37 @@ class Margin:
     empty projection carries the single row () with weight one; on every
     position the rows are full outcomes, which is what a Measure is.
     Intervention measures and marginals are Margins.
+
+    Inside, the weights are positive integer numerators with no common
+    factor over one denominator, their sum, so equal laws have equal
+    tables; `weight`, `rows` and `as_dict` give Fractions.
     """
 
-    __slots__ = ("schema", "on", "_w")
+    __slots__ = ("schema", "on", "_n", "_d")
 
-    def __init__(self, schema: SpaceSchema, on, weights: Mapping, *, _trusted: bool = False):
-        self._fill(schema, tuple(sorted(schema.positions(on))), weights, _trusted)
+    def __init__(self, schema: SpaceSchema, on, weights: Mapping):
+        on = tuple(sorted(schema.positions(on)))
+        rows: dict = {}
+        for row, q in weights.items():
+            row = tuple(row)
+            if row in rows:
+                raise ValueError(f"duplicate weight entry for {row!r}")
+            rows[row] = q
+        self._n, self._d = ints(law(rows))
+        schema.require_rows(on, rows)
+        self.schema, self.on = schema, on
 
-    def _fill(self, schema: SpaceSchema, on: tuple, weights: Mapping, trusted: bool):
-        self.schema = schema
-        self.on = on
-        if not trusted:
-            rows: dict = {}
-            for row, q in weights.items():
-                row = tuple(row)
-                if row in rows:
-                    raise ValueError(f"duplicate weight entry for {row!r}")
-                rows[row] = q
-            weights = rows
-        if trusted:
-            # Every trusted constructor passes nonzero Fractions summing to one.
-            self._w = weights
-        else:
-            self._w = law(weights)
-            schema.require_rows(on, self._w)
+    @classmethod
+    def _of(cls, schema: SpaceSchema, on: tuple, nums: dict):
+        """The law proportional to positive integer weights on rows over
+        the sorted positions `on`, unchecked."""
+        self = object.__new__(cls)
+        self.schema, self.on = schema, on
+        g = math.gcd(*nums.values())
+        if g > 1:
+            nums = {row: n // g for row, n in nums.items()}
+        self._n, self._d = nums, sum(nums.values())
+        return self
 
     @staticmethod
     def point(schema: SpaceSchema, assignment: Mapping) -> "Margin":
@@ -92,51 +108,52 @@ class Margin:
         fixed = {schema.position(ref): lab for ref, lab in assignment.items()}
         on = tuple(sorted(fixed))
         row = tuple(schema.label_index(p, fixed[p]) for p in on)
-        return Margin(schema, on, {row: ONE})
+        return Margin(schema, on, {row: 1})
 
     @staticmethod
     def uniform(schema: SpaceSchema, S) -> "Margin":
-        on = schema.positions(S)
-        rows = list(schema.rows(on))
-        return Margin(schema, on, dict.fromkeys(rows, Fraction(1, len(rows))), _trusted=True)
+        on = tuple(sorted(schema.positions(S)))
+        return Margin._of(schema, on, dict.fromkeys(schema.rows(on), 1))
 
     def weight(self, row) -> Fraction:
-        return self._w.get(tuple(row), ZERO)
+        return Fraction(self._n.get(tuple(row), 0), self._d)
 
     def rows(self):
         """Nonzero (row, weight) pairs in ascending row order."""
-        return sorted(self._w.items())
+        d = self._d
+        return [(row, Fraction(n, d)) for row, n in sorted(self._n.items())]
 
     items = rows
 
     def as_dict(self) -> dict:
-        return dict(self._w)
+        d = self._d
+        return {row: Fraction(n, d) for row, n in self._n.items()}
 
     def support(self) -> frozenset:
-        return frozenset(self._w)
+        return frozenset(self._n)
 
     def marginal(self, S) -> "Margin":
         """Pushforward onto the coordinates in S, which must lie within `on`."""
-        sub = tuple(sorted(self.schema.positions(S)))
-        if not set(sub) <= set(self.on):
+        S = self.schema.positions(S)
+        sub = tuple(sorted(S))
+        if not S.issubset(self.on):
             raise ValueError(f"positions {sub} are not within the projection {self.on}")
         key = projector(self.on, sub)
-        return Margin(self.schema, sub, pushforward(zip(map(key, self._w), self._w.values())),
-                      _trusted=True)
+        return Margin._of(self.schema, sub, pushforward(zip(map(key, self._n), self._n.values())))
 
     def __eq__(self, other):
         return (
             isinstance(other, Margin)
             and self.schema == other.schema
             and self.on == other.on
-            and self._w == other._w
+            and self._n == other._n
         )
 
     def __hash__(self):
-        return hash((self.schema, self.on, frozenset(self._w.items())))
+        return hash((self.schema, self.on, frozenset(self._n.items())))
 
     def __repr__(self):
-        return f"{type(self).__name__}(on={self.on}, {len(self._w)} rows)"
+        return f"{type(self).__name__}(on={self.on}, {len(self._n)} rows)"
 
 
 class Measure(Margin):
@@ -149,42 +166,50 @@ class Measure(Margin):
 
     __slots__ = ()
 
-    def __init__(self, schema: SpaceSchema, weights: Mapping, *, _trusted: bool = False):
-        self._fill(schema, schema.all_on, weights, _trusted)
+    def __init__(self, schema: SpaceSchema, weights: Mapping):
+        super().__init__(schema, schema.all_on, weights)
 
     @classmethod
     def uniform(cls, schema: SpaceSchema) -> "Measure":
-        q = Fraction(1, schema.n_outcomes)
-        return cls(schema, dict.fromkeys(schema.outcomes(), q), _trusted=True)
+        return cls._of(schema, schema.all_on, dict.fromkeys(schema.outcomes(), 1))
 
     @classmethod
     def dirac(cls, schema: SpaceSchema, outcome) -> "Measure":
-        return cls(schema, {tuple(outcome): ONE})
+        return cls(schema, {tuple(outcome): 1})
 
     @classmethod
     def mixture(cls, schema: SpaceSchema, parts: Iterable[tuple[Fraction, "Measure"]]) -> "Measure":
         """The convex combination sum_i q_i * P_i; the q_i must form a law."""
         parts = list(parts)
+        nums, _ = ints(law(dict(enumerate(q for q, _ in parts)), "mixture"))
+        den = math.lcm(*(parts[i][1]._d for i in nums))
         w: dict = {}
-        for i, q in law(dict(enumerate(q for q, _ in parts)), "mixture").items():
-            for outcome, p in parts[i][1]._w.items():
-                w[outcome] = w.get(outcome, ZERO) + q * p
-        return cls(schema, w, _trusted=True)
+        for i, a in nums.items():
+            m = parts[i][1]
+            f = a * (den // m._d)
+            for outcome, n in m._n.items():
+                w[outcome] = w[outcome] + f * n if outcome in w else f * n
+        return cls._of(schema, schema.all_on, w)
 
     def prob(self, A) -> Fraction:
         """Total weight of an event (exact, finitely additive)."""
         self.schema.require_event(A)
-        if len(self._w) <= len(A):
-            return sum((q for o, q in self._w.items() if o in A), ZERO)
-        return sum((self._w[o] for o in A if o in self._w), ZERO)
+        return self._prob(A)
+
+    def _prob(self, A) -> Fraction:
+        """`prob` of an event already known to conform to the schema."""
+        w = self._n
+        if len(w) <= len(A):
+            return Fraction(sum(n for o, n in w.items() if o in A), self._d)
+        return Fraction(sum(w[o] for o in A if o in w), self._d)
 
     def condition(self, G) -> "Measure":
         """The conditional measure given G; undefined when G is null."""
-        pg = self.prob(G)
-        if pg == 0:
+        self.schema.require_event(G)
+        w = {o: n for o, n in self._n.items() if o in G}
+        if not w:
             raise ConditioningUndefinedError("conditioning event has probability zero")
-        w = {o: q / pg for o, q in self._w.items() if o in G}
-        return Measure(self.schema, w, _trusted=True)
+        return Measure._of(self.schema, self.on, w)
 
 
 def dirac(schema: SpaceSchema, outcome):
@@ -248,14 +273,11 @@ class AtomConditional:
 
     def at(self, outcome) -> Measure:
         """The conditional measure for the atom containing an outcome."""
-        self.base.schema.require_outcome(outcome)
+        self.base.schema.require_rows(self.base.schema.all_on, [outcome])
         for block in self.atoms:
             if tuple(outcome) in block:
                 return self.table[block]
         raise AssertionError("atoms do not cover the outcome space")
-
-    def value(self, outcome, A) -> Fraction:
-        return self.at(outcome).prob(A)
 
 
 def condition_sigma(P: Measure, sigma) -> AtomConditional:

@@ -287,8 +287,8 @@ def check_axioms(space: CfSpace) -> AxiomReport:
         return AxiomReport(())
     violations = []
     base = space.mech.get(()).rows[()]  # a kernel has rows; () is the only one on ∅
-    if base != space.P:
-        for outcome in space.schema.outcomes():
+    if base != space.P:  # off both supports the weights are both 0
+        for outcome in sorted(base.support() | space.P.support()):
             if base.weight(outcome) != space.P.weight(outcome):
                 violations.append(AxiomViolation(
                     "trivial-intervention", frozenset(), (), outcome,
@@ -409,9 +409,9 @@ def classify_effect(space: CfSpace, U, A) -> EffectVerdict:
         return EffectVerdict("undetermined", missing=(U,))
     mech = space.mech
     k_u = mech.get(U)
-    p_a = space.P.prob(A)
+    p_a = space.P._prob(A)
     for row in sorted(k_u.rows):
-        v = k_u.rows[row].prob(A)
+        v = k_u.rows[row]._prob(A)
         if v != p_a:
             return EffectVerdict("active", EffectWitness(U, row, v, p_a))
     if not k_u.is_total():
@@ -420,6 +420,7 @@ def classify_effect(space: CfSpace, U, A) -> EffectVerdict:
         return EffectVerdict("undetermined", missing=(U,))
 
     dormant_witness = None
+    partner_p: dict = {}  # (partner, row) -> that row's P(A), computed once
     for S in mech.keys():
         if not S & U:
             continue
@@ -432,7 +433,10 @@ def classify_effect(space: CfSpace, U, A) -> EffectVerdict:
             sub = restrict(row)
             if not k_p.has_row(sub):
                 continue
-            v, w = k_s.rows[row].prob(A), k_p.rows[sub].prob(A)
+            w = partner_p.get((partner, sub))
+            if w is None:
+                w = partner_p[partner, sub] = k_p.rows[sub]._prob(A)
+            v = k_s.rows[row]._prob(A)
             if v != w:
                 dormant_witness = EffectWitness(S, row, v, w, against=partner)
                 break

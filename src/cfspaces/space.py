@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-# Every algorithm in this package enumerates the outcome space, so schemas
-# beyond this size are rejected up front rather than hanging.
+# Validating an event and building sigma-algebra atoms or a uniform measure
+# enumerate the outcome space (measures hold only their supports), so
+# schemas beyond this size are rejected up front rather than hanging.
 MAX_OUTCOMES = 1 << 20
 
 
@@ -73,6 +74,7 @@ class SpaceSchema:
         self.n_outcomes = n
         # The `on` of every full-outcome Measure on this schema.
         self.all_on: tuple[int, ...] = tuple(range(len(self.coords)))
+        self.all_positions = frozenset(self.all_on)
         self._ranges = tuple(range(len(c.labels)) for c in self.coords)
         self._index = {(c.world, c.name): i for i, c in enumerate(self.coords)}
         self._outcomes: tuple[tuple[int, ...], ...] | None = None
@@ -117,16 +119,15 @@ class SpaceSchema:
         """Resolve an iterable of coordinate references to a position set."""
         if isinstance(refs, (int, str, Coordinate)):
             refs = [refs]
+        elif type(refs) is frozenset and refs <= self.all_positions \
+                and {int}.issuperset(map(type, refs)):
+            return refs  # a position set already
         return frozenset(self.position(r) for r in refs)
 
     def world_positions(self, world: str) -> frozenset:
         if world not in self.worlds:
             raise SchemaError(f"unknown world {world!r}")
         return frozenset(i for i, c in enumerate(self.coords) if c.world == world)
-
-    @property
-    def all_positions(self) -> frozenset:
-        return frozenset(range(len(self.coords)))
 
     def label_index(self, pos: int, label) -> int:
         coord = self.coords[pos]
@@ -171,9 +172,6 @@ class SpaceSchema:
                 raise SchemaError(
                     f"label index {bad!r} out of range for coordinate {self.coords[p].key}")
 
-    def require_outcome(self, outcome):
-        self.require_rows(self.all_on, [outcome])
-
     def require_event(self, A):
         """Reject an event with a non-outcome member, naming the first one."""
         outcomes = self.outcome_set()
@@ -187,10 +185,6 @@ class SpaceSchema:
             raise SchemaError("outcome must assign every coordinate")
         return tuple(self.label_index(i, lab) for i, lab in enumerate(labels))
 
-    def labels_of(self, outcome) -> tuple[str, ...]:
-        self.require_outcome(outcome)
-        return tuple(self.coords[i].labels[v] for i, v in enumerate(outcome))
-
     def describe_row(self, S, row) -> str:
         """Render a partial outcome on S as "(W.c=l, ...)" for reports."""
         pos = sorted(self.positions(S))
@@ -198,21 +192,10 @@ class SpaceSchema:
         return "(" + ", ".join(parts) + ")"
 
 
-def project(outcome, S) -> tuple:
-    """Restrict an outcome (or row on a superset) to the positions in S.
-
-    S is an iterable of schema positions; the result follows ascending
-    position order.  Projecting onto the full position set is the identity
-    and projecting onto the empty set yields ().
-    """
-    return tuple(outcome[i] for i in sorted(S))
-
-
 def projector(src, dst):
     """The map from a row over the positions `src`, in that order, to its
     row over the positions `dst`, each of which is in `src`."""
-    index = {p: i for i, p in enumerate(src)}
-    indices = [index[p] for p in dst]
+    indices = [src.index(p) for p in dst]
     if len(indices) == 1:
         i, = indices
         return lambda t: (t[i],)
@@ -241,7 +224,7 @@ def cylinder(schema: SpaceSchema, assignment: Mapping) -> frozenset:
 
 
 def atoms_of(schema: SpaceSchema, S) -> tuple[frozenset, ...]:
-    """The partition of the outcome space into fibers of project(., S).
+    """The partition of the outcome space into fibers of the projection onto S.
 
     Blocks are ordered by first appearance in canonical outcome order.
     S = empty set gives the single block Omega; S = all positions gives
@@ -261,7 +244,7 @@ def atoms_of(schema: SpaceSchema, S) -> tuple[frozenset, ...]:
 
 
 def is_measurable_wrt(schema: SpaceSchema, A, S) -> bool:
-    """Whether A is a union of fibers of project(., S).
+    """Whether A is a union of fibers of the projection onto S.
 
     This is the finite criterion for membership in the sub-sigma-algebra
     generated by the coordinates in S.

@@ -10,11 +10,11 @@ assembles N-way spaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .measure import Measure, pushforward
+from .measure import Measure
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import (
     Coordinate,
@@ -62,12 +62,6 @@ class WorldMirror:
             if pos == b:
                 return a
         raise SchemaError(f"position {pos} is not covered by the mirror")
-
-    def swap_outcome(self, outcome) -> tuple:
-        out = list(outcome)
-        for a, b in self.pairs:
-            out[a], out[b] = outcome[b], outcome[a]
-        return tuple(out)
 
     def swap_positions(self, S) -> frozenset:
         return frozenset(self.counterpart(p) for p in S)
@@ -120,11 +114,10 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     the events of world j with the kernel on S & T_j at the restricted row.
     World j's atoms are the fibres of the projection onto sorted(T_j), so
     comparing the two rows' marginals on T_j compares every atom, and by
-    additivity every event of the world.  A marginal is integer numerators
-    over its row's common denominator, built in one pass over the support;
-    only a row that differs walks the atoms, reporting each differing one
-    in atom order.  Pairs whose restricted kernel (or row) is absent are
-    reported as uncheckable, not as violations.
+    additivity every event of the world.  Marginals are canonical integer
+    tables, so only a row whose marginal differs walks the atoms, reporting
+    each differing one in atom order.  Pairs whose restricted kernel (or
+    row) is absent are reported as uncheckable, not as violations.
     """
     if space.mech is None:
         return CrossWorldReport((), ())
@@ -152,28 +145,16 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
                     continue
                 ref = references.get((inner, sub))
                 if ref is None:
-                    ref = references[inner, sub] = _int_marginal(k_inner.rows[sub], key)
-                ref_nums, ref_den = ref
-                nums, den = _int_marginal(k_s.rows[row], key)
-                if nums.keys() == ref_nums.keys() and all(
-                        n * ref_den == ref_nums[r] * den for r, n in nums.items()):
+                    ref = references[inner, sub] = k_inner.rows[sub].marginal(t_world)
+                mine = k_s.rows[row].marginal(t_world)
+                if mine == ref:
                     continue
                 for atom in atoms_of(schema, t_world):
                     r = key(next(iter(atom)))
-                    n, n_ref = nums.get(r, 0), ref_nums.get(r, 0)
-                    if n * ref_den != n_ref * den:
+                    if mine.weight(r) != ref.weight(r):
                         violations.append(CrossWorldViolation(
-                            world, S, row, atom, Fraction(n, den), Fraction(n_ref, ref_den)))
+                            world, S, row, atom, mine.weight(r), ref.weight(r)))
     return CrossWorldReport(violations, uncheckable)
-
-
-def _int_marginal(m: Measure, key) -> tuple[dict, int]:
-    """The pushforward of m under `key`, as integer numerators over the
-    lcm of m's weight denominators: (numerators by key, denominator)."""
-    weights = m.as_dict()
-    den = math.lcm(*(q.denominator for q in weights.values()))
-    return pushforward(
-        (key(outcome), q.numerator * (den // q.denominator)) for outcome, q in weights.items()), den
 
 
 # -- event classification -----------------------------------------------------
@@ -252,9 +233,13 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
     if schema.world_positions(mirror.world_a) | schema.world_positions(mirror.world_b) \
             != schema.all_positions:
         raise SchemaError("the mirror must cover every coordinate of the space")
+    perm = list(schema.all_on)
+    for a, b in mirror.pairs:
+        perm[a], perm[b] = b, a
+    swap_outcome = itemgetter(*perm)
     failures = [
         SymmetryFailure("measure", None, None, outcome, v, w)
-        for outcome, v, w in _swap_mismatches(space.P, space.P, mirror)]
+        for outcome, v, w in _swap_mismatches(space.P, space.P, swap_outcome)]
     uncheckable = []
     if space.mech is not None:
         for S in space.mech.keys():
@@ -270,19 +255,23 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 if not k_star.has_row(row_star):
                     uncheckable.append((S, S_star, row))
                     continue
-                for outcome, v, w in _swap_mismatches(k.rows[row], k_star.rows[row_star], mirror):
+                for outcome, v, w in _swap_mismatches(
+                        k.rows[row], k_star.rows[row_star], swap_outcome):
                     failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
     return SymmetryReport(failures, uncheckable)
 
 
-def _swap_mismatches(m: Measure, m_star: Measure, mirror: WorldMirror):
+def _swap_mismatches(m: Measure, m_star: Measure, swap):
     """(outcome, m(outcome), m_star(swap(outcome))) wherever the two differ.
 
-    Both weights vanish off supp(m) | swap(supp(m_star)), so only that set
-    is visited, in canonical outcome order.
+    Equal canonical tables have no mismatch; otherwise both weights vanish
+    off supp(m) | swap(supp(m_star)), so only that set is visited, in
+    canonical outcome order.
     """
-    swap = mirror.swap_outcome
-    for outcome in sorted(m.support() | {swap(o) for o in m_star.support()}):
+    swapped = dict(zip(map(swap, m_star._n), m_star._n.values()))
+    if swapped == m._n:
+        return
+    for outcome in sorted(m.support() | swapped.keys()):
         v, w = m.weight(outcome), m_star.weight(swap(outcome))
         if v != w:
             yield outcome, v, w
@@ -315,7 +304,7 @@ def marginalize(space: CfSpace, keep, *, allow_world_drop: bool = False) -> CfSp
     position_map = {p: i for i, p in enumerate(order)}
 
     def push(measure: Measure) -> Measure:
-        return Measure(new_schema, measure.marginal(keep).as_dict(), _trusted=True)
+        return Measure._of(new_schema, new_schema.all_on, measure.marginal(keep)._n)
 
     new_p = push(space.P)
     mech = None

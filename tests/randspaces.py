@@ -125,7 +125,7 @@ def _couple(rng, schema, world_pos, margins, mode):
             weights[d] = weights.get(d, Fraction(0)) + delta
             weights = {k: v for k, v in weights.items() if v}
             cells = sorted(weights)
-    return Measure(schema, weights, _trusted=True)
+    return Measure(schema, weights)
 
 
 def random_cf_space(seed, n_worlds=2, mode=None, mirrored=False) -> CfSpace:
@@ -150,9 +150,9 @@ def random_cf_space(seed, n_worlds=2, mode=None, mirrored=False) -> CfSpace:
             for b, part in zip(bases, parts):
                 q *= b[part]
             weights[_merge(world_pos, parts)] = q
-        P = Measure(schema, weights, _trusted=True)
+        P = Measure(schema, weights)
     else:
-        P = Measure(schema, rand_weights(rng, schema.outcomes()), _trusted=True)
+        P = Measure(schema, rand_weights(rng, schema.outcomes()))
         bases = [
             {row: q for row, q in P.marginal(pos).rows()}
             for pos in world_pos

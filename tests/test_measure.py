@@ -9,6 +9,7 @@ from cfspaces import (
     Coordinate,
     Margin,
     Measure,
+    SchemaError,
     SpaceSchema,
     as_equal,
     as_equal_given,
@@ -41,6 +42,20 @@ class TestMeasureBasics:
         s = two_by_two()
         with pytest.raises(ValueError):
             Measure(s, {(0, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2)})
+
+    def test_zero_weight_rows_are_checked(self):
+        s = two_by_two()
+        with pytest.raises(SchemaError, match="^label index 7 out of range for coordinate W.a$"):
+            Margin(s, [0], {(7,): 0, (0,): 1})
+        with pytest.raises(SchemaError, match=r"^row \(0, 0, 0, 0\) does not match"):
+            Measure(s, {(0, 0, 0, 0): 0, (0, 1): 1})
+        # a duplicate entry is named first, then a bad law, then a bad row
+        with pytest.raises(ValueError, match=r"^duplicate weight entry for \(0,\)$"):
+            Margin(s, [0], {(7,): 0, (0,): 2, range(1): -1})
+        with pytest.raises(ValueError, match=r"^negative weight -1 at \(1,\)$"):
+            Margin(s, [0], {(7,): 0, (0,): 2, (1,): -1})
+        with pytest.raises(ValueError, match="^weights sum to 1/2, not 1$"):
+            Margin(s, [0], {(7,): 0, (0,): Fraction(1, 2)})
 
     def test_mixture_weights_must_form_a_law(self):
         s = two_by_two()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cfspaces import (
+    AxiomViolation,
     CfSpace,
     Coordinate,
     EffectVerdict,
@@ -27,10 +28,12 @@ from cfspaces import (
     global_source,
     intervene,
     is_source,
+    parse_scm,
     verify_fundamental,
 )
 from cfspaces.measure import ConditioningUndefinedError
 
+from conftest import chain_scm
 from randspaces import random_cf_space, random_margin
 
 
@@ -82,6 +85,22 @@ class TestCheckAxioms:
     def test_tampered_trivial_kernel(self, dormant):
         report = check_axioms(tampered_empty_kernel(dormant))
         assert [v.axiom for v in report.violations] == ["trivial-intervention"]
+
+    def test_trivial_intervention_walks_the_supports_only(self, monkeypatch):
+        schema = SpaceSchema([Coordinate("W", c, ("0", "1", "2")) for c in "ab"])
+        half = Fraction(1, 2)
+        P = Measure(schema, {(0, 1): half, (2, 2): half})
+        fake = Measure(schema, {(0, 1): half, (1, 0): Fraction(1, 4), (2, 2): Fraction(1, 4)})
+        space = CfSpace(schema, P, Mechanism(schema, fake))
+
+        def outcomes(self):
+            raise AssertionError("check_axioms enumerated the outcome space")
+
+        monkeypatch.setattr(SpaceSchema, "outcomes", outcomes)
+        report = check_axioms(space)
+        assert report.violations == (AxiomViolation(
+            "trivial-intervention", frozenset(), (), (1, 0),
+            "K_empty((1, 0)) = 1/4 != P((1, 0)) = 0"),)
 
     def test_tampered_support(self, exam):
         # move mass onto an outcome that contradicts the intervened value
@@ -314,6 +333,17 @@ class TestClassifyEffect:
         # never moves: either certified no-effect or a definite dormant
         # witness is impossible
         assert verdict.tag == "no_effect"
+
+    def test_the_event_is_checked_once(self, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        a = cylinder(space.schema, {"CF.X2": "1"})
+        checked = []
+        require = SpaceSchema.require_event
+        monkeypatch.setattr(SpaceSchema, "require_event",
+                            lambda self, A: checked.append(A) or require(self, A))
+        # the other world's kernels never move CF.X2: every pair is compared
+        assert classify_effect(space, space.schema.positions(["F.X1"]), a).tag == "no_effect"
+        assert checked == [a]
 
     def test_active_and_no_effect_mutually_exclusive(self):
         rng = random.Random(5)

@@ -10,8 +10,8 @@ from cfspaces import (
     atoms_of,
     cylinder,
     is_measurable_wrt,
-    project,
 )
+from cfspaces.space import projector
 
 
 def three_bits():
@@ -49,6 +49,10 @@ class TestSchema:
         assert s.position(("CF", "exam")) == 3
         with pytest.raises(SchemaError):
             s.position("F.nope")
+        assert s.positions(frozenset({0, 3})) == {0, 3}
+        for bad in (frozenset({4}), frozenset({1.0}), frozenset({0, "F.nope"})):
+            with pytest.raises(SchemaError):
+                s.positions(bad)
 
     def test_outcomes_canonical_order(self):
         s = two_by_two()
@@ -59,27 +63,28 @@ class TestProject:
     def test_dormant_example(self):
         # the joint-intervention kernel domain: (0,0,0) restricted to the
         # first two components
-        assert project((0, 0, 0), {0, 1}) == (0, 0)
+        assert projector((0, 1, 2), (0, 1))((0, 0, 0)) == (0, 0)
 
     def test_full_projection_is_identity(self):
         s = three_bits()
+        key = projector(s.all_on, s.all_on)
         for outcome in s.outcomes():
-            assert project(outcome, s.all_positions) == outcome
+            assert key(outcome) == outcome
 
     def test_empty_projection(self):
-        assert project((1, 0, 1), frozenset()) == ()
+        assert projector((0, 1, 2), ())((1, 0, 1)) == ()
 
     def test_composition(self):
         rng = random.Random(7)
         s = three_bits()
         for _ in range(50):
-            big = frozenset(p for p in range(3) if rng.random() < 0.7)
-            small = frozenset(p for p in big if rng.random() < 0.5)
+            big = sorted(p for p in range(3) if rng.random() < 0.7)
+            small = [p for p in big if rng.random() < 0.5]
             outcome = rng.choice(s.outcomes())
-            via = project(outcome, big)
-            pos = sorted(big)
-            direct = tuple(via[pos.index(p)] for p in sorted(small))
-            assert project(outcome, small) == direct
+            via = projector(s.all_on, big)(outcome)
+            direct = tuple(outcome[p] for p in small)
+            assert projector(big, small)(via) == direct
+            assert projector(s.all_on, small)(outcome) == direct
 
 
 class TestCylinder:
@@ -88,7 +93,7 @@ class TestCylinder:
         event = cylinder(s, {"F.class": "N", "F.exam": "F"})
         assert len(event) == 4
         for outcome in event:
-            assert s.labels_of(outcome)[:2] == ("N", "F")
+            assert tuple(s.coords[p].labels[outcome[p]] for p in (0, 1)) == ("N", "F")
 
     def test_empty_assignment_is_everything(self, exam):
         assert cylinder(exam.schema, {}) == exam.schema.outcome_set()
@@ -181,7 +186,7 @@ class TestMeasurability:
                 (o2 in A) == (o1 in A)
                 for o1 in A
                 for o2 in s.outcomes()
-                if project(o1, S) == project(o2, S)
+                if all(o1[p] == o2[p] for p in S)
             )
             assert is_measurable_wrt(s, A, S) == brute
 
