@@ -26,6 +26,11 @@ def law(weights: Mapping, what: str = "") -> dict:
     one, which is summed on their integer numerators.  `what` names the law
     in messages ("noise" gives "negative noise weight ...").
     """
+    return _law(weights, what)[0]
+
+
+def _law(weights: Mapping, what: str = "") -> tuple[dict, dict, int]:
+    """`law`, and its integer numerators over their common denominator."""
     what = f"{what} weight" if what else "weight"
     w: dict = {}
     for key, q in weights.items():
@@ -39,7 +44,7 @@ def law(weights: Mapping, what: str = "") -> dict:
     total = sum(nums.values())
     if total != den:
         raise ValueError(f"{what}s sum to {Fraction(total, den)}, not 1")
-    return w
+    return w, nums, den
 
 
 def ints(weights: Mapping) -> tuple[dict, int]:
@@ -86,7 +91,7 @@ class Margin:
             if row in rows:
                 raise ValueError(f"duplicate weight entry for {row!r}")
             rows[row] = q
-        self._n, self._d = ints(law(rows))
+        _, self._n, self._d = _law(rows)
         schema.require_rows(on, rows)
         self.schema, self.on = schema, on
 
@@ -105,10 +110,8 @@ class Margin:
     @staticmethod
     def point(schema: SpaceSchema, assignment: Mapping) -> "Margin":
         """Dirac measure on the projection named by the assignment keys."""
-        fixed = {schema.position(ref): lab for ref, lab in assignment.items()}
-        on = tuple(sorted(fixed))
-        row = tuple(schema.label_index(p, fixed[p]) for p in on)
-        return Margin(schema, on, {row: 1})
+        fixed = schema.assignment(assignment)
+        return Margin(schema, fixed, {tuple(fixed[p] for p in sorted(fixed)): 1})
 
     @staticmethod
     def uniform(schema: SpaceSchema, S) -> "Margin":
@@ -181,7 +184,7 @@ class Measure(Margin):
     def mixture(cls, schema: SpaceSchema, parts: Iterable[tuple[Fraction, "Measure"]]) -> "Measure":
         """The convex combination sum_i q_i * P_i; the q_i must form a law."""
         parts = list(parts)
-        nums, _ = ints(law(dict(enumerate(q for q, _ in parts)), "mixture"))
+        _, nums, _ = _law(dict(enumerate(q for q, _ in parts)), "mixture")
         den = math.lcm(*(parts[i][1]._d for i in nums))
         w: dict = {}
         for i, a in nums.items():
@@ -316,14 +319,16 @@ def independent_sigmas(P: Measure, S1, S2) -> bool:
 
     Checking all pairs of generator atoms suffices: both sides of the
     product identity are additive in each argument, so it extends to
-    arbitrary unions of atoms.
+    arbitrary unions of atoms.  Null atoms satisfy it; positive ones are
+    rows of the marginals on S1 and S2, meeting in their join on S1 | S2
+    (in nothing when they disagree on S1 & S2).
     """
-    for a in atoms_of(P.schema, S1):
-        pa = P.prob(a)
-        for b in atoms_of(P.schema, S2):
-            if P.prob(a & b) != pa * P.prob(b):
-                return False
-    return True
+    m1, m2 = P.marginal(S1), P.marginal(S2)
+    m12 = P.marginal(m1.on + m2.on)
+    join, back = projector(m1.on + m2.on, m12.on), projector(m12.on, m2.on)
+    return all(back(row := join(r1 + r2)) == r2
+               and m12._n.get(row, 0) * m1._d * m2._d == n1 * n2 * m12._d
+               for r1, n1 in m1._n.items() for r2, n2 in m2._n.items())
 
 
 def as_equal(P: Measure, A, B) -> bool:
@@ -336,9 +341,13 @@ def as_equal_given(P: Measure, G, A, B) -> bool:
     return as_equal(P.condition(G), A, B)
 
 
-def support_trace(schema: SpaceSchema, supp, S) -> frozenset:
-    """The partition of the support set `supp` induced by the atoms of sigma(S)."""
-    return frozenset(block & supp for block in atoms_of(schema, S) if block & supp)
+def same_trace(schema: SpaceSchema, supp, S1, S2) -> bool:
+    """Whether sigma(S1) and sigma(S2) cut the outcomes in `supp` into the
+    same blocks: iff sigma(S1 | S2), which cuts their common refinement,
+    makes as many blocks as each, i.e. `supp` has as many rows on each."""
+    S1, S2 = schema.positions(S1), schema.positions(S2)
+    return len({len(set(map(projector(schema.all_on, sorted(S)), supp)))
+                for S in (S1, S2, S1 | S2)}) == 1
 
 
 def synchronized(P: Measure, S1, S2) -> bool:
@@ -350,5 +359,4 @@ def synchronized(P: Measure, S1, S2) -> bool:
     check that every event of one algebra is almost surely equal to some
     event of the other, and vice versa.
     """
-    supp = P.support()
-    return support_trace(P.schema, supp, S1) == support_trace(P.schema, supp, S2)
+    return same_trace(P.schema, P._n, S1, S2)

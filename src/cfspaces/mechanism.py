@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .measure import (
-    Margin, Measure, as_equal, condition_event, independent, resolve_partition, support_trace)
-from .space import SpaceSchema, atoms_of, projector
+from .measure import Margin, Measure, as_equal, condition_event, independent, same_trace
+from .space import SpaceSchema, projector
 
 
 class MissingKernelError(LookupError):
@@ -234,10 +233,6 @@ class CfSpace:
     def derivation(self) -> DerivationReport | None:
         """The derivation report of an intervened space, None otherwise."""
         return None if self.mech is None else self.mech.derivation()
-
-    @property
-    def worlds(self) -> tuple[str, ...]:
-        return self.schema.worlds
 
     def kernel(self, S) -> Kernel:
         if self.mech is None:
@@ -544,10 +539,9 @@ def causal_sync(space: CfSpace, U, S1, S2) -> bool:
     nullifies.  That holds iff the two atom partitions induce the same
     trace on the union of the row supports.
     """
-    schema = space.schema
-    k = _total_kernel(space, schema.positions(U))
+    k = _total_kernel(space, space.schema.positions(U))
     supp = frozenset().union(*(m.support() for m in k.rows.values()))
-    return support_trace(schema, supp, S1) == support_trace(schema, supp, S2)
+    return same_trace(space.schema, supp, S1, S2)
 
 
 # -- sources ------------------------------------------------------------------
@@ -555,14 +549,11 @@ def causal_sync(space: CfSpace, U, S1, S2) -> bool:
 
 def _source_scan(space: CfSpace, U: frozenset, k: Kernel):
     """(row, the kernel row or None, P given the atom) at each P-positive
-    atom of sigma(U), in atom order; an atom is conditioned on only when
-    the scan reaches it."""
-    P = space.P
+    atom of sigma(U), in atom order: the rows of supp(P) on U, ascending.
+    The scan conditions on an atom's P-positive outcomes when it gets there."""
     row_of = projector(space.schema.all_on, sorted(U))
-    for block in resolve_partition(space.schema, U):
-        if P.prob(block) > 0:
-            row = row_of(next(iter(block)))
-            yield row, k.rows.get(row), P.condition(block)
+    for row, atom in itertools.groupby(sorted(space.P._n, key=row_of), row_of):
+        yield row, k.rows.get(row), space.P.condition(frozenset(atom))
 
 
 def _is_version(space: CfSpace, U: frozenset, agrees) -> bool:
@@ -583,17 +574,18 @@ def _is_version(space: CfSpace, U: frozenset, agrees) -> bool:
 def is_source(space: CfSpace, U, target) -> bool:
     """Whether the kernel on U is a version of conditioning on sigma(U).
 
-    `target` is an event or a coordinate set (checked on the atoms of its
-    sigma-algebra).  Only P-positive atoms are quantified; null atoms are
-    exempt.  A definite mismatch answers False even if other rows are
-    absent; an absence that blocks certification raises MissingKernelError.
+    `target` is an event or a coordinate set, checked on its marginal: a
+    canonical table of the atoms of its sigma-algebra.  Only P-positive
+    atoms are quantified; null atoms are exempt.  A definite mismatch
+    answers False even if other rows are absent; an absence that blocks
+    certification raises MissingKernelError.
     """
     U = space.schema.positions(U)
     if isinstance(target, (frozenset, set)) and all(isinstance(x, tuple) for x in target):
-        events = [frozenset(target)]
-    else:
-        events = list(atoms_of(space.schema, target))
-    return _is_version(space, U, lambda m, given: all(m.prob(A) == given.prob(A) for A in events))
+        A = frozenset(target)
+        return _is_version(space, U, lambda m, given: m.prob(A) == given.prob(A))
+    T = space.schema.positions(target)
+    return _is_version(space, U, lambda m, given: m.marginal(T) == given.marginal(T))
 
 
 def global_source(space: CfSpace, U) -> bool:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .measure import Measure
+from .measure import Measure, ints
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import Coordinate, SchemaError, SpaceSchema
 
@@ -466,7 +466,8 @@ class Table:
         """The nonzero weights of a probability table, which must sum to
         exactly one; see `fill`."""
         unlisted = self._unlisted(size, what, unit)
-        total = sum(self.entries.values(), Fraction(0)) + (self.default or 0) * unlisted
+        nums, den = ints(self.entries)
+        total = Fraction(sum(nums.values()), den) + (self.default or 0) * unlisted
         if total != 1:
             gap = 1 - total
             direction = "short by" if gap > 0 else "in excess by"

@@ -256,10 +256,10 @@ def _assignment(ts: TokenStream) -> Reader:
 
 def _parse_dist(ts: TokenStream):
     if ts.at_word("point"):
-        ts.next()
+        tok = ts.next()
         assignment = _assignment(ts)()
         if not assignment:
-            ts.error("point() needs at least one coordinate assignment")
+            ts.error("point() needs at least one coordinate assignment", tok)
         return PointDist(assignment)
     if ts.at_word("uniform"):
         ts.next()
@@ -315,9 +315,10 @@ def parse_query(text: str) -> QueryScript:
             stmt = EffectStmt(coords, expr, given, _src(ts, start))
         elif tok.value == "INDEP":
             a = parse_coordset(ts) if ts.at_sym("{") else _parse_expr(ts)
+            b_tok = ts.peek()
             b = parse_coordset(ts) if ts.at_sym("{") else _parse_expr(ts)
             if isinstance(a, tuple) != isinstance(b, tuple):
-                ts.error("INDEP operands must both be events or both coordinate sets")
+                ts.error("INDEP operands must both be events or both coordinate sets", b_tok)
             given = None
             if ts.at_word("GIVEN"):
                 ts.next()

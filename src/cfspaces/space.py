@@ -11,6 +11,7 @@ and every function here is pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -79,7 +80,6 @@ class SpaceSchema:
         self._index = {(c.world, c.name): i for i, c in enumerate(self.coords)}
         self._outcomes: tuple[tuple[int, ...], ...] | None = None
         self._outcome_set: frozenset | None = None
-        self._atom_cache: dict[frozenset, tuple[frozenset, ...]] = {}
 
     def __eq__(self, other):
         return isinstance(other, SpaceSchema) and self.coords == other.coords
@@ -139,6 +139,17 @@ class SpaceSchema:
             return coord.labels.index(label)
         except ValueError:
             raise SchemaError(f"unknown label {label!r} for coordinate {coord.key}") from None
+
+    def assignment(self, assignment: Mapping) -> dict[int, int]:
+        """{position: label index} of a mapping of coordinate references to
+        labels (or label indices); references to one coordinate must agree."""
+        fixed: dict[int, int] = {}
+        for ref, label in assignment.items():
+            pos = self.position(ref)
+            idx = self.label_index(pos, label)
+            if fixed.setdefault(pos, idx) != idx:
+                raise SchemaError(f"conflicting assignment for coordinate {self.coords[pos].key}")
+        return fixed
 
     # -- outcomes ---------------------------------------------------------
 
@@ -209,18 +220,9 @@ def cylinder(schema: SpaceSchema, assignment: Mapping) -> frozenset:
     empty assignment yields the full outcome space; a total assignment
     yields a singleton.
     """
-    fixed: dict[int, int] = {}
-    for ref, label in assignment.items():
-        pos = schema.position(ref)
-        idx = schema.label_index(pos, label)
-        if pos in fixed and fixed[pos] != idx:
-            raise SchemaError(f"conflicting assignment for coordinate {schema.coords[pos].key}")
-        fixed[pos] = idx
-    ranges = [
-        (fixed[i],) if i in fixed else range(len(c.labels))
-        for i, c in enumerate(schema.coords)
-    ]
-    return frozenset(itertools.product(*ranges))
+    fixed = schema.assignment(assignment)
+    return frozenset(itertools.product(
+        *[(fixed[i],) if i in fixed else r for i, r in enumerate(schema._ranges)]))
 
 
 def atoms_of(schema: SpaceSchema, S) -> tuple[frozenset, ...]:
@@ -230,28 +232,21 @@ def atoms_of(schema: SpaceSchema, S) -> tuple[frozenset, ...]:
     S = empty set gives the single block Omega; S = all positions gives
     singleton blocks.
     """
-    S = schema.positions(S)
-    cached = schema._atom_cache.get(S)
-    if cached is not None:
-        return cached
     groups: dict[tuple, list] = {}
-    key = projector(schema.all_on, sorted(S))
+    key = projector(schema.all_on, sorted(schema.positions(S)))
     for outcome in schema.outcomes():
         groups.setdefault(key(outcome), []).append(outcome)
-    blocks = tuple(frozenset(g) for g in groups.values())
-    schema._atom_cache[S] = blocks
-    return blocks
+    return tuple(frozenset(g) for g in groups.values())
 
 
 def is_measurable_wrt(schema: SpaceSchema, A, S) -> bool:
     """Whether A is a union of fibers of the projection onto S.
 
     This is the finite criterion for membership in the sub-sigma-algebra
-    generated by the coordinates in S.
+    generated by the coordinates in S.  All fibers have one size, so A is
+    a union of them iff it has that many outcomes per row it meets on S.
     """
     schema.require_event(A)
-    for block in atoms_of(schema, S):
-        hit = block & A
-        if hit and hit != block:
-            return False
-    return True
+    S = sorted(schema.positions(S))
+    fiber = schema.n_outcomes // math.prod(len(schema._ranges[p]) for p in S)
+    return len(A) == fiber * len(set(map(projector(schema.all_on, S), A)))

@@ -20,7 +20,7 @@ from .space import (
     Coordinate,
     SchemaError,
     SpaceSchema,
-    atoms_of,
+    cylinder,
     is_measurable_wrt,
     projector,
 )
@@ -115,9 +115,9 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     World j's atoms are the fibres of the projection onto sorted(T_j), so
     comparing the two rows' marginals on T_j compares every atom, and by
     additivity every event of the world.  Marginals are canonical integer
-    tables, so only a row whose marginal differs walks the atoms, reporting
-    each differing one in atom order.  Pairs whose restricted kernel (or
-    row) is absent are reported as uncheckable, not as violations.
+    tables, so only a row whose marginal differs walks the two supports in
+    atom order, reporting each differing atom (the cylinder of its row).
+    Pairs whose restricted kernel (or row) is absent are uncheckable.
     """
     if space.mech is None:
         return CrossWorldReport((), ())
@@ -126,7 +126,6 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     uncheckable = []
     for world in schema.worlds:
         t_world = schema.world_positions(world)
-        key = projector(schema.all_on, sorted(t_world))
         references: dict = {}
         for S in space.mech.keys():
             inner = S & t_world
@@ -149,11 +148,11 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
                 mine = k_s.rows[row].marginal(t_world)
                 if mine == ref:
                     continue
-                for atom in atoms_of(schema, t_world):
-                    r = key(next(iter(atom)))
+                for r in sorted(mine.support() | ref.support()):
                     if mine.weight(r) != ref.weight(r):
                         violations.append(CrossWorldViolation(
-                            world, S, row, atom, mine.weight(r), ref.weight(r)))
+                            world, S, row, cylinder(schema, dict(zip(mine.on, r))),
+                            mine.weight(r), ref.weight(r)))
     return CrossWorldReport(violations, uncheckable)
 
 
@@ -174,14 +173,12 @@ class EventClass:
 def classify_event(space, A) -> EventClass:
     """Classify an event as belonging to single worlds or as cross-world.
 
-    The trivial events belong to every world; a nontrivial event belongs to
-    world j when it is measurable with respect to that world's coordinates.
+    An event belongs to world j when it is measurable with respect to that
+    world's coordinates; the trivial events belong to every world.
     """
     schema = getattr(space, "schema", space)
     A = frozenset(A)
     schema.require_event(A)
-    if not A or A == schema.outcome_set():
-        return EventClass(tuple(schema.worlds))
     worlds = tuple(
         w for w in schema.worlds
         if is_measurable_wrt(schema, A, schema.world_positions(w))

@@ -271,6 +271,16 @@ class TestMargin:
         assert q.on == (2,)
         assert q.weight((0,)) == 1
 
+    def test_point_resolves_references_as_cylinder_does(self, exam):
+        s = exam.schema
+        clash = {"CF.class": "Y", ("CF", "class"): "N"}
+        for build in (Margin.point, cylinder):
+            with pytest.raises(SchemaError, match="conflicting assignment for coordinate CF.class"):
+                build(s, clash)
+        same = {"CF.class": "Y", 2: 0}
+        assert Margin.point(s, same) == Margin.point(s, {"CF.class": "Y"})
+        assert cylinder(s, same) == cylinder(s, {"CF.class": "Y"})
+
     def test_marginal_of_measure(self, exam):
         marg = exam.P.marginal(exam.schema.world_positions("CF"))
         assert marg.weight((0, 0)) == Fraction(43, 100)

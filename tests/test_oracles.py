@@ -1,6 +1,7 @@
 """Fast-path implementations against exhaustive brute-force quantification."""
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import cfspaces.space
 from cfspaces import (
     CfSpace,
     Coordinate,
@@ -22,11 +24,18 @@ from cfspaces import (
     causal_sync,
     check_cross_world,
     compile_scm,
+    condition_sigma,
+    cylinder,
+    global_source,
     independent_sigmas,
     intervene,
+    is_measurable_wrt,
+    is_source,
     is_symmetric,
+    parse_scm,
     synchronized,
 )
+from conftest import chain_scm
 from oracle_util import (
     brute_causal_sync,
     brute_compile_scm,
@@ -109,6 +118,28 @@ class TestIndependenceOracle:
             s1 = frozenset(p for p in range(n) if rng.random() < 0.5)
             s2 = frozenset(p for p in range(n) if rng.random() < 0.5) - s1
             assert independent_sigmas(P, s1, s2) == brute_independent_sigmas(P, s1, s2)
+
+    def test_overlapping_sets(self):
+        # Sets that share a coordinate are independent only where it is
+        # almost surely constant; product laws with fixed coordinates give
+        # such cases, random laws the rest.
+        verdicts = []
+        for seed in range(60):
+            schema, rng = small_schema(seed)
+            n = len(schema.coords)
+            if seed % 2:
+                laws = [{rng.randrange(2): Fraction(1)} if rng.random() < 0.5
+                        else rand_weights(rng, (0, 1), allow_zero=False) for _ in range(n)]
+                P = Measure(schema, {o: math.prod(laws[p].get(v, 0) for p, v in enumerate(o))
+                                     for o in schema.outcomes()})
+            else:
+                P = Measure(schema, rand_weights(rng, schema.outcomes()))
+            s1 = frozenset(p for p in range(n) if rng.random() < 0.5) | {rng.randrange(n)}
+            s2 = frozenset(p for p in range(n) if rng.random() < 0.5) | {rng.choice(sorted(s1))}
+            verdict = independent_sigmas(P, s1, s2)
+            assert verdict == brute_independent_sigmas(P, s1, s2)
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
 
     def test_known_cases(self, coin_indep, coin_sync, exam):
         for space, expect in ((coin_indep, True), (coin_sync, False), (exam, False)):
@@ -266,6 +297,55 @@ class TestCrossWorldOracle:
                     violations += len(report.violations)
                     uncheckable += len(report.uncheckable)
         assert violations >= 100 and uncheckable >= 100
+
+
+class TestSigmaAlgebraWork:
+    """The coordinate sigma-algebras are read off the support: no decision
+    procedure below enumerates the outcome space into atoms."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"outcomes": 0, "atoms_of": 0}
+        outcomes, atoms_of = SpaceSchema.outcomes, cfspaces.space.atoms_of
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(SpaceSchema, "outcomes", counting("outcomes", outcomes))
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("cfspaces") and getattr(module, "atoms_of", None) is atoms_of:
+                monkeypatch.setattr(module, "atoms_of", counting("atoms_of", atoms_of))
+        return counts
+
+    def test_the_wrappers_see_the_atom_partition(self, calls, exam):
+        condition_sigma(exam.P, exam.schema.world_positions("F"))
+        assert calls["atoms_of"] == 1 and calls["outcomes"] >= 1
+
+    def test_the_eight_variable_chain(self, calls):
+        space = compile_scm(parse_scm(chain_scm(8))[0])  # 65,536 outcomes
+        s = space.schema
+        f, cf = s.world_positions("F"), s.world_positions("CF")
+        x7 = s.positions(["F.X7", "CF.X7"])
+        assert synchronized(space.P, f, cf)
+        assert not independent_sigmas(space.P, f, cf)
+        assert not independent_sigmas(space.P, f | {s.position("CF.X0")}, cf)
+        assert not causal_sync(space, s.positions(["CF.X4"]), f, cf)
+        assert calls == {"outcomes": 0, "atoms_of": 0}
+        assert not global_source(space, x7)
+        assert not is_source(space, x7, s.positions(["CF.X6"]))
+        assert is_measurable_wrt(s, cylinder(s, {"F.X7": "1"}), f)
+        assert calls["atoms_of"] == 0
+
+    def test_cross_world_reports(self, calls):
+        rng = random.Random(7)
+        violations = 0
+        for seed in range(10):
+            report = check_cross_world(tampered_copy(rng, random_cf_space(9000 + seed)))
+            violations += len(report.violations)
+        assert violations and calls["atoms_of"] == 0
 
 
 def random_intervention(rng, space):
