@@ -12,18 +12,15 @@ from .space import (
     is_measurable_wrt,
 )
 from .measure import (
-    AtomConditional,
     ConditioningUndefinedError,
     Margin,
     Measure,
     as_equal,
     as_equal_given,
     condition_event,
-    condition_sigma,
     dirac,
     independent,
     independent_given,
-    independent_given_sigma,
     independent_sigmas,
     prob,
     synchronized,
@@ -46,8 +43,10 @@ from .mechanism import (
     causally_equal,
     check_axioms,
     classify_effect,
+    condition_sigma,
     conditional_active_effect,
     global_source,
+    independent_given_sigma,
     intervene,
     is_source,
     verify_fundamental,

@@ -101,8 +101,7 @@ def _cmd_compile(args, out, err) -> int:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(serialize_space(doc))
     except OSError as exc:
-        print(f"cannot write {out_path}: {exc}", file=err)
-        return 2
+        raise ParseError(f"cannot write {out_path}: {exc}") from None
     print(f"wrote {out_path}", file=out)
     return 0
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .space import SpaceSchema, atoms_of, projector
+from .space import SpaceSchema, projector
 
 
 class ConditioningUndefinedError(ValueError):
@@ -235,67 +235,6 @@ def condition_event(P: Measure, G) -> Measure:
     return P.condition(G)
 
 
-def resolve_partition(schema: SpaceSchema, sigma) -> tuple[frozenset, ...]:
-    """Normalize a sub-sigma-algebra spec to its generating partition.
-
-    Accepts a coordinate set (positions or references) or an explicit
-    iterable of events; explicit partitions must be disjoint and cover the
-    outcome space.  Finite sigma-algebras are atomic, so a partition is a
-    complete representation.
-    """
-    if isinstance(sigma, (frozenset, set, tuple, list)) and sigma and all(
-        isinstance(b, (frozenset, set)) for b in sigma
-    ):
-        blocks = tuple(frozenset(b) for b in sigma)
-        seen: set = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("partition blocks must be nonempty")
-            if b & seen:
-                raise ValueError("partition blocks overlap")
-            seen |= b
-        if seen != schema.outcome_set():
-            raise ValueError("partition does not cover the outcome space")
-        return blocks
-    return atoms_of(schema, sigma)
-
-
-class AtomConditional:
-    """Conditional probability given a sigma-algebra, tabulated per atom.
-
-    Atoms of positive measure map to the event-conditional measure; null
-    atoms keep the unconditioned base measure (any version agrees with it up
-    to null events) and are flagged in `null_atoms`.
-    """
-
-    def __init__(self, base: Measure, atoms, table, null_atoms):
-        self.base = base
-        self.atoms = tuple(atoms)
-        self.table = dict(table)
-        self.null_atoms = tuple(null_atoms)
-
-    def at(self, outcome) -> Measure:
-        """The conditional measure for the atom containing an outcome."""
-        self.base.schema.require_rows(self.base.schema.all_on, [outcome])
-        for block in self.atoms:
-            if tuple(outcome) in block:
-                return self.table[block]
-        raise AssertionError("atoms do not cover the outcome space")
-
-
-def condition_sigma(P: Measure, sigma) -> AtomConditional:
-    blocks = resolve_partition(P.schema, sigma)
-    table = {}
-    null_atoms = []
-    for block in blocks:
-        if P.prob(block) > 0:
-            table[block] = P.condition(block)
-        else:
-            table[block] = P
-            null_atoms.append(block)
-    return AtomConditional(P, blocks, table, null_atoms)
-
-
 # -- independence and almost-sure equality ---------------------------------
 
 
@@ -305,13 +244,6 @@ def independent(P: Measure, A, B) -> bool:
 
 def independent_given(P: Measure, G, A, B) -> bool:
     return independent(P.condition(G), A, B)
-
-
-def independent_given_sigma(P: Measure, sigma, A, B) -> bool:
-    """Conditional independence given a sigma-algebra (positive atoms only)."""
-    cond = condition_sigma(P, sigma)
-    null = set(cond.null_atoms)
-    return all(independent(cond.table[block], A, B) for block in cond.atoms if block not in null)
 
 
 def independent_sigmas(P: Measure, S1, S2) -> bool:

@@ -500,6 +500,34 @@ def conditional_active_effect(space: CfSpace, U, A, G) -> ConditionalEffectVerdi
     return ConditionalEffectVerdict("inactive", baseline, tuple(values))
 
 
+# -- conditioning on a coordinate sigma-algebra -------------------------------
+
+
+def _conditionals(P: Measure, U: frozenset):
+    """(row, P given the atom) at each P-positive atom of sigma(U), in
+    ascending row order: the rows of supp(P) on U.  The scan builds an
+    atom's conditional when it gets there."""
+    row_of = projector(P.schema.all_on, sorted(U))
+    n = P._n
+    for row, atom in itertools.groupby(sorted(n, key=row_of), row_of):
+        yield row, Measure._of(P.schema, P.on, {o: n[o] for o in atom})
+
+
+def condition_sigma(P: Measure, S) -> Kernel:
+    """P given sigma(S), the coordinate sigma-algebra of S, as a kernel on S.
+
+    Its row at each P-positive atom is P given that atom; the null atoms
+    are its missing rows, where any measure makes a version.
+    """
+    S = P.schema.positions(S)
+    return Kernel(P.schema, S, dict(_conditionals(P, S)))
+
+
+def independent_given_sigma(P: Measure, S, A, B) -> bool:
+    """Conditional independence given sigma(S), at every P-positive atom."""
+    return all(independent(m, A, B) for m in condition_sigma(P, S).rows.values())
+
+
 # -- causal independence, equality, synchronisation --------------------------
 
 
@@ -547,20 +575,13 @@ def causal_sync(space: CfSpace, U, S1, S2) -> bool:
 # -- sources ------------------------------------------------------------------
 
 
-def _source_scan(space: CfSpace, U: frozenset, k: Kernel):
-    """(row, the kernel row or None, P given the atom) at each P-positive
-    atom of sigma(U), in atom order: the rows of supp(P) on U, ascending.
-    The scan conditions on an atom's P-positive outcomes when it gets there."""
-    row_of = projector(space.schema.all_on, sorted(U))
-    for row, atom in itertools.groupby(sorted(space.P._n, key=row_of), row_of):
-        yield row, k.rows.get(row), space.P.condition(frozenset(atom))
-
-
 def _is_version(space: CfSpace, U: frozenset, agrees) -> bool:
     """Whether agrees(kernel row, P given the atom) at every P-positive
     atom of sigma(U); see `is_source` for absent rows."""
+    k = space.kernel(U)
     blocked = []
-    for row, m, given in _source_scan(space, U, space.kernel(U)):
+    for row, given in _conditionals(space.P, U):
+        m = k.rows.get(row)
         if m is None:
             blocked.append(row)
         elif not agrees(m, given):
@@ -617,6 +638,6 @@ def verify_fundamental(space: CfSpace, U, Q: Margin) -> FundamentalReport:
         row for row in sorted(set(old.rows) | set(new.rows))
         if old.rows.get(row) != new.rows.get(row))
     source_mismatches = tuple(
-        row for row, m, given in _source_scan(new_space, U, new) if m != given)
+        row for row, given in _conditionals(new_space.P, U) if new.rows.get(row) != given)
     ok = not kernel_mismatches and not source_mismatches
     return FundamentalReport(ok, kernel_mismatches, source_mismatches)

@@ -65,9 +65,10 @@ def parse_scm(text: str):
     noise = []
     while ts.at_word("noise"):
         ts.next()
-        nname = ts.name()
+        ntok = ts.expect_word()
+        nname = ntok.value
         if any(n == nname for n, _ in noise):
-            ts.error(f"noise variable {nname!r} declared twice")
+            ts.error(f"noise variable {nname!r} declared twice", ntok)
         noise.append((nname, ts.label_set()))
     if not noise:
         ts.error("model declares no noise variables")
@@ -85,9 +86,10 @@ def parse_scm(text: str):
     declared = []  # the `var` token of each variable
     while ts.at_word("var"):
         declared.append(ts.next())
-        vname = ts.name()
+        vtok = ts.expect_word()
+        vname = vtok.value
         if any(v == vname for v, _ in endo) or any(n == vname for n, _ in noise):
-            ts.error(f"variable {vname!r} declared twice")
+            ts.error(f"variable {vname!r} declared twice", vtok)
         endo.append((vname, ts.label_set()))
     if not endo:
         ts.error("model declares no endogenous variables")
@@ -171,9 +173,10 @@ def parse_po(text: str):
     declared = []
     while ts.at_word("var"):
         declared.append(ts.next())
-        vname = ts.name()
+        vtok = ts.expect_word()
+        vname = vtok.value
         if any(v == vname for v, _ in endo):
-            ts.error(f"variable {vname!r} declared twice")
+            ts.error(f"variable {vname!r} declared twice", vtok)
         endo.append((vname, ts.label_set()))
     if not endo:
         ts.error("model declares no variables")

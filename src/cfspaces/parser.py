@@ -615,14 +615,16 @@ def parse_space(text: str) -> SpaceDocument:
     worlds: list[WorldDecl] = []
     while ts.at_word("world"):
         ts.next()
-        wname = ts.expect_word().value
+        wtok = ts.expect_word()
+        wname = wtok.value
         if any(w.name == wname for w in worlds):
-            ts.error(f"world {wname!r} declared twice")
+            ts.error(f"world {wname!r} declared twice", wtok)
         if ts.at_word("mirror"):
             ts.next()
-            target = ts.expect_word().value
+            ttok = ts.expect_word()
+            target = ttok.value
             if not any(w.name == target for w in worlds):
-                ts.error(f"world {wname!r} mirrors undeclared world {target!r}")
+                ts.error(f"world {wname!r} mirrors undeclared world {target!r}", ttok)
             worlds.append(WorldDecl(wname, None, target))
             continue
         ts.expect_sym("{")
@@ -693,12 +695,11 @@ def parse_space(text: str) -> SpaceDocument:
     mirror = None
     if ts.at_word("mirror"):
         ts.next()
-        a = ts.expect_word().value
-        b = ts.expect_word().value
-        for w in (a, b):
-            if not any(d.name == w for d in worlds):
-                ts.error(f"mirror references undeclared world {w!r}")
-        mirror = (a, b)
+        a, b = ts.expect_word(), ts.expect_word()
+        for tok in (a, b):
+            if not any(d.name == tok.value for d in worlds):
+                ts.error(f"mirror references undeclared world {tok.value!r}", tok)
+        mirror = (a.value, b.value)
 
     tok = ts.peek()
     if tok.kind != "eof":

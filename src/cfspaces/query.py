@@ -381,19 +381,20 @@ def run_script(space: CfSpace, script: QueryScript) -> QueryRun:
     or missing kernels so the CLI can map them to exit codes."""
     schema = space.schema
     bindings: dict[str, frozenset] = {}
-    cond: frozenset = schema.outcome_set()
+    cond: frozenset | None = None  # no CONDITION yet
     current = space
     lines: list[str] = []
     exit_code = 0
 
     def conditioned():
-        return condition_event(current.P, cond)
+        return current.P if cond is None else condition_event(current.P, cond)
 
     for stmt in script.statements:
         if isinstance(stmt, LetStmt):
             bindings[stmt.name] = eval_expr(stmt.expr, schema, bindings)
         elif isinstance(stmt, ConditionStmt):
-            cond = cond & eval_expr(stmt.expr, schema, bindings)
+            event = eval_expr(stmt.expr, schema, bindings)
+            cond = event if cond is None else cond & event
             conditioned()  # raises ConditioningUndefinedError on a null event
         elif isinstance(stmt, InterveneStmt):
             U = schema.positions(stmt.coords)

@@ -34,9 +34,9 @@ USAGE_ERROR = (5, USAGE + "\n")
 CASES = [
     # .cfs
     ("cfs-world-twice", CHECK, {"cfs": CFS + "world W { component d { a b } }\n"},
-     (2, "error: 3:9: world 'W' declared twice\n")),
+     (2, "error: 3:7: world 'W' declared twice\n")),
     ("cfs-mirror-of-undeclared-world", CHECK, {"cfs": "space x\nworld V mirror W\n"},
-     (2, "error: 3:1: world 'V' mirrors undeclared world 'W'\n")),
+     (2, "error: 2:16: world 'V' mirrors undeclared world 'W'\n")),
     ("cfs-component-twice", CHECK,
      {"cfs": "space x\nworld W {\n  component c { a b }\n  component c { a b }\n}\n"},
      (2, "error: 4:13: component 'c' declared twice in world 'W'\n")),
@@ -50,16 +50,16 @@ CASES = [
     ("cfs-kernel-without-given-rows", CHECK, {"cfs": CFS + MEASURE + "kernel on {W.c} { }\n"},
      (2, "error: 4:19: kernel declares no 'given' rows\n")),
     ("cfs-mirror-names-undeclared-world", CHECK, {"cfs": CFS + MEASURE + "mirror W V\n"},
-     (2, "error: 5:1: mirror references undeclared world 'V'\n")),
+     (2, "error: 4:10: mirror references undeclared world 'V'\n")),
     ("cfs-no-measure", CHECK, {"cfs": CFS},
      (2, "error: document has no measure block; cannot build a space\n")),
     # .scm
     ("scm-noise-twice", COMPILE_SCM, {"scm": SCM.replace("dist", "noise U { 0 1 }\ndist")},
-     (2, "error: 3:9: noise variable 'U' declared twice\n")),
+     (2, "error: 3:7: noise variable 'U' declared twice\n")),
     ("scm-variable-twice", COMPILE_SCM, {"scm": SCM.replace("fn", "var V { 0 1 }\nfn")},
-     (2, "error: 5:7: variable 'V' declared twice\n")),
+     (2, "error: 5:5: variable 'V' declared twice\n")),
     ("scm-variable-named-as-noise", COMPILE_SCM, {"scm": SCM.replace("fn", "var U { 0 1 }\nfn")},
-     (2, "error: 5:7: variable 'U' declared twice\n")),
+     (2, "error: 5:5: variable 'U' declared twice\n")),
     ("scm-no-variables", COMPILE_SCM, {"scm": "scm m\nnoise U { 0 1 }\ndist { default = 1/2 }\n"},
      (2, "error: 4:1: model declares no endogenous variables\n")),
     ("scm-fn-target-not-a-variable", COMPILE_SCM,
@@ -75,7 +75,7 @@ CASES = [
      (2, "error: 6:1: unexpected 'junk' after the model\n")),
     # .po
     ("po-variable-twice", COMPILE_PO, {"po": PO.replace("var Y", "var X { 0 1 }\nvar Y")},
-     (2, "error: 5:7: variable 'X' declared twice\n")),
+     (2, "error: 5:5: variable 'X' declared twice\n")),
     ("po-no-variables", COMPILE_PO, {"po": "po toy\nunits { a b }\ndist { default = 1/2 }\n"},
      (2, "error: 4:1: model declares no variables\n")),
     ("po-duplicate-observe", COMPILE_PO, {"po": PO + "observe X { a = 0  b = 0 }\n"},
@@ -113,7 +113,7 @@ CASES = [
     ("usage-compile-kind", ["compile", "dag", "{scm}", "-o", "{out}"], {"scm": SCM}, USAGE_ERROR),
     ("usage-repro", ["repro"], {}, USAGE_ERROR),
     ("unwritable-output", ["compile", "scm", "{scm}", "-o", "{tmp}/missing/out.cfs"], {"scm": SCM},
-     (2, "cannot write {tmp}/missing/out.cfs: "
+     (2, "error: cannot write {tmp}/missing/out.cfs: "
          "[Errno 2] No such file or directory: '{tmp}/missing/out.cfs'\n")),
 ]
 

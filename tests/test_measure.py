@@ -9,6 +9,7 @@ from cfspaces import (
     Coordinate,
     Margin,
     Measure,
+    MissingKernelError,
     SchemaError,
     SpaceSchema,
     as_equal,
@@ -133,49 +134,41 @@ class TestConditioning:
 class TestConditionSigma:
     def test_trivial_partition(self, exam):
         cond = condition_sigma(exam.P, frozenset())
-        assert cond.atoms == (exam.schema.outcome_set(),)
-        assert cond.table[exam.schema.outcome_set()] == exam.P
+        assert cond.on == frozenset() and cond.rows == {(): exam.P}
 
     def test_full_partition_gives_diracs(self):
         rng = random.Random(11)
         s = two_by_two()
         P = Measure(s, rand_weights(rng, s.outcomes(), allow_zero=False))
         cond = condition_sigma(P, s.all_positions)
+        assert cond.is_total()
         for outcome in s.outcomes():
-            assert cond.at(outcome) == dirac(s, outcome)
+            assert cond.measure(outcome) == dirac(s, outcome)
 
     def test_reconstruction_identity_exhaustive(self):
-        # sum over atoms of P(atom) * P(A | atom) recovers P(A), checked on
-        # every event of a four-outcome space
+        # sum over the rows of P_S(row) * K(row)(A) recovers P(A), checked
+        # on every event of a four-outcome space
         rng = random.Random(13)
         s = two_by_two()
         for _ in range(10):
             P = Measure(s, rand_weights(rng, s.outcomes()))
             for S in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
                 cond = condition_sigma(P, S)
+                law = P.marginal(S)
                 for r in range(5):
                     for event in itertools.combinations(s.outcomes(), r):
                         A = frozenset(event)
-                        total = sum(
-                            (P.prob(block) * cond.table[block].prob(A)
-                             for block in cond.atoms),
-                            Fraction(0))
+                        total = sum((law.weight(row) * m.prob(A) for row, m in cond.rows.items()),
+                                    Fraction(0))
                         assert total == P.prob(A)
 
-    def test_null_atoms_flagged_and_fall_back(self):
+    def test_null_atoms_are_missing_rows(self):
         s = two_by_two()
         P = Measure(s, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
         cond = condition_sigma(P, frozenset({0}))
-        null_block = next(b for b in cond.atoms if (1, 0) in b)
-        assert null_block in cond.null_atoms
-        assert cond.table[null_block] == P
-
-    def test_explicit_partition(self):
-        s = two_by_two()
-        P = Measure.uniform(s)
-        blocks = (frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)}))
-        cond = condition_sigma(P, blocks)
-        assert cond.table[blocks[0]].prob(blocks[0]) == 1
+        assert cond.rows == {(0,): P} and cond.missing_rows() == ((1,),)
+        with pytest.raises(MissingKernelError):
+            cond.measure((1,))
 
 
 class TestIndependence:

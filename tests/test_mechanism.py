@@ -495,13 +495,13 @@ class TestSources:
     def test_a_failing_scan_conditions_only_the_atoms_it_reaches(self, exam, monkeypatch):
         # the row (CF.class=Y) already differs from P given CF.class=Y
         calls = []
-        condition = Measure.condition
+        of = Measure._of
 
-        def counted(P, G):
-            calls.append(G)
-            return condition(P, G)
+        def counted(cls, schema, on, nums):
+            calls.append(nums)
+            return of.__func__(cls, schema, on, nums)
 
-        monkeypatch.setattr(Measure, "condition", counted)
+        monkeypatch.setattr(Measure, "_of", classmethod(counted))
         assert not global_source(exam, exam.schema.positions(["CF.class"]))
         assert len(calls) == 1
 

@@ -21,12 +21,15 @@ from cfspaces import (
     MissingKernelError,
     SpaceSchema,
     WorldMirror,
+    atoms_of,
     causal_sync,
     check_cross_world,
     compile_scm,
+    condition_event,
     condition_sigma,
     cylinder,
     global_source,
+    independent_given_sigma,
     independent_sigmas,
     intervene,
     is_measurable_wrt,
@@ -34,6 +37,7 @@ from cfspaces import (
     is_symmetric,
     parse_scm,
     synchronized,
+    verify_fundamental,
 )
 from conftest import chain_scm
 from oracle_util import (
@@ -53,6 +57,7 @@ from randspaces import (
     random_cf_space,
     random_dag_model,
     random_margin,
+    random_schema,
     random_subset,
 )
 
@@ -299,6 +304,30 @@ class TestCrossWorldOracle:
         assert violations >= 100 and uncheckable >= 100
 
 
+class TestConditionSigmaOracle:
+    def test_rows_are_p_given_each_positive_atom(self):
+        null_rows = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            s = random_schema(rng)
+            outcomes = s.outcomes()
+            support = rng.sample(outcomes, rng.randrange(1, len(outcomes) + 1))
+            P = Measure(s, rand_weights(rng, support))
+            for r in range(len(s.coords) + 1):
+                for S in map(frozenset, itertools.combinations(range(len(s.coords)), r)):
+                    k = condition_sigma(P, S)
+                    null = []
+                    for atom in atoms_of(s, S):
+                        row = tuple(min(atom)[p] for p in sorted(S))
+                        if P.prob(atom) > 0:
+                            assert k.rows[row] == condition_event(P, atom), (seed, S)
+                        else:
+                            null.append(row)
+                    assert sorted(null) == sorted(k.missing_rows()), (seed, S)
+                    null_rows += len(null)
+        assert null_rows >= 100
+
+
 class TestSigmaAlgebraWork:
     """The coordinate sigma-algebras are read off the support: no decision
     procedure below enumerates the outcome space into atoms."""
@@ -320,22 +349,31 @@ class TestSigmaAlgebraWork:
                 monkeypatch.setattr(module, "atoms_of", counting("atoms_of", atoms_of))
         return counts
 
-    def test_the_wrappers_see_the_atom_partition(self, calls, exam):
-        condition_sigma(exam.P, exam.schema.world_positions("F"))
-        assert calls["atoms_of"] == 1 and calls["outcomes"] >= 1
+    def test_conditioning_on_sigma_reads_the_support(self, calls):
+        space = compile_scm(parse_scm(chain_scm(8))[0])  # 65,536 outcomes
+        s = space.schema
+        x7, u = s.positions(["F.X7", "CF.X7"]), s.positions(["CF.X4"])
+        k = condition_sigma(space.P, x7)
+        # the worlds agree wherever they share all noise: the mixed rows are null
+        assert list(k.rows) == [(0, 0), (1, 1)] and k.missing_rows() == ((0, 1), (1, 0))
+        assert not global_source(space, x7)
+        assert not is_source(space, x7, s.positions(["CF.X6"]))
+        assert verify_fundamental(space, u, Margin.uniform(s, u)).ok
+        assert calls == {"outcomes": 0, "atoms_of": 0}
+        x3, x5, x6 = (cylinder(s, {f"F.X{i}": "1"}) for i in (3, 5, 6))
+        assert independent_given_sigma(space.P, s.positions(["F.X5"]), x3, x6)  # a Markov chain
+        assert not independent_given_sigma(space.P, x7, x5, x6)
+        assert calls["atoms_of"] == 0
 
     def test_the_eight_variable_chain(self, calls):
         space = compile_scm(parse_scm(chain_scm(8))[0])  # 65,536 outcomes
         s = space.schema
         f, cf = s.world_positions("F"), s.world_positions("CF")
-        x7 = s.positions(["F.X7", "CF.X7"])
         assert synchronized(space.P, f, cf)
         assert not independent_sigmas(space.P, f, cf)
         assert not independent_sigmas(space.P, f | {s.position("CF.X0")}, cf)
         assert not causal_sync(space, s.positions(["CF.X4"]), f, cf)
         assert calls == {"outcomes": 0, "atoms_of": 0}
-        assert not global_source(space, x7)
-        assert not is_source(space, x7, s.positions(["CF.X6"]))
         assert is_measurable_wrt(s, cylinder(s, {"F.X7": "1"}), f)
         assert calls["atoms_of"] == 0
 

@@ -159,6 +159,9 @@ class TestCli:
         code, _, err = run_cli(["run", fixture_path("star"), str(script)])
         assert code == 3
         assert "zero" in err
+        # at the CONDITION itself, with nothing after it to read the measure
+        script.write_text("PROB ()\nCONDITION (F.sky=C & F.star=N & CF.sky=C & CF.star=Y)\n")
+        assert run_cli(["run", fixture_path("star"), str(script)])[0] == 3
 
     def test_missing_kernel_exit_code(self, tmp_path):
         script = tmp_path / "q.cfq"
