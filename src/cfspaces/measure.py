@@ -185,10 +185,14 @@ class Measure(Margin):
         """The convex combination sum_i q_i * P_i; the q_i must form a law."""
         parts = list(parts)
         _, nums, _ = _law(dict(enumerate(q for q, _ in parts)), "mixture")
-        den = math.lcm(*(parts[i][1]._d for i in nums))
+        return cls._mix(schema, [(a, parts[i][1]) for i, a in nums.items()])
+
+    @classmethod
+    def _mix(cls, schema: SpaceSchema, parts: list) -> "Measure":
+        """Mix (positive int weight, measure) pairs in proportion to the weights, unchecked."""
+        den = math.lcm(*(m._d for _, m in parts))
         w: dict = {}
-        for i, a in nums.items():
-            m = parts[i][1]
+        for a, m in parts:
             f = a * (den // m._d)
             for outcome, n in m._n.items():
                 w[outcome] = w[outcome] + f * n if outcome in w else f * n

@@ -118,7 +118,7 @@ class Mechanism:
         k_w = parent._lookup(S | U)
         if k_w is None or U <= S:
             return k_w
-        rows = {row: Measure.mixture(self.schema, ((q, k_w.rows[full]) for q, full in parts))
+        rows = {row: Measure._mix(self.schema, [(a, k_w.rows[full]) for a, full in parts])
                 for row, parts in _mixing_plan(S, U, Q, k_w.rows) if parts is not None}
         return Kernel(self.schema, S, rows) if rows else None
 
@@ -295,6 +295,8 @@ def check_axioms(space: CfSpace) -> AxiomReport:
         row_of = projector(space.schema.all_on, sorted(S))
         for row in sorted(kernel.rows):
             measure = kernel.rows[row]
+            if all(map(row.__eq__, map(row_of, measure._n))):
+                continue
             for outcome in sorted(measure.support()):
                 if row_of(outcome) != row:
                     violations.append(AxiomViolation(
@@ -308,13 +310,13 @@ def check_axioms(space: CfSpace) -> AxiomReport:
 
 def _mixing_plan(S: frozenset, U: frozenset, Q: Margin, rows_w):
     """For each row on S that a row in `rows_w` (of the kernel on W = S | U)
-    restricts to: the (weight, row on W) pairs whose mixture integrates the
-    Q-marginal on U \\ S out, or None when `rows_w` lacks one of them."""
+    restricts to: the (int weight, row on W) pairs whose mixture integrates
+    the Q-marginal on U \\ S out, or None when `rows_w` lacks one of them."""
     on_w, on_s, rest = sorted(S | U), sorted(S), sorted(U - S)
-    q_rest = Q.marginal(rest).rows()
+    q_rest = sorted(Q.marginal(rest)._n.items())
     restrict, merge = projector(on_w, on_s), projector(on_s + rest, on_w)
     for row_s in sorted({restrict(row) for row in rows_w}):
-        parts = [(q, merge(row_s + row_rest)) for row_rest, q in q_rest]
+        parts = [(a, merge(row_s + row_rest)) for row_rest, a in q_rest]
         yield row_s, parts if all(full in rows_w for _, full in parts) else None
 
 

@@ -10,11 +10,12 @@ assembles N-way spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .measure import Measure
+from .measure import Measure, pushforward
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import (
     Coordinate,
@@ -113,11 +114,17 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     For every world j and every present kernel on S, each row must agree on
     the events of world j with the kernel on S & T_j at the restricted row.
     World j's atoms are the fibres of the projection onto sorted(T_j), so
-    comparing the two rows' marginals on T_j compares every atom, and by
-    additivity every event of the world.  Marginals are canonical integer
-    tables, so only a row whose marginal differs walks the two supports in
-    atom order, reporting each differing atom (the cylinder of its row).
-    Pairs whose restricted kernel (or row) is absent are uncheckable.
+    comparing the two rows' laws on T_j compares every atom, and by
+    additivity every event of the world.  One projector per world pushes a
+    row's numerators into a table on T_j summing to its denominator d.  If
+    the laws agree, that table is t = d / d_ref times the reference's
+    gcd-reduced table (sum d_ref), and t is an integer, that table having
+    no common factor.  So a row is in violation iff its table differs from
+    the reference's scaled by d // d_ref, as it must when d_ref does not
+    divide d; only such a row builds the two marginals and walks their
+    supports in atom order, reporting each differing atom (the cylinder of
+    its row).  Scaled tables live per (inner, sub, d) for the call.  Pairs
+    whose restricted kernel (or row) is absent are uncheckable.
     """
     if space.mech is None:
         return CrossWorldReport((), ())
@@ -126,7 +133,8 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     uncheckable = []
     for world in schema.worlds:
         t_world = schema.world_positions(world)
-        references: dict = {}
+        key = projector(schema.all_on, sorted(t_world))
+        scaled: dict = {}
         for S in space.mech.keys():
             inner = S & t_world
             if inner == S:
@@ -139,15 +147,19 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
             restrict = projector(sorted(S), sorted(inner))
             for row in sorted(k_s.rows):
                 sub = restrict(row)
-                if not k_inner.has_row(sub):
+                m, m_ref = k_s.rows[row], k_inner.rows.get(sub)
+                if m_ref is None:
                     uncheckable.append(CrossWorldUncheckable(world, S, inner, row))
                     continue
-                ref = references.get((inner, sub))
-                if ref is None:
-                    ref = references[inner, sub] = k_inner.rows[sub].marginal(t_world)
-                mine = k_s.rows[row].marginal(t_world)
-                if mine == ref:
+                ck = inner, sub, m._d
+                if ck not in scaled:
+                    ref = pushforward(zip(map(key, m_ref._n), m_ref._n.values()))
+                    g = math.gcd(*ref.values())
+                    t = m._d * g // m_ref._d
+                    scaled[ck] = {r: n // g * t for r, n in ref.items()}
+                if pushforward(zip(map(key, m._n), m._n.values())) == scaled[ck]:
                     continue
+                mine, ref = m.marginal(t_world), m_ref.marginal(t_world)
                 for r in sorted(mine.support() | ref.support()):
                     if mine.weight(r) != ref.weight(r):
                         violations.append(CrossWorldViolation(
@@ -239,7 +251,10 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
         for outcome, v, w in _swap_mismatches(space.P, space.P, swap_outcome)]
     uncheckable = []
     if space.mech is not None:
+        implied = set()  # the swaps are involutions: a clean pass, as many rows on S*, settles S*
         for S in space.mech.keys():
+            if S in implied:
+                continue
             k = space.mech.get(S)
             S_star = mirror.swap_positions(S)
             if S_star not in space.mech:
@@ -247,6 +262,7 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 continue
             k_star = space.mech.get(S_star)
             swap = mirror._row_swap(S)
+            found = len(failures) + len(uncheckable)
             for row in sorted(k.rows):
                 row_star = swap(row)
                 if not k_star.has_row(row_star):
@@ -255,6 +271,8 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 for outcome, v, w in _swap_mismatches(
                         k.rows[row], k_star.rows[row_star], swap_outcome):
                     failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
+            if len(failures) + len(uncheckable) == found and len(k.rows) == len(k_star.rows):
+                implied.add(S_star)
     return SymmetryReport(failures, uncheckable)
 
 

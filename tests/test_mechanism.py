@@ -191,7 +191,7 @@ class TestLazyIntervention:
     def work(self, monkeypatch):
         """Counts of kernels built, mixtures and model solves."""
         counts = {"kernels": 0, "mixtures": 0, "solves": 0}
-        init, mixture, evaluate = Kernel.__init__, Measure.mixture.__func__, SCMModel.evaluate
+        init, mix, evaluate = Kernel.__init__, Measure._mix.__func__, SCMModel.evaluate
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -200,7 +200,7 @@ class TestLazyIntervention:
             return wrapped
 
         monkeypatch.setattr(Kernel, "__init__", counting("kernels", init))
-        monkeypatch.setattr(Measure, "mixture", classmethod(counting("mixtures", mixture)))
+        monkeypatch.setattr(Measure, "_mix", classmethod(counting("mixtures", mix)))
         monkeypatch.setattr(SCMModel, "evaluate", counting("solves", evaluate))
         return counts
 

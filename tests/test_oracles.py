@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import cfspaces.space
+import cfspaces.worlds
 from cfspaces import (
     CfSpace,
     Coordinate,
@@ -23,6 +24,7 @@ from cfspaces import (
     WorldMirror,
     atoms_of,
     causal_sync,
+    check_axioms,
     check_cross_world,
     compile_scm,
     condition_event,
@@ -303,6 +305,38 @@ class TestCrossWorldOracle:
                     uncheckable += len(report.uncheckable)
         assert violations >= 100 and uncheckable >= 100
 
+    def test_scaled_reference_tables(self):
+        # F.x against CF.x, CF.y; P has F-marginal 1/2, 1/2 over denominator 2
+        s = SpaceSchema([Coordinate("F", "x", ("0", "1")),
+                         Coordinate("CF", "x", ("0", "1")),
+                         Coordinate("CF", "y", ("0", "1"))])
+        half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+        P = Measure(s, {(0, 0, 0): half, (1, 1, 1): half})
+        kernels = [
+            Kernel(s, s.positions(["CF.x"]), {
+                # the same F-marginal over 4: 1/4 + 1/4 split across CF.y
+                (0,): Measure(s, {(0, 0, 0): quarter, (0, 0, 1): quarter, (1, 0, 0): half}),
+                # a different one over 4, a multiple of 2
+                (1,): Measure(s, {(0, 1, 0): quarter, (1, 1, 0): 3 * quarter})}),
+            Kernel(s, s.positions(["CF.y"]), {
+                # a different one over 3, no multiple of 2
+                (0,): Measure(s, {(0, 1, 0): third, (1, 0, 0): 2 * third}),
+                (1,): Measure(s, {(0, 0, 1): half, (1, 1, 1): half})}),
+            Kernel(s, s.positions(["F.x"]), {(0,): Measure(s, {(0, 0, 0): half, (0, 1, 1): half})}),
+            # the row (1, 1) restricts to the row (1,) that F.x lacks
+            Kernel(s, s.positions(["F.x", "CF.x"]), {
+                (0, 0): Measure(s, {(0, 0, 0): 1}), (1, 1): Measure(s, {(1, 1, 1): 1})}),
+        ]
+        space = CfSpace(s, P, Mechanism(s, P, kernels))
+        report = check_cross_world(space)
+        assert (report.violations, report.uncheckable) == brute_cross_world(space)
+        assert all(type(v.value) is type(v.reference) is Fraction for v in report.violations)
+        bad = {(v.world, tuple(sorted(v.S)), v.row) for v in report.violations}
+        assert ("F", (1,), (0,)) not in bad
+        assert {("F", (1,), (1,)), ("F", (2,), (0,))} <= bad
+        assert [(u.world, u.needs, u.row) for u in report.uncheckable] == [
+            ("F", s.positions(["F.x"]), (1, 1))]
+
 
 class TestConditionSigmaOracle:
     def test_rows_are_p_given_each_positive_atom(self):
@@ -384,6 +418,41 @@ class TestSigmaAlgebraWork:
             report = check_cross_world(tampered_copy(rng, random_cf_space(9000 + seed)))
             violations += len(report.violations)
         assert violations and calls["atoms_of"] == 0
+
+
+class TestWholeFamilyWork:
+    """A clean whole-family check compares integer tables: it builds no
+    marginal and no Margin, walks no support, and makes one projector per
+    world and one per (world, key)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("marginal", "_of", "support", "projector"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(Margin, "marginal", counting("marginal", Margin.marginal))
+        monkeypatch.setattr(Margin, "_of", classmethod(counting("_of", Margin._of.__func__)))
+        monkeypatch.setattr(Margin, "support", counting("support", Margin.support))
+        monkeypatch.setattr(cfspaces.worlds, "projector",
+                            counting("projector", cfspaces.worlds.projector))
+        return counts
+
+    def test_forced_chain_and_its_intervention(self, calls):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        s = space.schema
+        u = s.positions(["CF.X1"])
+        for sp in (space, intervene(space, u, Margin.uniform(s, u))):
+            keys = sp.mech.keys()
+            sp.mech.kernels()  # forcing builds Margins; the checks must not
+            calls.update(dict.fromkeys(calls, 0))
+            assert check_cross_world(sp).ok and check_axioms(sp).ok
+            assert calls["marginal"] == calls["_of"] == calls["support"] == 0
+            assert 0 < calls["projector"] <= len(s.worlds) * (len(keys) + 1)
 
 
 def random_intervention(rng, space):

@@ -190,6 +190,15 @@ class TestSymmetry:
         report = is_symmetric(space, mirror)
         assert report.failures == is_symmetric(space, mirror).failures
 
+    def test_a_clean_pass_settles_the_mirror_only_with_as_many_rows(self, coin_sync):
+        # every row on F.c has its mirror on CF.c, but CF.c's row (1,) has
+        # none on F.c, so the kernel on CF.c still gets its own pass
+        s, P = coin_sync.schema, coin_sync.P
+        kernels = [Kernel(s, {0}, {(0,): Measure(s, {(0, 0): 1})}),
+                   Kernel(s, {1}, {(0,): Measure(s, {(0, 0): 1}), (1,): Measure(s, {(1, 1): 1})})]
+        report = is_symmetric(CfSpace(s, P, Mechanism(s, P, kernels)))
+        assert report.ok and report.uncheckable == ((frozenset({1}), frozenset({0}), (1,)),)
+
 
 class TestMarginalize:
     def test_keep_everything_is_identity(self, exam):
