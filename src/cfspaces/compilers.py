@@ -15,8 +15,8 @@ assignment, plus the observed world OBS.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from operator import add
 from typing import Mapping
 
 from .measure import Measure, ints, law, pushforward
@@ -112,13 +112,16 @@ class SCMModel:
         `interventions` maps variable names to forced labels; the remaining
         equations are evaluated in topological order.
         """
-        interventions = dict(interventions or {})
-        values = dict(interventions)
+        values = dict(interventions or {})
+        return self._evaluate(u, values, self.topo_order(frozenset(values)))
+
+    def _evaluate(self, u, values: dict, order: tuple) -> dict:
+        """`evaluate` along an order already computed, filling in `values`."""
         noise_values = dict(zip(self.noise_names, u))
-        for name in self.topo_order(frozenset(interventions)):
+        for name in order:
             eq = self.eqs[name]
             key = tuple(values[p] for p in eq.parents) + tuple(noise_values[un] for un in eq.noises)
-            values[name] = eq.table[tuple(key)]
+            values[name] = eq.table[key]
         return values
 
 
@@ -133,6 +136,16 @@ def _indexer(model: SCMModel):
     return lambda values: tuple(ix[values[name]] for name, ix in index)
 
 
+def _plan(pf: tuple, pc: tuple, weights: tuple) -> tuple:
+    """The noise law on the joint blocks of two partitions of its rows: the
+    blocks in order of first occurrence, and weights with no common factor."""
+    blocks: dict = {}
+    for key, w in zip(zip(pf, pc), weights):
+        blocks[key] = blocks.get(key, 0) + w
+    g = math.gcd(*blocks.values())
+    return tuple(blocks), tuple(w // g for w in blocks.values())
+
+
 def compile_scm(model: SCMModel) -> CfSpace:
     """Compile a structural model into a two-world causal space.
 
@@ -140,39 +153,51 @@ def compile_scm(model: SCMModel) -> CfSpace:
     are the image of the noise law under the twin network, the pair of
     sub-model solutions for one noise row.  A row fixes the intervened
     variables in its world's sub-model; the measure fixes none, so the
-    pre-intervention worlds are synchronised.  Only the measure is built
-    here, which rejects a cyclic model; each kernel is built when first read.
+    pre-intervention worlds are synchronised.  A row reads its sub-models
+    through the partitions of the noise rows they solve alike, and each
+    pair of partitions is summed once.  Only the measure is built here,
+    which rejects a cyclic model; each kernel is built when first read.
     """
     schema = _two_world_schema(model)
     n = len(model.endo_names)
     half = _indexer(model)
     weights = tuple(ints(model.noise_dist)[0].values())
     halves: dict = {}
-
-    def solve(interventions: tuple) -> list:
-        """The sub-model's half outcome for each noise row, solved once."""
-        if interventions not in halves:
-            halves[interventions] = [
-                half(model.evaluate(u, dict(interventions))) for u in model.noise_dist]
-        return halves[interventions]
-
+    partitions: dict = {}  # one tuple per partition, so plan keys compare by identity
+    plans: dict = {}  # (F partition, CF partition) -> _plan of the pair
     shared: dict = {}  # one tuple per outcome, however many rows hold it
 
-    def twin(do_f: tuple, do_cf: tuple) -> Measure:
-        joined = list(map(add, solve(do_f), solve(do_cf)))
-        outcomes = map(shared.setdefault, joined, joined)
-        return Measure._of(schema, schema.all_on, pushforward(zip(outcomes, weights)))
+    def solve(interventions: tuple) -> tuple:
+        """The sub-model's distinct half outcomes and their blocks of noise rows, solved once."""
+        if interventions not in halves:
+            order = model.topo_order(frozenset(dict(interventions)))  # rejects a cyclic model
+            blocks: dict = {}
+            part = tuple(blocks.setdefault(half(model._evaluate(u, dict(interventions), order)),
+                                           len(blocks)) for u in model.noise_dist)
+            halves[interventions] = tuple(blocks), partitions.setdefault(part, part)
+        return halves[interventions]
+
+    def twin(f: tuple, cf: tuple) -> Measure:
+        (hf, pf), (hc, pc) = f, cf
+        if (pf, pc) not in plans:
+            plans[pf, pc] = _plan(pf, pc, weights)
+        blocks, nums = plans[pf, pc]
+        outcomes = [hf[a] + hc[b] for a, b in blocks]
+        return Measure._of(schema, schema.all_on,
+                           dict(zip(map(shared.setdefault, outcomes, outcomes), nums)))
+
+    def side(positions: list) -> list:
+        """Each row over positions of one world, with its sub-model solved."""
+        coords = [schema.coords[p] for p in positions]
+        return [(row, solve(tuple((c.name, c.labels[v]) for c, v in zip(coords, row))))
+                for row in schema.rows(positions)]
 
     def kernel(S: frozenset) -> Kernel:
-        coords = [schema.coords[p] for p in sorted(S)]
-        k = sum(p < n for p in S)  # the factual coordinates come first
-        rows = {}
-        for row in schema.rows(S):
-            do = [(c.name, c.labels[v]) for c, v in zip(coords, row)]
-            rows[row] = twin(tuple(sorted(do[:k])), tuple(sorted(do[k:])))
-        return Kernel(schema, S, rows)
+        factual, counterfactual = sorted(p for p in S if p < n), sorted(p for p in S if p >= n)
+        rows = itertools.product(side(factual), side(counterfactual))
+        return Kernel(schema, S, {rf + rc: twin(f, cf) for (rf, f), (rc, cf) in rows})
 
-    P = twin((), ())  # solving the model rejects a cyclic one
+    P = twin(solve(()), solve(()))
     return CfSpace(schema, P, Mechanism(schema, P, _build=kernel))
 
 

@@ -228,18 +228,19 @@ def rand_law(rng, keys):
             return {k: Fraction(w, sum(ws)) for k, w in zip(keys, ws) if w}
 
 
-def random_dag_model(rng, n_vars):
+def random_dag_model(rng, n_vars, n_noise=(1, 2), noise_labels=("a", "b")):
     """A random acyclic model: n_vars endogenous variables declared out of
-    evaluation order, one or two noise variables, random function tables."""
+    evaluation order, n_noise[0] to n_noise[1] noise variables over
+    noise_labels, random function tables."""
     labels = ("0", "1") if n_vars == 3 else ("0", "1", "2")
-    noise = [(f"U{i}", ("a", "b")) for i in range(rng.randint(1, 2))]
+    noise = [(f"U{i}", noise_labels) for i in range(rng.randint(*n_noise))]
     names = [f"V{i}" for i in range(n_vars)]
     order = rng.sample(names, n_vars)
     eqs = {}
     for i, name in enumerate(order):
         parents = tuple(p for p in order[:i] if rng.random() < 0.6)
         noises = tuple(u for u, _ in noise if rng.random() < 0.7)
-        domain = [labels] * len(parents) + [("a", "b")] * len(noises)
+        domain = [labels] * len(parents) + [noise_labels] * len(noises)
         table = {k: rng.choice(labels) for k in itertools.product(*domain)}
         eqs[name] = StructuralEq(name, parents, noises, table)
     noise_rows = list(itertools.product(*(ls for _, ls in noise)))

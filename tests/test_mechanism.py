@@ -189,9 +189,9 @@ class TestIntervene:
 class TestLazyIntervention:
     @pytest.fixture
     def work(self, monkeypatch):
-        """Counts of kernels built, mixtures and model solves."""
+        """Counts of kernels built, mixtures and model solves (one per noise row)."""
         counts = {"kernels": 0, "mixtures": 0, "solves": 0}
-        init, mix, evaluate = Kernel.__init__, Measure._mix.__func__, SCMModel.evaluate
+        init, mix, evaluate = Kernel.__init__, Measure._mix.__func__, SCMModel._evaluate
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -201,7 +201,7 @@ class TestLazyIntervention:
 
         monkeypatch.setattr(Kernel, "__init__", counting("kernels", init))
         monkeypatch.setattr(Measure, "_mix", classmethod(counting("mixtures", mix)))
-        monkeypatch.setattr(SCMModel, "evaluate", counting("solves", evaluate))
+        monkeypatch.setattr(SCMModel, "_evaluate", counting("solves", evaluate))
         return counts
 
     def test_kernels_are_built_when_read(self, work):

@@ -5,10 +5,13 @@ import math
 import random
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+import cfspaces.compilers
+import cfspaces.measure
 import cfspaces.space
 import cfspaces.worlds
 from cfspaces import (
@@ -455,6 +458,54 @@ class TestWholeFamilyWork:
             assert 0 < calls["projector"] <= len(s.worlds) * (len(keys) + 1)
 
 
+class TestCompiledFamilyWork:
+    """Forcing a compiled structural space sums the noise law once per pair
+    of (F, CF) partitions of the noise rows, and builds each kernel row
+    from its support alone, out of one shared tuple per outcome."""
+
+    def test_one_plan_per_partition_pair(self, monkeypatch):
+        counts = dict.fromkeys(("plans", "pushforward", "divided"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        def of(cls, schema, on, nums):
+            counts["divided"] += math.gcd(*nums.values()) > 1
+            return of_.__func__(cls, schema, on, nums)
+
+        of_ = Margin._of
+        monkeypatch.setattr(cfspaces.compilers, "_plan", counting("plans", cfspaces.compilers._plan))
+        for module in (cfspaces.measure, cfspaces.compilers):
+            monkeypatch.setattr(module, "pushforward", counting("pushforward", module.pushforward))
+        monkeypatch.setattr(Margin, "_of", classmethod(of))
+        model = parse_scm(chain_scm(3))[0]
+        space = compile_scm(model)
+        kernels = space.mech.kernels()
+        rows = [(k, row, m) for k in kernels for row, m in k.rows.items()]
+        assert len(rows) == 3 ** 6
+        assert counts == {"plans": 64, "pushforward": 0, "divided": 0}
+
+        # The distinct partition pairs, by solving each row's sub-models.
+        def partition(do):
+            blocks: dict = {}
+            return tuple(blocks.setdefault(tuple(sorted(model.evaluate(u, do).items())),
+                                           len(blocks)) for u in model.noise_dist)
+
+        pairs = set()
+        for k, row, _ in rows:
+            do = {"F": {}, "CF": {}}
+            for p, v in zip(sorted(k.on), row):
+                c = space.schema.coords[p]
+                do[c.world][c.name] = c.labels[v]
+            pairs.add((partition(do["F"]), partition(do["CF"])))
+        assert len(pairs) == 64
+        outcomes = [o for _, _, m in rows for o in m._n] + list(space.P._n)
+        assert len(set(map(id, outcomes))) == len(set(outcomes))
+
+
 def random_intervention(rng, space):
     """A coordinate set, mostly a present key, and a law on it."""
     keys = space.mech.keys()
@@ -577,3 +628,22 @@ class TestInterveneOracle:
             assert not any(t.is_alive() for t in threads) and len(seen) == 6
             for rows, got in seen.values():
                 assert rows == want and got == report
+
+    def test_two_threads_force_a_compiled_family(self):
+        # The threads build kernels in opposite orders, racing on the
+        # compiler's memo of solutions, partitions and plans.
+        model = parse_scm(chain_scm(4))[0]
+        want = {frozenset(k.on): k.rows for k in compile_scm(model).mech.kernels()}
+        space = compile_scm(model)
+        keys = sorted(want, key=sorted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(lambda order: [space.mech.get(S) for S in order], order)
+                           for order in (keys, keys[::-1])]
+                built = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for kernels in built:
+            assert {frozenset(k.on): k.rows for k in kernels} == want
