@@ -195,7 +195,7 @@ def compile_scm(model: SCMModel) -> CfSpace:
     def kernel(S: frozenset) -> Kernel:
         factual, counterfactual = sorted(p for p in S if p < n), sorted(p for p in S if p >= n)
         rows = itertools.product(side(factual), side(counterfactual))
-        return Kernel(schema, S, {rf + rc: twin(f, cf) for (rf, f), (rc, cf) in rows})
+        return Kernel._of(schema, S, {rf + rc: twin(f, cf) for (rf, f), (rc, cf) in rows})
 
     P = twin(solve(()), solve(()))
     return CfSpace(schema, P, Mechanism(schema, P, _build=kernel))

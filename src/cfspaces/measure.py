@@ -135,6 +135,22 @@ class Margin:
     def support(self) -> frozenset:
         return frozenset(self._n)
 
+    def mismatches(self, other: "Margin", swap=None):
+        """(row, weight here, weight of `other` at swap(row)) wherever the
+        two differ, in ascending row order; `swap` is an involution on rows
+        (the identity when None).
+
+        Equal canonical tables have no mismatch; otherwise both weights
+        vanish off supp(self) | swap(supp(other)), so only that set is visited.
+        """
+        theirs = other._n if swap is None else dict(zip(map(swap, other._n), other._n.values()))
+        if theirs == self._n:
+            return
+        for row in sorted(self._n.keys() | theirs.keys()):
+            v, w = Fraction(self._n.get(row, 0), self._d), Fraction(theirs.get(row, 0), other._d)
+            if v != w:
+                yield row, v, w
+
     def marginal(self, S) -> "Margin":
         """Pushforward onto the coordinates in S, which must lie within `on`."""
         S = self.schema.positions(S)

@@ -49,6 +49,14 @@ class Kernel:
         schema.require_rows(sorted(self.on), table)
         self.rows = table
 
+    @classmethod
+    def _of(cls, schema: SpaceSchema, on: frozenset, rows: dict):
+        """The kernel on the positions `on` with `rows`, a nonempty dict of
+        rows over sorted(on) to Measures on `schema`, unchecked."""
+        self = object.__new__(cls)
+        self.schema, self.on, self.rows = schema, on, rows
+        return self
+
     def has_row(self, row) -> bool:
         return tuple(row) in self.rows
 
@@ -89,7 +97,7 @@ class Mechanism:
         self.schema = schema
         self._source = _do  # (parent, U, Q) of a derived mechanism
         self._build = _build  # S -> the kernel on S, of a compiled mechanism
-        self._scanned = None
+        self._scanned = None  # (drop notes, layout), once listed
         table: dict = {}
         for k in kernels:
             if k.schema != schema:
@@ -120,14 +128,17 @@ class Mechanism:
             return k_w
         rows = {row: Measure._mix(self.schema, [(a, k_w.rows[full]) for a, full in parts])
                 for row, parts in _mixing_plan(S, U, Q, k_w.rows) if parts is not None}
-        return Kernel(self.schema, S, rows) if rows else None
+        return Kernel._of(self.schema, S, rows) if rows else None
 
     def _layout(self) -> dict:
         """S -> the rows of the kernel on S, for every present key."""
-        if self._build is not None:  # every row of every key
-            m = len(self.schema.coords)
-            return {frozenset(S): set(self.schema.rows(S))
-                    for r in range(m + 1) for S in itertools.combinations(range(m), r)}
+        if self._build is not None:  # every row of every key, listed once
+            if self._scanned is None:
+                m = len(self.schema.coords)
+                self._scanned = (), {frozenset(S): set(self.schema.rows(S))
+                                     for r in range(m + 1)
+                                     for S in itertools.combinations(range(m), r)}
+            return self._scanned[1]
         if self._source is None:
             return {S: k.rows for S, k in self._k.items()}
         chain, mech = [], self  # unscanned ancestors are scanned first
@@ -282,14 +293,10 @@ def check_axioms(space: CfSpace) -> AxiomReport:
         return AxiomReport(())
     violations = []
     base = space.mech.get(()).rows[()]  # a kernel has rows; () is the only one on ∅
-    if base != space.P:  # off both supports the weights are both 0
-        for outcome in sorted(base.support() | space.P.support()):
-            if base.weight(outcome) != space.P.weight(outcome):
-                violations.append(AxiomViolation(
-                    "trivial-intervention", frozenset(), (), outcome,
-                    f"K_empty({outcome}) = {base.weight(outcome)} "
-                    f"!= P({outcome}) = {space.P.weight(outcome)}"))
-                break
+    for outcome, v, w in itertools.islice(base.mismatches(space.P), 1):  # the first only
+        violations.append(AxiomViolation(
+            "trivial-intervention", frozenset(), (), outcome,
+            f"K_empty({outcome}) = {v} != P({outcome}) = {w}"))
     for S in space.mech.keys():
         kernel = space.mech.get(S)
         row_of = projector(space.schema.all_on, sorted(S))
@@ -522,7 +529,7 @@ def condition_sigma(P: Measure, S) -> Kernel:
     are its missing rows, where any measure makes a version.
     """
     S = P.schema.positions(S)
-    return Kernel(P.schema, S, dict(_conditionals(P, S)))
+    return Kernel._of(P.schema, S, dict(_conditionals(P, S)))
 
 
 def independent_given_sigma(P: Measure, S, A, B) -> bool:

@@ -51,6 +51,7 @@ from .parser import (
     TokenStream,
     assignment_key,
     label_reader,
+    parse_declarations,
     parse_outcome_tuple,
     parse_table,
     product_domain,
@@ -62,14 +63,7 @@ def parse_scm(text: str):
     ts = TokenStream(text)
     ts.expect_word("scm")
     name = ts.name()
-    noise = []
-    while ts.at_word("noise"):
-        ts.next()
-        ntok = ts.expect_word()
-        nname = ntok.value
-        if any(n == nname for n, _ in noise):
-            ts.error(f"noise variable {nname!r} declared twice", ntok)
-        noise.append((nname, ts.label_set()))
+    noise, _ = parse_declarations(ts, "noise", "noise variable")
     if not noise:
         ts.error("model declares no noise variables")
     if not ts.at_word("dist"):
@@ -82,19 +76,11 @@ def parse_scm(text: str):
     noise_dist = parse_table(ts, noise_row, ts.rational).law(
         *product_domain(noise_axes), "noise law", "noise rows")
 
-    endo = []
-    declared = []  # the `var` token of each variable
-    while ts.at_word("var"):
-        declared.append(ts.next())
-        vtok = ts.expect_word()
-        vname = vtok.value
-        if any(v == vname for v, _ in endo) or any(n == vname for n, _ in noise):
-            ts.error(f"variable {vname!r} declared twice", vtok)
-        endo.append((vname, ts.label_set()))
+    noise_names = {n for n, _ in noise}
+    endo, declared = parse_declarations(ts, "var", "variable", noise_names)
     if not endo:
         ts.error("model declares no endogenous variables")
 
-    noise_names = {n for n, _ in noise}
     endo_names = {v for v, _ in endo}
     domains = {v: dict(zip(labels, labels)) for v, labels in noise + endo}
     eqs = {}
@@ -169,15 +155,7 @@ def parse_po(text: str):
     unit_dist = parse_table(ts, unit, ts.rational).law(
         len(units), lambda: units, "unit law", "units")
 
-    endo = []
-    declared = []
-    while ts.at_word("var"):
-        declared.append(ts.next())
-        vtok = ts.expect_word()
-        vname = vtok.value
-        if any(v == vname for v, _ in endo):
-            ts.error(f"variable {vname!r} declared twice", vtok)
-        endo.append((vname, ts.label_set()))
+    endo, declared = parse_declarations(ts, "var", "variable")
     if not endo:
         ts.error("model declares no variables")
     domains = dict(endo)

@@ -542,6 +542,24 @@ def parse_coordset(ts: TokenStream) -> tuple[str, ...]:
     return tuple(refs)
 
 
+def parse_declarations(ts: TokenStream, keyword: str, what: str, taken=frozenset(),
+                       where: str = "") -> tuple[list, list]:
+    """Parse 'keyword name { labels }' declarations while `keyword` comes
+    next: ([(name, labels), ...], [keyword token, ...]).  A name declared
+    before, or in `taken`, is an error at the name:
+    "<what> 'name' declared twice<where>"."""
+    decls, tokens = [], []
+    names = set(taken)
+    while ts.at_word(keyword):
+        tokens.append(ts.next())
+        tok = ts.expect_word()
+        if tok.value in names:
+            ts.error(f"{what} {tok.value!r} declared twice{where}", tok)
+        names.add(tok.value)
+        decls.append((tok.value, ts.label_set()))
+    return decls, tokens
+
+
 # -- space documents --------------------------------------------------------
 
 
@@ -628,14 +646,7 @@ def parse_space(text: str) -> SpaceDocument:
             worlds.append(WorldDecl(wname, None, target))
             continue
         ts.expect_sym("{")
-        comps = []
-        while ts.at_word("component"):
-            ts.next()
-            ctok = ts.peek()
-            cname = ts.expect_word().value
-            if any(c == cname for c, _ in comps):
-                ts.error(f"component {cname!r} declared twice in world {wname!r}", ctok)
-            comps.append((cname, ts.label_set()))
+        comps, _ = parse_declarations(ts, "component", "component", where=f" in world {wname!r}")
         if not comps:
             ts.error(f"world {wname!r} declares no components")
         ts.expect_sym("}")

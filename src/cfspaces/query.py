@@ -65,12 +65,12 @@ class NotExpr:
 
 @dataclass(frozen=True)
 class AndExpr:
-    items: tuple
+    items: tuple  # two or more
 
 
 @dataclass(frozen=True)
 class OrExpr:
-    items: tuple
+    items: tuple  # two or more
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,9 @@ def eval_expr(expr, schema, bindings) -> frozenset:
             raise ParseError(f"unbound event name {expr.name!r}") from None
     if isinstance(expr, NotExpr):
         return schema.outcome_set() - eval_expr(expr.inner, schema, bindings)
-    if isinstance(expr, AndExpr):
-        out = schema.outcome_set()
-        for item in expr.items:
-            out &= eval_expr(item, schema, bindings)
-        return out
-    if isinstance(expr, OrExpr):
-        out = frozenset()
-        for item in expr.items:
-            out |= eval_expr(item, schema, bindings)
-        return out
+    if isinstance(expr, (AndExpr, OrExpr)):
+        fold = frozenset.intersection if isinstance(expr, AndExpr) else frozenset.union
+        return fold(*(eval_expr(item, schema, bindings) for item in expr.items))
     raise AssertionError(f"unknown expression node {expr!r}")
 
 

@@ -133,7 +133,7 @@ class SpaceSchema:
         coord = self.coords[pos]
         if isinstance(label, int):
             if not 0 <= label < len(coord.labels):
-                raise SchemaError(f"label index {label} out of range for {coord.key}")
+                raise SchemaError(f"label index {label} out of range for coordinate {coord.key}")
             return label
         try:
             return coord.labels.index(label)

@@ -159,12 +159,10 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
                     scaled[ck] = {r: n // g * t for r, n in ref.items()}
                 if pushforward(zip(map(key, m._n), m._n.values())) == scaled[ck]:
                     continue
-                mine, ref = m.marginal(t_world), m_ref.marginal(t_world)
-                for r in sorted(mine.support() | ref.support()):
-                    if mine.weight(r) != ref.weight(r):
-                        violations.append(CrossWorldViolation(
-                            world, S, row, cylinder(schema, dict(zip(mine.on, r))),
-                            mine.weight(r), ref.weight(r)))
+                mine = m.marginal(t_world)
+                for r, v, w in mine.mismatches(m_ref.marginal(t_world)):
+                    violations.append(CrossWorldViolation(
+                        world, S, row, cylinder(schema, dict(zip(mine.on, r))), v, w))
     return CrossWorldReport(violations, uncheckable)
 
 
@@ -246,9 +244,8 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
     for a, b in mirror.pairs:
         perm[a], perm[b] = b, a
     swap_outcome = itemgetter(*perm)
-    failures = [
-        SymmetryFailure("measure", None, None, outcome, v, w)
-        for outcome, v, w in _swap_mismatches(space.P, space.P, swap_outcome)]
+    failures = [SymmetryFailure("measure", None, None, outcome, v, w)
+                for outcome, v, w in space.P.mismatches(space.P, swap_outcome)]
     uncheckable = []
     if space.mech is not None:
         implied = set()  # the swaps are involutions: a clean pass, as many rows on S*, settles S*
@@ -268,28 +265,11 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 if not k_star.has_row(row_star):
                     uncheckable.append((S, S_star, row))
                     continue
-                for outcome, v, w in _swap_mismatches(
-                        k.rows[row], k_star.rows[row_star], swap_outcome):
+                for outcome, v, w in k.rows[row].mismatches(k_star.rows[row_star], swap_outcome):
                     failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
             if len(failures) + len(uncheckable) == found and len(k.rows) == len(k_star.rows):
                 implied.add(S_star)
     return SymmetryReport(failures, uncheckable)
-
-
-def _swap_mismatches(m: Measure, m_star: Measure, swap):
-    """(outcome, m(outcome), m_star(swap(outcome))) wherever the two differ.
-
-    Equal canonical tables have no mismatch; otherwise both weights vanish
-    off supp(m) | swap(supp(m_star)), so only that set is visited, in
-    canonical outcome order.
-    """
-    swapped = dict(zip(map(swap, m_star._n), m_star._n.values()))
-    if swapped == m._n:
-        return
-    for outcome in sorted(m.support() | swapped.keys()):
-        v, w = m.weight(outcome), m_star.weight(swap(outcome))
-        if v != w:
-            yield outcome, v, w
 
 
 # -- marginalisation ----------------------------------------------------------
@@ -324,15 +304,9 @@ def marginalize(space: CfSpace, keep, *, allow_world_drop: bool = False) -> CfSp
     new_p = push(space.P)
     mech = None
     if space.mech is not None:
-        kernels = []
-        for S in space.mech.keys():
-            if not S <= keep:
-                continue
-            k = space.mech.get(S)
-            new_on = frozenset(position_map[p] for p in S)
-            kernels.append(Kernel(
-                new_schema, new_on,
-                {row: push(m) for row, m in k.rows.items()}))
+        kernels = [Kernel._of(new_schema, frozenset(position_map[p] for p in S),
+                              {row: push(m) for row, m in space.mech.get(S).rows.items()})
+                   for S in space.mech.keys() if S <= keep]
         mech = Mechanism(new_schema, new_p, kernels)
     return CfSpace(new_schema, new_p, mech)
 
@@ -355,12 +329,7 @@ def build_nway(worlds, weights, kernels=None) -> CfSpace:
         for name, labels in comps:
             coords.append(Coordinate(world, name, tuple(labels)))
     schema = SpaceSchema(coords)
-    resolved = {}
-    for outcome, q in weights.items():
-        key = outcome if all(isinstance(v, int) for v in outcome) \
-            else schema.outcome_of(outcome)
-        resolved[key] = q
-    P = Measure(schema, resolved)
+    P = Measure(schema, {schema.outcome_of(outcome): q for outcome, q in weights.items()})
     mech = None
     if kernels is not None:
         built = []
@@ -369,15 +338,10 @@ def build_nway(worlds, weights, kernels=None) -> CfSpace:
             pos = sorted(on)
             table = {}
             for row, body in rows.items():
-                row_idx = tuple(
-                    v if isinstance(v, int) else schema.label_index(p, v)
-                    for p, v in zip(pos, row))
-                body_resolved = {}
-                for outcome, q in body.items():
-                    key = outcome if all(isinstance(v, int) for v in outcome) \
-                        else schema.outcome_of(outcome)
-                    body_resolved[key] = q
-                table[row_idx] = Measure(schema, body_resolved)
+                if len(row) != len(pos):
+                    raise SchemaError(f"row {row!r} does not match the coordinates {tuple(pos)}")
+                table[tuple(map(schema.label_index, pos, row))] = Measure(
+                    schema, {schema.outcome_of(outcome): q for outcome, q in body.items()})
             built.append(Kernel(schema, on, table))
         mech = Mechanism(schema, P, built)
     return CfSpace(schema, P, mech)

@@ -53,6 +53,12 @@ CASES = [
      (2, "error: 4:10: mirror references undeclared world 'V'\n")),
     ("cfs-no-measure", CHECK, {"cfs": CFS},
      (2, "error: document has no measure block; cannot build a space\n")),
+    # 12 binary components in each of two worlds: 2^24 outcomes, over space.MAX_OUTCOMES
+    ("cfs-too-many-outcomes", CHECK,
+     {"cfs": "space x\nworld F {\n"
+             + "".join(f"  component c{i} {{ a b }}\n" for i in range(12))
+             + "}\nworld CF mirror F\n"},
+     (2, "error: schema exceeds 1048576 outcomes; refusing to enumerate\n")),
     # .scm
     ("scm-noise-twice", COMPILE_SCM, {"scm": SCM.replace("dist", "noise U { 0 1 }\ndist")},
      (2, "error: 3:7: noise variable 'U' declared twice\n")),

@@ -150,3 +150,31 @@ def test_whole_family_checks_do_no_fraction_arithmetic(monkeypatch):
     assert check_cross_world(space).ok
     assert is_symmetric(space).ok
     assert calls == []
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases(), st.data())
+def test_mismatches_match_the_loop_over_every_row(case, data):
+    schema, (written_p, ref_p), (written_r, ref_r), S, _, _ = case
+    P, R = Measure(schema, written_p), Measure(schema, written_r)
+    # an involution on outcomes: swap two coordinates with one label set, or none
+    pairs = [(a, b) for a in schema.all_on for b in schema.all_on
+             if a < b and schema.coords[a].labels == schema.coords[b].labels]
+    perm = list(schema.all_on)
+    if pairs:
+        a, b = data.draw(st.sampled_from(pairs))
+        perm[a], perm[b] = b, a
+
+    def swap(o):
+        return tuple(o[p] for p in perm)
+
+    def loop(here, there, rows, f=lambda r: r):
+        return [(r, here.get(r, 0), there.get(f(r), 0))
+                for r in rows if here.get(r, 0) != there.get(f(r), 0)]
+
+    for other, ref in ((R, ref_r), (P, ref_p)):
+        assert list(P.mismatches(other)) == loop(ref_p, ref, schema.outcomes())
+        assert list(P.mismatches(other, swap)) == loop(ref_p, ref, schema.outcomes(), swap)
+    assert list(P.mismatches(Measure(schema, written_p))) == []
+    assert list(P.marginal(S).mismatches(R.marginal(S))) == loop(
+        reference_marginal(ref_p, S), reference_marginal(ref_r, S), schema.rows(S))

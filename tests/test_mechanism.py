@@ -189,9 +189,11 @@ class TestIntervene:
 class TestLazyIntervention:
     @pytest.fixture
     def work(self, monkeypatch):
-        """Counts of kernels built, mixtures and model solves (one per noise row)."""
+        """Counts of kernels built (checked or not), mixtures and model
+        solves (one per noise row)."""
         counts = {"kernels": 0, "mixtures": 0, "solves": 0}
-        init, mix, evaluate = Kernel.__init__, Measure._mix.__func__, SCMModel._evaluate
+        init, of = Kernel.__init__, Kernel._of.__func__
+        mix, evaluate = Measure._mix.__func__, SCMModel._evaluate
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -200,6 +202,7 @@ class TestLazyIntervention:
             return wrapped
 
         monkeypatch.setattr(Kernel, "__init__", counting("kernels", init))
+        monkeypatch.setattr(Kernel, "_of", classmethod(counting("kernels", of)))
         monkeypatch.setattr(Measure, "_mix", classmethod(counting("mixtures", mix)))
         monkeypatch.setattr(SCMModel, "_evaluate", counting("solves", evaluate))
         return counts
@@ -267,6 +270,26 @@ class TestLazyIntervention:
         # the parent's kernel on {F.X0, CF.X4} and the derived one
         assert work == {"kernels": 4, "mixtures": 1 + 2, "solves": 5 * 2 ** n}
         assert repr(new) and work["kernels"] == 4
+
+    @staticmethod
+    def calls_to(monkeypatch, name) -> list:
+        """The argument tuples of every later call to SpaceSchema.<name>."""
+        calls, fn = [], getattr(SpaceSchema, name)
+        monkeypatch.setattr(SpaceSchema, name, lambda *args: calls.append(args) or fn(*args))
+        return calls
+
+    def test_forcing_a_compiled_family_checks_no_row_again(self, work, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        calls = self.calls_to(monkeypatch, "require_rows")
+        assert len(space.mech.kernels()) == 64 and work["kernels"] == 64
+        assert calls == []  # the builder's rows are the schema's by construction
+
+    def test_a_compiled_layout_is_listed_once(self, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        calls = self.calls_to(monkeypatch, "rows")
+        for _ in range(3):
+            assert len(space.mech.keys()) == 64
+        assert len(calls) == 64  # one per key, not 3 * 64
 
     def test_long_chains_need_no_deep_recursion(self):
         ident = {(u,): u for u in "01"}

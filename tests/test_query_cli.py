@@ -7,8 +7,10 @@ import pytest
 from cfspaces import parse_query, run_script
 from cfspaces import build_nway, compile_scm, parse_scm
 from cfspaces.cli import main
-from cfspaces.query import fmt_decimal
+from cfspaces.query import eval_expr, fmt_decimal
 from cfspaces.repro import FIXTURES, fixture_text
+from cfspaces.space import SpaceSchema, cylinder
+from conftest import chain_scm
 
 
 def fixture_path(name: str) -> str:
@@ -125,6 +127,18 @@ class TestQueryScripts:
         first = run_script(exam, parse_query(text))
         second = run_script(exam, parse_query(text))
         assert first.text == second.text
+
+    def test_and_or_of_atoms_never_list_the_outcome_space(self, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(8))[0])  # 65,536 outcomes
+        s = space.schema
+        expr = parse_query("PROB (F.X7=1 & CF.X7=0 & F.X0=1) | CF.X3=1 | F.X1=0").statements[0].expr
+        calls, outcome_set = [], SpaceSchema.outcome_set
+        monkeypatch.setattr(SpaceSchema, "outcome_set",
+                            lambda self: calls.append(self) or outcome_set(self))
+        event = eval_expr(expr, s, {})
+        assert calls == []
+        both = cylinder(s, {"F.X7": "1", "CF.X7": "0", "F.X0": "1"})
+        assert event == both | cylinder(s, {"CF.X3": "1"}) | cylinder(s, {"F.X1": "0"})
 
     def test_decimal_rendering(self):
         assert fmt_decimal(Fraction(1, 3)) == "0.333333"

@@ -282,6 +282,28 @@ class TestBuildNway:
         assert space.schema.worlds == ("A", "B", "C")
         assert check_cross_world(space).ok
 
+    def test_labels_and_label_indices_name_the_same_space(self):
+        worlds = {"F": [("c", ("H", "T"))], "CF": [("c", ("H", "T"))]}
+        half = Fraction(1, 2)
+        by_label = build_nway(
+            worlds, {("H", "T"): half, ("T", "H"): half},
+            kernels={("CF.c",): {("H",): {("H", "H"): 1}, ("T",): {("T", "T"): 1}}})
+        mixed = build_nway(worlds, {(0, "T"): half, (1, 0): half},
+                           kernels={("CF.c",): {(0,): {("H", 0): 1}, ("T",): {(1, 1): 1}}})
+        assert mixed.P == by_label.P and mixed.P.support() == {(0, 1), (1, 0)}
+        assert mixed.mech.get({1}).rows == by_label.mech.get({1}).rows
+        with pytest.raises(SchemaError, match="unknown label 'X' for coordinate CF.c"):
+            build_nway(worlds, {("H", "X"): 1})
+        with pytest.raises(SchemaError, match="label index 2 out of range for coordinate F.c"):
+            build_nway(worlds, {(2, 0): 1})
+
+    @pytest.mark.parametrize("row", [("H", "T"), (0, 1), ()])
+    def test_a_kernel_row_of_the_wrong_length_is_an_error(self, row):
+        # a row naming more labels than the kernel has coordinates is not cut short
+        with pytest.raises(SchemaError, match=r"does not match the coordinates \(0,\)"):
+            build_nway({"F": [("c", ("H", "T"))]}, {("H",): Fraction(1, 2), ("T",): Fraction(1, 2)},
+                       kernels={("F.c",): {row: {("H",): 1}, ("T",): {("T",): 1}}})
+
 
 class TestInterventionSymmetry:
     def test_symmetric_intervention_preserves_symmetry(self):
