@@ -33,9 +33,6 @@ commands:
   repro <exam|star|disease|disease-asym|dormant|exam-cycle|all>
 """
 
-# `compile scm` writes all 4^n kernels of an n-variable model; it refuses more.
-MAX_KERNELS = 4096
-
 # Exit code per error type, first match wins: parse, schema, model and
 # decoding errors are all ValueErrors, and so is undefined conditioning.
 EXIT_CODES = (
@@ -88,9 +85,6 @@ def _cmd_compile(args, out, err) -> int:
     else:
         model, coupling, name = parse_scm(text)
         if kind == "scm":
-            kernels = 4 ** len(model.endo)
-            if kernels > MAX_KERNELS:
-                raise ValueError(f"{kernels} kernels to write, beyond the budget of {MAX_KERNELS}")
             space = compile_scm(model)
         else:
             if coupling is None:

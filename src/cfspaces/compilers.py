@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .measure import Measure, ints, law, pushforward
 from .mechanism import CfSpace, Kernel, Mechanism
-from .space import Coordinate, SpaceSchema
+from .space import Coordinate, SpaceSchema, budget
 
 # World names of the compiled spaces: factual and counterfactual copies of
 # a structural model, and the observed world of a potential-outcome model.
@@ -76,6 +76,7 @@ class SCMModel:
                 if u not in noise_domains:
                     raise ValueError(f"invalid noise input {u!r} for {name}")
             domain = [endo_domains[p] for p in eq.parents] + [noise_domains[u] for u in eq.noises]
+            budget(math.prod(map(len, domain)))
             rows = set(itertools.product(*domain))
             given = {tuple(k) for k in eq.table}
             if given != rows:
@@ -212,6 +213,7 @@ def compile_backtracking(model: SCMModel, coupling) -> CfSpace:
     """
     schema = _two_world_schema(model)
     half = _indexer(model)
+    budget(math.prod(len(labels) for _, labels in model.noise))
     noise_rows = set(itertools.product(*(labels for _, labels in model.noise)))
     coupling = {(tuple(u), tuple(u_star)): q for (u, u_star), q in coupling.items()}
     for u, u_star in coupling:

@@ -17,13 +17,14 @@ verdict carrying the blocking keys, rather than inventing a completion.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .measure import Margin, Measure, as_equal, condition_event, independent, same_trace
-from .space import SpaceSchema, projector
+from .space import SpaceSchema, budget, projector
 
 
 class MissingKernelError(LookupError):
@@ -68,14 +69,11 @@ class Kernel:
                 f"kernel on {sorted(self.on)} has no row {tuple(row)!r}"
             ) from None
 
-    def row_domain(self) -> tuple[tuple, ...]:
-        return tuple(self.schema.rows(self.on))
-
     def is_total(self) -> bool:
-        return len(self.rows) == len(self.row_domain())
+        return len(self.rows) == self.schema.size(self.on)
 
     def missing_rows(self) -> tuple[tuple, ...]:
-        return tuple(r for r in self.row_domain() if r not in self.rows)
+        return tuple(r for r in self.schema.rows(self.on) if r not in self.rows)
 
     def __repr__(self):
         return f"Kernel(on={sorted(self.on)}, rows={len(self.rows)})"
@@ -134,6 +132,7 @@ class Mechanism:
         """S -> the rows of the kernel on S, for every present key."""
         if self._build is not None:  # every row of every key, listed once
             if self._scanned is None:
+                budget(math.prod(len(c.labels) + 1 for c in self.schema.coords))  # rows of all keys
                 m = len(self.schema.coords)
                 self._scanned = (), {frozenset(S): set(self.schema.rows(S))
                                      for r in range(m + 1)
@@ -200,7 +199,7 @@ class Mechanism:
     def is_total(self) -> bool:
         layout = self._layout()
         return len(layout) == 1 << len(self.schema.coords) and all(
-            len(rows) == len(tuple(self.schema.rows(S))) for S, rows in layout.items())
+            len(rows) == self.schema.size(S) for S, rows in layout.items())
 
     def __repr__(self):
         built = tuple(self._k.values())  # one copy, while other threads may build

@@ -117,7 +117,7 @@ def parse_scm(text: str):
     coupling = None
     if ts.at_word("coupling"):
         ts.next()
-        assignments = list(itertools.product(*noise_axes))
+        n_rows, noise_rows = product_domain(noise_axes)
 
         def noise_pair():
             ts.expect_sym("(")
@@ -128,7 +128,8 @@ def parse_scm(text: str):
             return u, u_star
 
         coupling = parse_table(ts, noise_pair, ts.rational).law(
-            *product_domain([assignments, assignments]), "coupling", "noise row pairs")
+            n_rows ** 2, lambda: itertools.product(noise_rows(), repeat=2), "coupling",
+            "noise row pairs")
 
     tok = ts.peek()
     if tok.kind != "eof":

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .measure import Measure, ints
 from .mechanism import CfSpace, Kernel, Mechanism
-from .space import Coordinate, SchemaError, SpaceSchema
+from .space import Coordinate, SchemaError, SpaceSchema, budget
 
 
 class ParseError(ValueError):
@@ -456,9 +456,13 @@ class Table:
     def fill(self, size: int, domain, what: str, unit: str) -> dict:
         """The table over a domain of `size` keys, which `domain()`
         enumerates; the domain is enumerated only to spread a nonzero
-        default over the unlisted keys."""
+        default over the unlisted keys, and within the size budget."""
         self._unlisted(size, what, unit)
         if self.default:
+            try:
+                budget(size)
+            except SchemaError as exc:
+                raise ParseError(str(exc), self.line, self.col) from None
             return {key: self.entries.get(key, self.default) for key in domain()}
         return self.entries
 

@@ -185,7 +185,7 @@ _STATEMENT_WORDS = {
 MAX_NESTING = 100
 
 
-def _parse_primary(ts: TokenStream, depth: int):
+def _parse_primary(ts: TokenStream, depth: int, bound):
     if (ts.at_sym("(") or ts.at_sym("!")) and depth == MAX_NESTING:
         ts.error(f"event expression nests deeper than {MAX_NESTING} levels")
     if ts.at_sym("("):
@@ -193,19 +193,21 @@ def _parse_primary(ts: TokenStream, depth: int):
         if ts.at_sym(")"):
             ts.next()
             return FullExpr()
-        inner = _parse_or(ts, depth + 1)
+        inner = _parse_or(ts, depth + 1, bound)
         if not ts.at_sym(")"):
             ts.error("expected ')'")
         ts.next()
         return inner
     if ts.at_sym("!"):
         ts.next()
-        return NotExpr(_parse_primary(ts, depth + 1))
+        return NotExpr(_parse_primary(ts, depth + 1, bound))
     tok = ts.peek()
     if tok.kind == "word":
-        # Either a coordinate atom W.c=l or a bound name.
+        # Either a coordinate atom W.c=l or a name bound by an earlier LET.
         ts.next()
         if not ts.at_sym("."):
+            if tok.value not in bound:
+                ts.error(f"unbound event name {tok.value!r}", tok)
             return NameExpr(tok.value)
         coord = ts.coord_ref(tok.value)
         ts.expect_sym("=")
@@ -214,24 +216,24 @@ def _parse_primary(ts: TokenStream, depth: int):
     ts.error(f"expected an event expression, found {tok.value!r}")
 
 
-def _parse_and(ts: TokenStream, depth: int):
-    items = [_parse_primary(ts, depth)]
+def _parse_and(ts: TokenStream, depth: int, bound):
+    items = [_parse_primary(ts, depth, bound)]
     while ts.at_sym("&"):
         ts.next()
-        items.append(_parse_primary(ts, depth))
+        items.append(_parse_primary(ts, depth, bound))
     return items[0] if len(items) == 1 else AndExpr(tuple(items))
 
 
-def _parse_or(ts: TokenStream, depth: int):
-    items = [_parse_and(ts, depth)]
+def _parse_or(ts: TokenStream, depth: int, bound):
+    items = [_parse_and(ts, depth, bound)]
     while ts.at_sym("|"):
         ts.next()
-        items.append(_parse_and(ts, depth))
+        items.append(_parse_and(ts, depth, bound))
     return items[0] if len(items) == 1 else OrExpr(tuple(items))
 
 
-def _parse_expr(ts: TokenStream):
-    return _parse_or(ts, 0)
+def _parse_expr(ts: TokenStream, bound):
+    return _parse_or(ts, 0, bound)
 
 
 def _assignment(ts: TokenStream) -> Reader:
@@ -267,6 +269,7 @@ def _parse_dist(ts: TokenStream):
 def parse_query(text: str) -> QueryScript:
     ts = TokenStream(text)
     statements = []
+    bound = set()  # names of the LETs so far: statements run in order
     while True:
         while ts.at_sym(";"):
             ts.next()
@@ -285,37 +288,38 @@ def parse_query(text: str) -> QueryScript:
             if ts.at_sym(")"):
                 expr = FullExpr()
             else:
-                expr = _parse_expr(ts)
+                expr = _parse_expr(ts, bound)
             ts.expect_sym(")")
             stmt = LetStmt(name_tok.value, expr, _src(ts, start))
+            bound.add(name_tok.value)
         elif tok.value == "CONDITION":
-            stmt = ConditionStmt(_parse_expr(ts), _src(ts, start))
+            stmt = ConditionStmt(_parse_expr(ts, bound), _src(ts, start))
         elif tok.value == "INTERVENE":
             coords = parse_coordset(ts)
             ts.expect_word("WITH")
             dist = _parse_dist(ts)
             stmt = InterveneStmt(coords, dist, _src(ts, start))
         elif tok.value == "PROB":
-            stmt = ProbStmt(_parse_expr(ts), _src(ts, start))
+            stmt = ProbStmt(_parse_expr(ts, bound), _src(ts, start))
         elif tok.value == "EFFECT":
             coords = parse_coordset(ts)
             ts.expect_word("ON")
-            expr = _parse_expr(ts)
+            expr = _parse_expr(ts, bound)
             given = None
             if ts.at_word("GIVEN"):
                 ts.next()
-                given = _parse_expr(ts)
+                given = _parse_expr(ts, bound)
             stmt = EffectStmt(coords, expr, given, _src(ts, start))
         elif tok.value == "INDEP":
-            a = parse_coordset(ts) if ts.at_sym("{") else _parse_expr(ts)
+            a = parse_coordset(ts) if ts.at_sym("{") else _parse_expr(ts, bound)
             b_tok = ts.peek()
-            b = parse_coordset(ts) if ts.at_sym("{") else _parse_expr(ts)
+            b = parse_coordset(ts) if ts.at_sym("{") else _parse_expr(ts, bound)
             if isinstance(a, tuple) != isinstance(b, tuple):
                 ts.error("INDEP operands must both be events or both coordinate sets", b_tok)
             given = None
             if ts.at_word("GIVEN"):
                 ts.next()
-                given = _parse_expr(ts)
+                given = _parse_expr(ts, bound)
             stmt = IndepStmt(a, b, given, _src(ts, start))
         elif tok.value == "SYNC":
             s1 = parse_coordset(ts)

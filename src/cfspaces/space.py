@@ -16,14 +16,20 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-# Validating an event and building sigma-algebra atoms or a uniform measure
-# enumerate the outcome space (measures hold only their supports), so
-# schemas beyond this size are rejected up front rather than hanging.
+# The one size budget: no call lists more rows than this (outcomes, rows of
+# kernels or tables, events).  Measures hold only their supports, so a larger
+# space is built and read off its support; only a listing is refused.
 MAX_OUTCOMES = 1 << 20
 
 
 class SchemaError(ValueError):
     """Malformed schema, or a reference to an unknown coordinate or label."""
+
+
+def budget(count: int):
+    """Refuse, before it starts, a listing of `count` rows over MAX_OUTCOMES."""
+    if count > MAX_OUTCOMES:
+        raise SchemaError(f"{count} rows to list, beyond the budget of {MAX_OUTCOMES}")
 
 
 @dataclass(frozen=True)
@@ -65,18 +71,11 @@ class SpaceSchema:
             if c.world not in worlds:
                 worlds.append(c.world)
         self.worlds: tuple[str, ...] = tuple(worlds)
-        n = 1
-        for c in self.coords:
-            n *= len(c.labels)
-            if n > MAX_OUTCOMES:
-                raise SchemaError(
-                    f"schema exceeds {MAX_OUTCOMES} outcomes; refusing to enumerate"
-                )
-        self.n_outcomes = n
         # The `on` of every full-outcome Measure on this schema.
         self.all_on: tuple[int, ...] = tuple(range(len(self.coords)))
         self.all_positions = frozenset(self.all_on)
         self._ranges = tuple(range(len(c.labels)) for c in self.coords)
+        self.n_outcomes = self.size(self.all_on)
         self._index = {(c.world, c.name): i for i, c in enumerate(self.coords)}
         self._outcomes: tuple[tuple[int, ...], ...] | None = None
         self._outcome_set: frozenset | None = None
@@ -153,8 +152,13 @@ class SpaceSchema:
 
     # -- outcomes ---------------------------------------------------------
 
+    def size(self, S) -> int:
+        """The number of rows over the positions in S."""
+        return math.prod(len(self._ranges[p]) for p in S)
+
     def rows(self, S) -> Iterator[tuple[int, ...]]:
         """All rows over the positions in S, in canonical order (last position fastest)."""
+        budget(self.size(S))
         return itertools.product(*(self._ranges[p] for p in sorted(S)))
 
     def outcomes(self) -> tuple[tuple[int, ...], ...]:
@@ -221,6 +225,7 @@ def cylinder(schema: SpaceSchema, assignment: Mapping) -> frozenset:
     yields a singleton.
     """
     fixed = schema.assignment(assignment)
+    budget(schema.size(schema.all_positions - fixed.keys()))
     return frozenset(itertools.product(
         *[(fixed[i],) if i in fixed else r for i, r in enumerate(schema._ranges)]))
 
@@ -248,5 +253,5 @@ def is_measurable_wrt(schema: SpaceSchema, A, S) -> bool:
     """
     schema.require_event(A)
     S = sorted(schema.positions(S))
-    fiber = schema.n_outcomes // math.prod(len(schema._ranges[p]) for p in S)
+    fiber = schema.n_outcomes // schema.size(S)
     return len(A) == fiber * len(set(map(projector(schema.all_on, S), A)))

@@ -10,6 +10,7 @@ from cfspaces import (
     Margin,
     POModel,
     SCMModel,
+    SchemaError,
     StructuralEq,
     check_axioms,
     check_cross_world,
@@ -316,6 +317,22 @@ class TestCompileSCM:
         assert done.mech.get({1}).measure((1,)).prob(cylinder(s, {"F.V0": "1"})) == 1
         assert repr(space.mech) == "Mechanism(kernels built: 3)"
         assert repr(done.mech) == "Mechanism(kernels built: 1)"
+
+
+def test_model_domains_over_the_budget_are_refused():
+    # 21 binary noise variables under a point law: 2^21 noise rows, none listed
+    # to compile, but listed to check a function table or a coupling
+    noise = [(f"U{i}", ("0", "1")) for i in range(21)]
+    zero = ("0",) * 21
+    refused = "^2097152 rows to list, beyond the budget of 1048576$"
+    wide = StructuralEq("V", (), tuple(name for name, _ in noise), {})
+    with pytest.raises(SchemaError, match=refused):
+        SCMModel(noise, {zero: 1}, [("V", ("0", "1"))], {"V": wide})
+    model = SCMModel(noise, {zero: 1}, [("V", ("0", "1"))],
+                     {"V": StructuralEq("V", (), ("U0",), IDENT)})
+    assert compile_scm(model).P.as_dict() == {(0, 0): 1}
+    with pytest.raises(SchemaError, match=refused):
+        compile_backtracking(model, {(zero, zero): 1})
 
 
 class TestBacktracking:

@@ -23,9 +23,16 @@ PO = ("po toy\nunits { a b }\ndist { default = 1/2 }\n"
       "var X { 0 1 }\nvar Y { 0 1 }\n"
       "observe X { a = 1  b = 0 }\nobserve Y { a = 1  b = 1 }\n"
       "potential Y given (X=0) { a = 0  b = 1 }\n")
+WIDE = ("space x\nworld F {\n" + "".join(f"  component c{i} {{ a b }}\n" for i in range(12))
+        + "}\nworld CF mirror F\n")
+# 21 binary noise variables (2^21 noise rows) under a point law
+WIDE_NOISE = ("scm m\n" + "".join(f"noise U{i} {{ 0 1 }}\n" for i in range(21))
+              + "dist { (" + ", ".join(f"U{i}=0" for i in range(21)) + ") = 1 default = 0 }\n"
+              + "var V { 0 1 }\n")
 CHECK = ["check", "{cfs}"]
 RUN = ["run", "{exam}", "{cfq}"]
 COMPILE_SCM = ["compile", "scm", "{scm}", "-o", "{out}"]
+COMPILE_BSCM = ["compile", "bscm", "{scm}", "-o", "{out}"]
 COMPILE_PO = ["compile", "po", "{po}", "-o", "{out}"]
 USAGE_ERROR = (5, USAGE + "\n")
 
@@ -53,13 +60,25 @@ CASES = [
      (2, "error: 4:10: mirror references undeclared world 'V'\n")),
     ("cfs-no-measure", CHECK, {"cfs": CFS},
      (2, "error: document has no measure block; cannot build a space\n")),
-    # 12 binary components in each of two worlds: 2^24 outcomes, over space.MAX_OUTCOMES
+    # 12 binary components in each of two worlds: 2^24 outcomes, over space.MAX_OUTCOMES,
+    # which a nonzero default would list
     ("cfs-too-many-outcomes", CHECK,
-     {"cfs": "space x\nworld F {\n"
-             + "".join(f"  component c{i} {{ a b }}\n" for i in range(12))
-             + "}\nworld CF mirror F\n"},
-     (2, "error: schema exceeds 1048576 outcomes; refusing to enumerate\n")),
+     {"cfs": WIDE + "measure { default = 1/16777216 }\n"},
+     (2, "error: 17:9: 16777216 rows to list, beyond the budget of 1048576\n")),
     # .scm
+    # a table whose nonzero default would list more rows than the budget
+    ("scm-noise-law-over-the-budget", COMPILE_SCM,
+     {"scm": "scm m\n" + "".join(f"noise U{i} {{ 0 1 }}\n" for i in range(21))
+             + "dist { default = 1/2097152 }\nvar V { 0 1 }\nfn V (U0) { (U0=0) = 0  (U0=1) = 1 }\n"},
+     (2, "error: 23:6: 2097152 rows to list, beyond the budget of 1048576\n")),
+    ("scm-fn-table-over-the-budget", COMPILE_SCM,
+     {"scm": WIDE_NOISE + f"fn V ({', '.join(f'U{i}' for i in range(21))}) {{ default = 0 }}\n"},
+     (2, "error: 25:102: 2097152 rows to list, beyond the budget of 1048576\n")),
+    ("scm-coupling-over-the-budget", COMPILE_BSCM,
+     {"scm": "scm m\n" + "".join(f"noise U{i} {{ 0 1 }}\n" for i in range(11))
+             + "dist { default = 1/2048 }\nvar V { 0 1 }\nfn V (U0) { (U0=0) = 0  (U0=1) = 1 }\n"
+             + "coupling { default = 1/4194304 }\n"},
+     (2, "error: 16:10: 4194304 rows to list, beyond the budget of 1048576\n")),
     ("scm-noise-twice", COMPILE_SCM, {"scm": SCM.replace("dist", "noise U { 0 1 }\ndist")},
      (2, "error: 3:7: noise variable 'U' declared twice\n")),
     ("scm-variable-twice", COMPILE_SCM, {"scm": SCM.replace("fn", "var V { 0 1 }\nfn")},
@@ -112,6 +131,17 @@ CASES = [
      (2, "error: 1:27: point() needs at least one coordinate assignment\n")),
     ("cfq-empty-point-at-the-end", RUN, {"cfq": "INTERVENE {CF.class} WITH point()"},
      (2, "error: 1:27: point() needs at least one coordinate assignment\n")),
+    # a name is bound by an earlier LET
+    ("cfq-unbound-name", RUN, {"cfq": "PROB ()\nPROB (nope)\n"},
+     (2, "error: 2:7: unbound event name 'nope'\n")),
+    ("cfq-name-used-before-its-let", RUN, {"cfq": "PROB (a)\nLET a = EVENT (F.class=Y)\n"},
+     (2, "error: 1:7: unbound event name 'a'\n")),
+    ("cfq-weight-table-over-the-budget", ["run", "{cfs}", "{cfq}"],
+     {"cfs": WIDE + "measure { (" + ", ".join(f"{w}.c{i}=a" for w in ("F", "CF") for i in range(12))
+             + ") = 1 default = 0 }\n",
+      "cfq": "INTERVENE {" + ", ".join(f"F.c{i}" for i in range(12))
+             + ", " + ", ".join(f"CF.c{i}" for i in range(9)) + "} WITH { default = 1/2097152 }\n"},
+     (2, "error: 1:154: 2097152 rows to list, beyond the budget of 1048576\n")),
     # the command line
     ("usage-check", ["check"], {}, USAGE_ERROR),
     ("usage-check-two-files", ["check", "a.cfs", "b.cfs"], {}, USAGE_ERROR),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from cfspaces import (
     Mechanism,
     MissingKernelError,
     SCMModel,
+    SchemaError,
     SpaceSchema,
     StructuralEq,
     causal_independent,
@@ -29,6 +31,7 @@ from cfspaces import (
     intervene,
     is_source,
     parse_scm,
+    synchronized,
     verify_fundamental,
 )
 from cfspaces.measure import ConditioningUndefinedError
@@ -270,6 +273,41 @@ class TestLazyIntervention:
         # the parent's kernel on {F.X0, CF.X4} and the derived one
         assert work == {"kernels": 4, "mixtures": 1 + 2, "solves": 5 * 2 ** n}
         assert repr(new) and work["kernels"] == 4
+
+    def test_a_twelve_variable_chain_is_read_off_its_support(self):
+        # X_i = X_{i-1} xor U_i over 12 fair coins: 2^24 outcomes, over the
+        # budget.  It compiles and intervenes, the procedures that read the
+        # support answer, and every listing is refused before it starts.
+        n = 12
+        xor = {(a, b): str(int(a) ^ int(b)) for a in "01" for b in "01"}
+        eqs = {"X0": StructuralEq("X0", (), ("U0",), {(u,): u for u in "01"})}
+        eqs.update({f"X{i}": StructuralEq(f"X{i}", (f"X{i - 1}",), (f"U{i}",), xor)
+                    for i in range(1, n)})
+        space = compile_scm(SCMModel(
+            [(f"U{i}", ("0", "1")) for i in range(n)],
+            {u: Fraction(1, 2 ** n) for u in itertools.product("01", repeat=n)},
+            [(f"X{i}", ("0", "1")) for i in range(n)], eqs))
+        s = space.schema
+        F, CF, U = s.world_positions("F"), s.world_positions("CF"), s.positions(["CF.X6"])
+        new = intervene(space, U, Margin.uniform(s, U))
+        assert s.n_outcomes == 2 ** 24 and synchronized(space.P, F, CF)
+        assert not synchronized(new.P, F, CF)
+        assert global_source(new, U) and not global_source(space, U)
+        refusals = [(s.outcomes, 2 ** 24), (lambda: check_axioms(space), 3 ** 24),
+                    (new.mech.keys, 3 ** 24), (lambda: new.P.prob({(0,) * 24}), 2 ** 24)]
+        for call, count in refusals:
+            start = time.process_time()
+            with pytest.raises(SchemaError,
+                               match=f"^{count} rows to list, beyond the budget of 1048576$"):
+                call()
+            assert time.process_time() - start < 1
+
+    def test_totality_is_counted_not_listed(self, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        kernels = space.mech.kernels()  # keys() has listed the layout
+        calls = self.calls_to(monkeypatch, "rows")
+        assert all(k.is_total() for k in kernels) and space.mech.is_total()
+        assert calls == []
 
     @staticmethod
     def calls_to(monkeypatch, name) -> list:

@@ -296,11 +296,10 @@ class TestCli:
         assert out == "PROB (CF.Y=1) = 1/2 ~ 0.500000\n"
 
     def test_compile_scm_refuses_more_kernels_than_the_budget(self, tmp_path, monkeypatch):
-        def refused(model):
-            raise AssertionError("a refused model must not be compiled")
-
-        monkeypatch.setattr("cfspaces.cli.compile_scm", refused)
-        n = 7  # 4^7 = 16384 kernels to write
+        spaces = []
+        monkeypatch.setattr("cfspaces.cli.compile_scm",
+                            lambda model: spaces.append(compile_scm(model)) or spaces[-1])
+        n = 7  # 4^7 kernels, 3^14 kernel rows to write
         model = tmp_path / "wide.scm"
         model.write_text(
             "scm wide\n"
@@ -311,8 +310,31 @@ class TestCli:
         out_file = tmp_path / "wide.cfs"
         code, out, err = run_cli(["compile", "scm", str(model), "-o", str(out_file)])
         assert (code, out) == (2, "")
-        assert err == "error: 16384 kernels to write, beyond the budget of 4096\n"
+        assert err == "error: 4782969 rows to list, beyond the budget of 1048576\n"
         assert not out_file.exists()
+        assert repr(spaces[0].mech) == "Mechanism(kernels built: 1)"  # the empty kernel only
+
+    def test_a_sparse_space_over_the_budget_is_checked_and_queried(self, tmp_path):
+        # 12 binary components in each of two worlds: 2^24 outcomes, two of them
+        # in the support, and both worlds copy one coin
+        cfs = tmp_path / "wide.cfs"
+        cfs.write_text(
+            "space wide\nworld F {\n" + "".join(f"  component c{i} {{ a b }}\n" for i in range(12))
+            + "}\nworld CF mirror F\nmeasure {\n"
+            + "".join("  (" + ", ".join(f"{w}.c{i}={lab}" for w in ("F", "CF") for i in range(12))
+                      + ") = 1/2\n" for lab in "ab")
+            + "  default = 0\n}\n")
+        assert run_cli(["check", str(cfs)]) == (0, "CHECK = ok\n", "")
+        script = tmp_path / "q.cfq"
+        script.write_text("SYNC {F.c0} {CF.c11}\nINDEP {F.c0} {CF.c0}\n"
+                          "SYNC {F.c0, F.c1} {CF.c5}\n")
+        assert run_cli(["run", str(cfs), str(script)]) == (
+            0, "SYNC {F.c0} {CF.c11} = true\nINDEP {F.c0} {CF.c0} = false\n"
+               "SYNC {F.c0, F.c1} {CF.c5} = true\n", "")
+        # an event is still a set of outcomes: its cylinder would be listed
+        script.write_text("PROB (F.c0=a)\n")
+        assert run_cli(["run", str(cfs), str(script)]) == (
+            2, "", "error: 8388608 rows to list, beyond the budget of 1048576\n")
 
     def test_compile_bscm_needs_coupling(self, tmp_path):
         model = tmp_path / "m.scm"

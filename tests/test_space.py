@@ -1,17 +1,24 @@
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from cfspaces import (
     Coordinate,
+    Kernel,
+    Margin,
+    Measure,
     SchemaError,
     SpaceSchema,
     atoms_of,
     cylinder,
+    independent_sigmas,
     is_measurable_wrt,
+    synchronized,
 )
-from cfspaces.space import projector
+from cfspaces.space import MAX_OUTCOMES, projector
 
 
 def three_bits():
@@ -36,9 +43,13 @@ class TestSchema:
             SpaceSchema([Coordinate("W", "c", ("0", "1")), Coordinate("W", "c", ("0", "1"))])
 
     def test_size_guard(self):
-        coords = [Coordinate("W", f"c{i}", ("0", "1")) for i in range(21)]
-        with pytest.raises(SchemaError):
-            SpaceSchema(coords)
+        # 2^21 outcomes: the schema builds, but listing its outcomes is refused
+        s = SpaceSchema([Coordinate("W", f"c{i}", ("0", "1")) for i in range(21)])
+        assert s.n_outcomes == 2 ** 21
+        for listing in (s.outcomes, s.outcome_set, lambda: s.rows(s.all_on)):
+            with pytest.raises(SchemaError,
+                               match="^2097152 rows to list, beyond the budget of 1048576$"):
+                listing()
 
     def test_worlds_in_declaration_order(self, exam):
         assert exam.schema.worlds == ("F", "CF")
@@ -205,3 +216,52 @@ class TestMeasurability:
                     for event in itertools.combinations(s.outcomes(), r):
                         A = frozenset(event)
                         assert is_measurable_wrt(s, A, S) == (A in unions)
+
+
+# -- the size budget ------------------------------------------------------------
+
+
+def wide():
+    """12 binary components in each of two worlds: 2^24 outcomes."""
+    return SpaceSchema([Coordinate(w, f"c{i}", ("a", "b")) for w in ("F", "CF") for i in range(12)])
+
+
+A, B = (0,) * 24, (1,) * 24  # all-a and all-b
+
+# (id, a call that lists rows of the wide schema, how many)
+LISTINGS = [
+    ("outcomes", lambda s: s.outcomes(), 2 ** 24),
+    ("outcome_set", lambda s: s.outcome_set(), 2 ** 24),
+    ("rows", lambda s: s.rows(range(21)), 2 ** 21),
+    ("margin-uniform", lambda s: Margin.uniform(s, range(22)), 2 ** 22),
+    ("measure-uniform", lambda s: Measure.uniform(s), 2 ** 24),
+    ("atoms_of", lambda s: atoms_of(s, {0}), 2 ** 24),
+    ("cylinder", lambda s: cylinder(s, {"F.c0": "a", "CF.c0": "b"}), 2 ** 22),
+    ("require_event", lambda s: s.require_event({A}), 2 ** 24),
+    ("is_measurable_wrt", lambda s: is_measurable_wrt(s, {A}, {0}), 2 ** 24),
+    ("prob", lambda s: Measure(s, {A: 1}).prob({A}), 2 ** 24),
+    ("missing_rows", lambda s: Kernel(s, range(21), {A[:21]: Measure(s, {A: 1})}).missing_rows(),
+     2 ** 21),
+]
+
+
+@pytest.mark.parametrize("listing, count", [c[1:] for c in LISTINGS], ids=[c[0] for c in LISTINGS])
+def test_a_listing_over_the_budget_is_refused_before_it_starts(listing, count):
+    s = wide()
+    start = time.process_time()
+    with pytest.raises(SchemaError) as refused:
+        listing(s)
+    assert str(refused.value) == f"{count} rows to list, beyond the budget of {MAX_OUTCOMES}"
+    assert time.process_time() - start < 1
+
+
+def test_a_space_over_the_budget_is_built_and_read_off_its_support():
+    s = wide()
+    assert s.n_outcomes == 2 ** 24
+    P = Measure(s, {A: Fraction(1, 2), B: Fraction(1, 2)})
+    F, CF = s.world_positions("F"), s.world_positions("CF")
+    assert synchronized(P, F, CF) and not independent_sigmas(P, {0}, {12})
+    k = Kernel(s, range(21), {A[:21]: P})
+    assert not k.is_total() and k.has_row(A[:21])
+    assert cylinder(s, {f"F.c{i}": "a" for i in range(3)} | {f"CF.c{i}": "b" for i in range(12)}) \
+        == frozenset(itertools.product(*([(0,)] * 3 + [(0, 1)] * 9 + [(1,)] * 12)))
