@@ -26,9 +26,9 @@ from .measure import (
     synchronized,
 )
 from .mechanism import (
-    AxiomReport,
     AxiomViolation,
     CfSpace,
+    CheckReport,
     ConditionalEffectVerdict,
     DerivationNote,
     DerivationReport,
@@ -52,9 +52,7 @@ from .mechanism import (
     verify_fundamental,
 )
 from .worlds import (
-    CrossWorldReport,
     EventClass,
-    SymmetryReport,
     WorldMirror,
     build_nway,
     check_cross_world,

@@ -87,10 +87,11 @@ class Mechanism:
     returns from the parent's kernel on S | U (a kernel on S ⊇ U is the
     parent's).  Kernels and absent keys are cached (racing threads build
     equal kernels).  `keys()`, `is_total()` and `derivation()` scan which
-    rows are present; `kernels()` builds them all.
+    rows are present; `kernels()` builds them all.  `P` makes the empty
+    kernel unless one is given; the one `intervene` returns derives it.
     """
 
-    def __init__(self, schema: SpaceSchema, P: Measure, kernels: Iterable[Kernel] = (), *,
+    def __init__(self, schema: SpaceSchema, P: Measure | None, kernels: Iterable[Kernel] = (), *,
                  _do: tuple | None = None, _build=None):
         self.schema = schema
         self._source = _do  # (parent, U, Q) of a derived mechanism
@@ -266,19 +267,24 @@ class AxiomViolation:
     detail: str
 
 
-class AxiomReport:
-    def __init__(self, violations):
+class CheckReport:
+    """What a whole-family check found: its violations, and the pairs it
+    could not check because a kernel or a row they need is absent."""
+
+    def __init__(self, violations, uncheckable=()):
         self.violations = tuple(violations)
+        self.uncheckable = tuple(uncheckable)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def __repr__(self):
-        return f"AxiomReport(ok={self.ok}, violations={len(self.violations)})"
+        return (f"CheckReport(ok={self.ok}, violations={len(self.violations)}, "
+                f"uncheckable={len(self.uncheckable)})")
 
 
-def check_axioms(space: CfSpace) -> AxiomReport:
+def check_axioms(space: CfSpace) -> CheckReport:
     """Verify the causal-space axioms on every kernel present.
 
     Axiom "trivial-intervention": the empty kernel equals the observational
@@ -289,7 +295,7 @@ def check_axioms(space: CfSpace) -> AxiomReport:
     not errors.
     """
     if space.mech is None:
-        return AxiomReport(())
+        return CheckReport(())
     violations = []
     base = space.mech.get(()).rows[()]  # a kernel has rows; () is the only one on ∅
     for outcome, v, w in itertools.islice(base.mismatches(space.P), 1):  # the first only
@@ -308,7 +314,7 @@ def check_axioms(space: CfSpace) -> AxiomReport:
                     violations.append(AxiomViolation(
                         "interventional-determinism", S, row, outcome,
                         f"mass {measure.weight(outcome)} on outcome disagreeing with the row"))
-    return AxiomReport(violations)
+    return CheckReport(violations)
 
 
 # -- interventions ----------------------------------------------------------
@@ -329,12 +335,13 @@ def _mixing_plan(S: frozenset, U: frozenset, Q: Margin, rows_w):
 def intervene(space: CfSpace, U, Q: Margin) -> CfSpace:
     """Intervene on the coordinates in U with the measure Q.
 
-    The new measure mixes the rows of the kernel on U by Q; it is built at
-    once.  Each new kernel on S is derived from the present kernel on
-    S | U by integrating the Q-marginal over U \\ S, the first time it is
-    read (a kernel on S ⊇ U is carried over unchanged).  Kernels whose
-    prerequisite is absent are omitted and recorded in the derivation
-    report of the result.  Interventions compose by repeated application.
+    Each new kernel on S is derived from the present kernel on S | U by
+    integrating the Q-marginal over U \\ S, the first time it is read (a
+    kernel on S ⊇ U is carried over unchanged).  The new measure is the
+    derived kernel on ∅, the rows of the kernel on U mixed by Q; it is
+    built at once.  Kernels whose prerequisite is absent are omitted and
+    recorded in the derivation report of the result.  Interventions
+    compose by repeated application.
     """
     schema = space.schema
     U = schema.positions(U)
@@ -343,12 +350,12 @@ def intervene(space: CfSpace, U, Q: Margin) -> CfSpace:
     if Q.schema != schema or set(Q.on) != set(U):
         raise ValueError("intervention measure is not a measure on the intervened coordinates")
     k_u = space.mech.get(U)
-    missing = [row for row, _ in Q.rows() if not k_u.has_row(row)]
+    missing = [row for row in sorted(Q._n) if row not in k_u.rows]
     if missing:
         raise MissingKernelError(
             f"kernel on {sorted(U)} lacks rows {missing} needed by the intervention measure")
-    new_p = Measure.mixture(schema, ((q, k_u.rows[row]) for row, q in Q.rows()))
-    return CfSpace(schema, new_p, Mechanism(schema, new_p, _do=(space.mech, U, Q)))
+    mech = Mechanism(schema, None, _do=(space.mech, U, Q))
+    return CfSpace(schema, mech._lookup(frozenset()).rows[()], mech)
 
 
 # -- causal effect taxonomy ---------------------------------------------------
@@ -370,8 +377,8 @@ class EffectVerdict:
     missing: tuple = ()
 
 
-def _missing_required_keys(space: CfSpace, U, cap: int = 8) -> list[frozenset]:
-    """The kernel keys blocking a no-effect certificate, a few at most: each
+def _missing_required_keys(space: CfSpace, U) -> list[frozenset]:
+    """The kernel keys blocking a no-effect certificate, eight at most: each
     S meeting U, or S - U, that is absent or row-partial, in size order.
     Every S the scan passes without a find is a present kernel, so the scan
     is bounded by the mechanism's size."""
@@ -388,7 +395,7 @@ def _missing_required_keys(space: CfSpace, U, cap: int = 8) -> list[frozenset]:
             for side in (S, S - U):
                 if side not in found and (side not in mech or not mech.get(side).is_total()):
                     found.append(side)
-            if len(found) >= cap:
+            if len(found) >= 8:
                 return found
     return found
 

@@ -347,13 +347,12 @@ def fmt_fraction(q: Fraction) -> str:
     return str(q)
 
 
-def fmt_decimal(q: Fraction, places: int = 6) -> str:
-    """Round-half-even decimal rendering, deterministic across platforms."""
-    scale = 10 ** places
-    n, r = divmod(q.numerator * scale, q.denominator)
+def fmt_decimal(q: Fraction) -> str:
+    """Round-half-even rendering to six decimals, deterministic across platforms."""
+    n, r = divmod(q.numerator * 10 ** 6, q.denominator)
     if 2 * r > q.denominator or (2 * r == q.denominator and n % 2):
         n += 1
-    return f"{n // scale}.{n % scale:0{places}d}"
+    return f"{n // 10 ** 6}.{n % 10 ** 6:06d}"
 
 
 def fmt_value(q: Fraction) -> str:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .measure import Measure, pushforward
-from .mechanism import CfSpace, Kernel, Mechanism
+from .mechanism import CfSpace, CheckReport, Kernel, Mechanism
 from .space import (
     Coordinate,
     SchemaError,
@@ -94,21 +94,7 @@ class CrossWorldUncheckable:
     row: tuple | None
 
 
-class CrossWorldReport:
-    def __init__(self, violations, uncheckable):
-        self.violations = tuple(violations)
-        self.uncheckable = tuple(uncheckable)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __repr__(self):
-        return (f"CrossWorldReport(ok={self.ok}, violations={len(self.violations)}, "
-                f"uncheckable={len(self.uncheckable)})")
-
-
-def check_cross_world(space: CfSpace) -> CrossWorldReport:
+def check_cross_world(space: CfSpace) -> CheckReport:
     """Verify that no kernel moves another world's marginal law.
 
     For every world j and every present kernel on S, each row must agree on
@@ -127,7 +113,7 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
     whose restricted kernel (or row) is absent are uncheckable.
     """
     if space.mech is None:
-        return CrossWorldReport((), ())
+        return CheckReport(())
     schema = space.schema
     violations = []
     uncheckable = []
@@ -163,7 +149,7 @@ def check_cross_world(space: CfSpace) -> CrossWorldReport:
                 for r, v, w in mine.mismatches(m_ref.marginal(t_world)):
                     violations.append(CrossWorldViolation(
                         world, S, row, cylinder(schema, dict(zip(mine.on, r))), v, w))
-    return CrossWorldReport(violations, uncheckable)
+    return CheckReport(violations, uncheckable)
 
 
 # -- event classification -----------------------------------------------------
@@ -209,28 +195,15 @@ class SymmetryFailure:
     mirrored: Fraction
 
 
-class SymmetryReport:
-    def __init__(self, failures, uncheckable):
-        self.failures = tuple(failures)
-        self.uncheckable = tuple(uncheckable)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __repr__(self):
-        return (f"SymmetryReport(ok={self.ok}, failures={len(self.failures)}, "
-                f"uncheckable={len(self.uncheckable)})")
-
-
-def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryReport:
+def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> CheckReport:
     """Check symmetry of a two-world space under a world mirror.
 
     Probability symmetry compares the weights of every outcome and its
     world swap, which is the atom-rectangle form of swapping rectangle
     factors; kernel symmetry additionally compares each present kernel row
     against the mirrored kernel's swapped row under the outcome swap.
-    Mirrored kernels or rows that are absent are reported uncheckable.
+    Mirrored kernels or rows that are absent are reported uncheckable, as
+    (S, S*, row) with row None for a whole kernel.
     """
     schema = space.schema
     if mirror is None:
@@ -244,8 +217,8 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
     for a, b in mirror.pairs:
         perm[a], perm[b] = b, a
     swap_outcome = itemgetter(*perm)
-    failures = [SymmetryFailure("measure", None, None, outcome, v, w)
-                for outcome, v, w in space.P.mismatches(space.P, swap_outcome)]
+    violations = [SymmetryFailure("measure", None, None, outcome, v, w)
+                  for outcome, v, w in space.P.mismatches(space.P, swap_outcome)]
     uncheckable = []
     if space.mech is not None:
         implied = set()  # the swaps are involutions: a clean pass, as many rows on S*, settles S*
@@ -259,17 +232,17 @@ def is_symmetric(space: CfSpace, mirror: WorldMirror | None = None) -> SymmetryR
                 continue
             k_star = space.mech.get(S_star)
             swap = mirror._row_swap(S)
-            found = len(failures) + len(uncheckable)
+            found = len(violations) + len(uncheckable)
             for row in sorted(k.rows):
                 row_star = swap(row)
                 if not k_star.has_row(row_star):
                     uncheckable.append((S, S_star, row))
                     continue
                 for outcome, v, w in k.rows[row].mismatches(k_star.rows[row_star], swap_outcome):
-                    failures.append(SymmetryFailure("kernel", S, row, outcome, v, w))
-            if len(failures) + len(uncheckable) == found and len(k.rows) == len(k_star.rows):
+                    violations.append(SymmetryFailure("kernel", S, row, outcome, v, w))
+            if len(violations) + len(uncheckable) == found and len(k.rows) == len(k_star.rows):
                 implied.add(S_star)
-    return SymmetryReport(failures, uncheckable)
+    return CheckReport(violations, uncheckable)
 
 
 # -- marginalisation ----------------------------------------------------------

@@ -299,7 +299,8 @@ class TestCompileSCM:
 
     def test_seven_variables_build_only_the_kernels_read(self):
         # 2^14 kernels: compiling builds the empty one, and intervening on
-        # {0} then reading the kernel on {1} builds two more
+        # {0} then reading the kernel on {1} builds two more; the intervened
+        # mechanism holds its empty kernel, the new measure, and the one on {1}
         n = 7
         model = SCMModel(
             noise=[(f"U{i}", ("0", "1")) for i in range(n)],
@@ -316,7 +317,7 @@ class TestCompileSCM:
         assert done.P.prob(cylinder(s, {"F.V0": "1", "CF.V0": "0"})) == Fraction(1, 2)
         assert done.mech.get({1}).measure((1,)).prob(cylinder(s, {"F.V0": "1"})) == 1
         assert repr(space.mech) == "Mechanism(kernels built: 3)"
-        assert repr(done.mech) == "Mechanism(kernels built: 1)"
+        assert repr(done.mech) == "Mechanism(kernels built: 2)"
 
 
 def test_model_domains_over_the_budget_are_refused():

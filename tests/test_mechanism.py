@@ -229,22 +229,33 @@ class TestLazyIntervention:
         u = frozenset({4})
         new = intervene(space, u, Margin.uniform(space.schema, u))
         assert work["mixtures"] == 1  # the new measure only
-        assert work["kernels"] == 4  # the kernel on U
+        assert work["kernels"] == 5  # the kernel on U, and the derived one on () holding P
         assert len(new.derivation.derived) == 64 and new.mech.is_total() and repr(new)
-        assert work["mixtures"] == 1 and work["kernels"] == 4  # the scan builds nothing
-        assert new.mech.get(()).rows[()] == new.P
-        assert work["mixtures"] == 2 and work["kernels"] == 5
+        assert work["mixtures"] == 1 and work["kernels"] == 5  # the scan builds nothing
+        assert new.mech.get(()).rows[()] is new.P
+        assert work["mixtures"] == 1 and work["kernels"] == 5  # nothing is mixed twice
         assert new.mech.get({1, 4}) is k14  # carried over
         assert {1} in new.mech
         k = new.mech.get({1})
-        assert work["mixtures"] == 2 + len(k.rows)  # one mixture per row
+        assert work["mixtures"] == 1 + len(k.rows)  # one mixture per row
         assert new.mech.get({1}) is k
-        assert work["mixtures"] == 2 + len(k.rows)
+        assert work["mixtures"] == 1 + len(k.rows)
         assert check_axioms(new).ok
-        # P, then one mixture per row of the 32 keys that miss U: 3**5 rows;
-        # kernels: the parent's on (), on {0} and on the 32 keys that hold
-        # U, and the 32 derived ones
-        assert work["mixtures"] == 1 + 3 ** 5 and work["kernels"] == 2 + 32 + 32
+        # one mixture per row of the 32 keys that miss U, P the row on ():
+        # 3**5 rows; kernels: the parent's on (), on {0} and on the 32 keys
+        # that hold U, and the 32 derived ones
+        assert work["mixtures"] == 3 ** 5 and work["kernels"] == 2 + 32 + 32
+
+    def test_each_intervention_mixes_its_measure_once(self, work, exam):
+        # the new measure is the derived kernel on (): reading that kernel,
+        # as check_axioms does, mixes nothing more, and neither does the
+        # next intervention, which reads the kernel on U
+        u = exam.schema.positions(["CF.class"])
+        space = exam
+        for i in (1, 2):
+            space = intervene(space, u, Margin.uniform(exam.schema, u))
+            assert check_axioms(space).ok and work["mixtures"] == i
+            assert space.mech.get(()).rows[()] is space.P
 
     def test_an_eight_variable_chain_builds_what_it_reads(self, work):
         # X_i = X_{i-1} xor U_i over 8 fair coins: 65,536 outcomes, 4^8 kernels
@@ -267,12 +278,13 @@ class TestLazyIntervention:
         assert new.P.prob(cylinder(s, {"F.X7": "1", "CF.X7": "1"})) == Fraction(1, 4)
         assert space.P.prob(cylinder(s, {"F.X7": "1", "CF.X7": "1"})) == Fraction(1, 2)
         # the kernel on U: one sub-model per forced label, solved per noise row
-        assert work == {"kernels": 2, "mixtures": 1, "solves": 3 * 2 ** n}
+        # and the derived kernel on (), whose row is the new measure
+        assert work == {"kernels": 3, "mixtures": 1, "solves": 3 * 2 ** n}
         k = new.mech.get(s.positions(["F.X0"]))
         assert k.measure((1,)).prob(cylinder(s, {"F.X7": "1"})) == Fraction(1, 2)
         # the parent's kernel on {F.X0, CF.X4} and the derived one
-        assert work == {"kernels": 4, "mixtures": 1 + 2, "solves": 5 * 2 ** n}
-        assert repr(new) and work["kernels"] == 4
+        assert work == {"kernels": 5, "mixtures": 1 + 2, "solves": 5 * 2 ** n}
+        assert repr(new) and work["kernels"] == 5
 
     def test_a_twelve_variable_chain_is_read_off_its_support(self):
         # X_i = X_{i-1} xor U_i over 12 fair coins: 2^24 outcomes, over the

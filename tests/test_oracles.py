@@ -252,7 +252,7 @@ class TestSymmetryOracle:
             # a one-world intervention breaks symmetry on some seeds
             U = frozenset([rng.choice(sorted(space.schema.world_positions("CF")))])
             for s in (space, intervene(space, U, random_margin(rng, space.schema, U))):
-                failures = is_symmetric(s, mirror).failures
+                failures = is_symmetric(s, mirror).violations
                 assert failures == brute_symmetry_failures(s, mirror)
                 asymmetric += bool(failures)
         assert asymmetric >= 10

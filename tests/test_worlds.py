@@ -5,6 +5,7 @@ import pytest
 
 from cfspaces import (
     CfSpace,
+    CheckReport,
     Coordinate,
     Kernel,
     Margin,
@@ -153,6 +154,17 @@ class TestClassifyEvent:
         assert classify_event(exam, frozenset()).worlds == ("F", "CF")
 
 
+def test_the_whole_family_checks_share_one_report_type(exam, disease_asym):
+    reports = [check_axioms(exam), check_cross_world(exam), is_symmetric(exam),
+               is_symmetric(disease_asym)]
+    assert [type(r) for r in reports] == [CheckReport] * 4
+    assert reports[0].uncheckable == ()
+    assert [r.ok for r in reports] == [True, True, True, False]
+    # the one-sided kernel of exam has no mirrored partner
+    n = len(reports[2].uncheckable)
+    assert n and repr(reports[2]) == f"CheckReport(ok=True, violations=0, uncheckable={n})"
+
+
 class TestSymmetry:
     def test_exam_measure_symmetric(self, exam):
         report = is_symmetric(exam)
@@ -166,7 +178,7 @@ class TestSymmetry:
     def test_disease_asym_fails_with_witness(self, disease_asym):
         report = is_symmetric(disease_asym)
         assert not report.ok
-        values = {(f.value, f.mirrored) for f in report.failures}
+        values = {(f.value, f.mirrored) for f in report.violations}
         assert (Fraction(3, 10), Fraction(1, 1000)) in values
 
     def test_product_measure_symmetric(self, coin_indep):
@@ -188,7 +200,7 @@ class TestSymmetry:
         # product couplings of mirrored families need not be symmetric, so
         # only assert the checker runs and reports deterministically
         report = is_symmetric(space, mirror)
-        assert report.failures == is_symmetric(space, mirror).failures
+        assert report.violations == is_symmetric(space, mirror).violations
 
     def test_a_clean_pass_settles_the_mirror_only_with_as_many_rows(self, coin_sync):
         # every row on F.c has its mirror on CF.c, but CF.c's row (1,) has
