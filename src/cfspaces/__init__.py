@@ -22,7 +22,6 @@ from .measure import (
     independent,
     independent_given,
     independent_sigmas,
-    prob,
     synchronized,
 )
 from .mechanism import (

@@ -216,11 +216,10 @@ class Measure(Margin):
 
     def prob(self, A) -> Fraction:
         """Total weight of an event (exact, finitely additive)."""
-        self.schema.require_event(A)
-        return self._prob(A)
+        return self._prob(self.schema.require_event(A))
 
-    def _prob(self, A) -> Fraction:
-        """`prob` of an event already known to conform to the schema."""
+    def _prob(self, A: frozenset) -> Fraction:
+        """`prob` of an event that has passed `require_event`."""
         w = self._n
         if len(w) <= len(A):
             return Fraction(sum(n for o, n in w.items() if o in A), self._d)
@@ -228,7 +227,10 @@ class Measure(Margin):
 
     def condition(self, G) -> "Measure":
         """The conditional measure given G; undefined when G is null."""
-        self.schema.require_event(G)
+        return self._condition(self.schema.require_event(G))
+
+    def _condition(self, G: frozenset) -> "Measure":
+        """`condition` on an event that has passed `require_event`."""
         w = {o: n for o, n in self._n.items() if o in G}
         if not w:
             raise ConditioningUndefinedError("conditioning event has probability zero")
@@ -247,19 +249,30 @@ def dirac(schema: SpaceSchema, outcome):
     return Measure.dirac(schema, outcome)
 
 
-def prob(P: Measure, A) -> Fraction:
-    return P.prob(A)
-
-
 def condition_event(P: Measure, G) -> Measure:
     return P.condition(G)
 
 
 # -- independence and almost-sure equality ---------------------------------
+# Each is written once, over a family of measures (one measure, or the rows
+# of a kernel); its events pass `require_event` once per call.
+
+
+def _independent(schema: SpaceSchema, family, A, B) -> bool:
+    """P(A & B) = P(A) P(B) under every measure P of the family."""
+    A, B = schema.require_event(A), schema.require_event(B)
+    both = A & B
+    return all(m._prob(both) == m._prob(A) * m._prob(B) for m in family)
+
+
+def _as_equal(schema: SpaceSchema, family, A, B) -> bool:
+    """A and B differ by a null set under every measure of the family."""
+    delta = schema.require_event(A) ^ schema.require_event(B)
+    return all(m._prob(delta) == 0 for m in family)
 
 
 def independent(P: Measure, A, B) -> bool:
-    return P.prob(frozenset(A) & frozenset(B)) == P.prob(A) * P.prob(B)
+    return _independent(P.schema, (P,), A, B)
 
 
 def independent_given(P: Measure, G, A, B) -> bool:
@@ -285,8 +298,7 @@ def independent_sigmas(P: Measure, S1, S2) -> bool:
 
 def as_equal(P: Measure, A, B) -> bool:
     """Almost-sure equality: the symmetric difference is null."""
-    A, B = frozenset(A), frozenset(B)
-    return P.prob(A ^ B) == 0
+    return _as_equal(P.schema, (P,), A, B)
 
 
 def as_equal_given(P: Measure, G, A, B) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .measure import Margin, Measure, as_equal, condition_event, independent, same_trace
+from .measure import Margin, Measure, _as_equal, _independent, same_trace
 from .space import SpaceSchema, budget, projector
 
 
@@ -413,8 +413,7 @@ def classify_effect(space: CfSpace, U, A) -> EffectVerdict:
     """
     schema = space.schema
     U = schema.positions(U)
-    A = frozenset(A)
-    schema.require_event(A)
+    A = schema.require_event(A)
     if space.mech is None or U not in space.mech:
         return EffectVerdict("undetermined", missing=(U,))
     mech = space.mech
@@ -491,21 +490,16 @@ def conditional_active_effect(space: CfSpace, U, A, G) -> ConditionalEffectVerdi
     kernels and no witness among present rows, the verdict is undetermined.
     """
     schema = space.schema
-    U = schema.positions(U)
-    A, G = frozenset(A), frozenset(G)
-    k_u = space.kernel(U)
-    baseline = condition_event(space.P, G).prob(A)
+    k_u = space.kernel(schema.positions(U))
+    G, A = schema.require_event(G), schema.require_event(A)
+    baseline = space.P._condition(G)._prob(A)
+    both = G & A
     values = []
-    witness = None
     for row in sorted(k_u.rows):
-        mass = k_u.rows[row].prob(G)
-        if mass == 0:
-            values.append((row, None))
-            continue
-        v = k_u.rows[row].prob(G & A) / mass
-        values.append((row, v))
-        if witness is None and v != baseline:
-            witness = (row, v)
+        m = k_u.rows[row]
+        mass = m._prob(G)
+        values.append((row, m._prob(both) / mass if mass else None))
+    witness = next(((row, v) for row, v in values if v is not None and v != baseline), None)
     if witness is not None:
         return ConditionalEffectVerdict("active", baseline, tuple(values), witness)
     missing = k_u.missing_rows()
@@ -540,7 +534,7 @@ def condition_sigma(P: Measure, S) -> Kernel:
 
 def independent_given_sigma(P: Measure, S, A, B) -> bool:
     """Conditional independence given sigma(S), at every P-positive atom."""
-    return all(independent(m, A, B) for m in condition_sigma(P, S).rows.values())
+    return _independent(P.schema, condition_sigma(P, S).rows.values(), A, B)
 
 
 # -- causal independence, equality, synchronisation --------------------------
@@ -562,16 +556,14 @@ def causal_independent(space: CfSpace, U, A, B) -> bool:
     The product identity must hold at every row, not just P-positive ones:
     an intervention may give mass to previously null rows.
     """
-    A, B = frozenset(A), frozenset(B)
     k = _total_kernel(space, space.schema.positions(U))
-    return all(independent(m, A, B) for m in k.rows.values())
+    return _independent(space.schema, k.rows.values(), A, B)
 
 
 def causally_equal(space: CfSpace, U, A, B) -> bool:
     """Whether every row of the kernel on U nullifies the symmetric difference."""
-    A, B = frozenset(A), frozenset(B)
     k = _total_kernel(space, space.schema.positions(U))
-    return all(as_equal(m, A, B) for m in k.rows.values())
+    return _as_equal(space.schema, k.rows.values(), A, B)
 
 
 def causal_sync(space: CfSpace, U, S1, S2) -> bool:
@@ -618,8 +610,8 @@ def is_source(space: CfSpace, U, target) -> bool:
     """
     U = space.schema.positions(U)
     if isinstance(target, (frozenset, set)) and all(isinstance(x, tuple) for x in target):
-        A = frozenset(target)
-        return _is_version(space, U, lambda m, given: m.prob(A) == given.prob(A))
+        A = space.schema.require_event(target)
+        return _is_version(space, U, lambda m, given: m._prob(A) == given._prob(A))
     T = space.schema.positions(target)
     return _is_version(space, U, lambda m, given: m.marginal(T) == given.marginal(T))
 

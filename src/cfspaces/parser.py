@@ -150,30 +150,27 @@ class TokenStream:
 
     Lexical errors still come before grammar errors.  One regex pass at
     construction finds whether the ASCII pattern lexes the whole text;
-    only a text where it does not is scanned whole by `tokenize`, which
-    raises the first lexical error, and is then lexed with the Unicode
-    pattern.  In an ASCII text, `match` reads a whole element, such as a
-    table entry, with one anchored regex match at the cursor.
+    only a text where it does not is lexed whole, once, by `tokenize`,
+    which raises the first lexical error.  In an ASCII text, `match` reads
+    a whole element, such as a table entry, with one anchored regex match
+    at the cursor.
     """
 
     def __init__(self, text: str):
         self.text = text
         self._ascii = _ASCII_CLEAN.match(text).end() == len(text)
-        if not self._ascii:
-            tokenize(text)
-        self._pattern = _ASCII_TOKENS if self._ascii else _unicode_tokens()
         self._tok = None  # the next token, once lexed
         # The token before the cursor, or an empty one at it, and the
-        # tokens after it, made when first needed.
+        # tokens after it: an ASCII text's are lexed when first needed.
         self._last = Token("mark", "", 1, 1, 0)
-        self._tokens = None
+        self._tokens = None if self._ascii else iter(tokenize(text))
 
     def peek(self) -> Token:
         tok = self._tok
         if tok is None:
             if self._tokens is None:
                 last = self._last
-                self._tokens = _lex(self.text, self._pattern, last.pos + len(last.value),
+                self._tokens = _lex(self.text, _ASCII_TOKENS, last.pos + len(last.value),
                                     last.line, last.pos - last.col + 1)
             tok = self._tok = next(self._tokens)
         return tok

@@ -187,12 +187,15 @@ class SpaceSchema:
                 raise SchemaError(
                     f"label index {bad!r} out of range for coordinate {self.coords[p].key}")
 
-    def require_event(self, A):
-        """Reject an event with a non-outcome member, naming the first one."""
+    def require_event(self, A) -> frozenset:
+        """The event A, any iterable of outcomes, as a frozenset: the one
+        check of an event, rejecting a non-outcome member by naming the first."""
+        A = A if isinstance(A, (set, frozenset)) else tuple(A)  # in its own order
         outcomes = self.outcome_set()
         if not outcomes.issuperset(A):
             bad = next(member for member in A if member not in outcomes)
             raise SchemaError(f"event member {bad!r} does not conform to the schema")
+        return frozenset(A)
 
     def outcome_of(self, labels) -> tuple[int, ...]:
         """Build an outcome from one label (or index) per coordinate."""
@@ -251,7 +254,11 @@ def is_measurable_wrt(schema: SpaceSchema, A, S) -> bool:
     generated by the coordinates in S.  All fibers have one size, so A is
     a union of them iff it has that many outcomes per row it meets on S.
     """
-    schema.require_event(A)
+    return _measurable(schema, schema.require_event(A), S)
+
+
+def _measurable(schema: SpaceSchema, A: frozenset, S) -> bool:
+    """`is_measurable_wrt` of an event that has passed `require_event`."""
     S = sorted(schema.positions(S))
     fiber = schema.n_outcomes // schema.size(S)
     return len(A) == fiber * len(set(map(projector(schema.all_on, S), A)))

@@ -17,14 +17,7 @@ from operator import itemgetter
 
 from .measure import Measure, pushforward
 from .mechanism import CfSpace, CheckReport, Kernel, Mechanism
-from .space import (
-    Coordinate,
-    SchemaError,
-    SpaceSchema,
-    cylinder,
-    is_measurable_wrt,
-    projector,
-)
+from .space import Coordinate, SchemaError, SpaceSchema, _measurable, cylinder, projector
 
 
 @dataclass(frozen=True)
@@ -173,12 +166,8 @@ def classify_event(space, A) -> EventClass:
     world's coordinates; the trivial events belong to every world.
     """
     schema = getattr(space, "schema", space)
-    A = frozenset(A)
-    schema.require_event(A)
-    worlds = tuple(
-        w for w in schema.worlds
-        if is_measurable_wrt(schema, A, schema.world_positions(w))
-    )
+    A = schema.require_event(A)
+    worlds = tuple(w for w in schema.worlds if _measurable(schema, A, schema.world_positions(w)))
     return EventClass(worlds)
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,16 +20,22 @@ from cfspaces import (
     SchemaError,
     SpaceSchema,
     StructuralEq,
+    as_equal,
+    as_equal_given,
     causal_independent,
     causal_sync,
     causally_equal,
     check_axioms,
     classify_effect,
+    classify_event,
     compile_scm,
     conditional_active_effect,
     cylinder,
     global_source,
+    independent,
+    independent_given_sigma,
     intervene,
+    is_measurable_wrt,
     is_source,
     parse_scm,
     synchronized,
@@ -486,6 +493,63 @@ class TestConditionalEffect:
             conditional_active_effect(
                 exam, s.positions(["CF.class"]),
                 cylinder(s, {"CF.exam": "P"}), frozenset())
+
+
+@pytest.fixture(scope="module")
+def chain2():
+    """The compiled 2-variable chain (16 outcomes, a total mechanism), U =
+    {F.X0, CF.X0}, the space with U intervened uniformly, and two events."""
+    space = compile_scm(parse_scm(chain_scm(2))[0])
+    s = space.schema
+    U = s.positions(["F.X0", "CF.X0"])
+    return SimpleNamespace(space=space, U=U, done=intervene(space, U, Margin.uniform(s, U)),
+                           omega=s.outcome_set(), a=cylinder(s, {"CF.X1": "1"}))
+
+
+# Every event lift holds at every row and atom here, so no all() stops early.
+EVENT_CALLS = [
+    ("independent", lambda c: independent(c.space.P, c.omega, c.a), 2),
+    ("as_equal", lambda c: as_equal(c.space.P, c.a, c.a), 2),
+    ("classify_event", lambda c: classify_event(c.space, c.a).worlds == ("CF",), 1),
+    ("conditional_active_effect",  # CF.X1 = CF.X0 xor U1 with fair U1: no row moves it
+     lambda c: conditional_active_effect(c.space, c.U, c.a, c.omega).tag == "inactive", 2),
+    ("causal_independent", lambda c: causal_independent(c.space, c.U, c.omega, c.a), 2),
+    ("causally_equal", lambda c: causally_equal(c.space, c.U, c.a, c.a), 2),
+    ("is_source", lambda c: is_source(c.done, c.U, c.a), 1),
+    ("independent_given_sigma", lambda c: independent_given_sigma(c.space.P, c.U, c.omega, c.a), 2),
+]
+
+
+class TestOneCheckPerEvent:
+    """Each event argument passes `SpaceSchema.require_event` once per call,
+    however many kernel rows, atoms or worlds the call reads."""
+
+    @pytest.mark.parametrize("call, count", [c[1:] for c in EVENT_CALLS],
+                             ids=[c[0] for c in EVENT_CALLS])
+    def test_each_event_is_checked_once_per_call(self, chain2, monkeypatch, call, count):
+        assert len(chain2.space.kernel(chain2.U).rows) == 4
+        checked = []
+        require = SpaceSchema.require_event
+        monkeypatch.setattr(SpaceSchema, "require_event",
+                            lambda self, A: checked.append(A) or require(self, A))
+        assert call(chain2) is True
+        assert len(checked) == count
+
+    def test_a_non_outcome_member_is_rejected(self, star, chain2):
+        E = {(9, 9, 9, 9)}
+        for call in (lambda: as_equal(star.P, E, E),
+                     lambda: as_equal_given(star.P, star.schema.outcome_set(), E, E),
+                     lambda: causally_equal(chain2.space, chain2.U, E, E)):
+            with pytest.raises(SchemaError, match=r"^event member \(9, 9, 9, 9\) does not conform"):
+                call()
+
+    def test_an_event_may_be_any_iterable_of_outcomes(self, exam):
+        P, s = exam.P, exam.schema
+        a = cylinder(s, {"CF.exam": "P"})
+        assert P.condition(o for o in a) == P.condition(a)
+        assert P.prob(o for o in a) == P.prob(a)
+        assert independent(P, (o for o in a), (o for o in a)) == independent(P, a, a)
+        assert is_measurable_wrt(s, (o for o in a), s.world_positions("CF"))
 
 
 class TestCausalRelations:

@@ -400,3 +400,18 @@ def test_lexical_errors_come_before_grammar_errors(char, message):
     with pytest.raises(ParseError) as exc:
         parse_space("\n".join(lines))
     assert str(exc.value) == message
+
+
+def test_a_non_ascii_text_is_lexed_once(monkeypatch):
+    text = ("space s\nworld F { component été { a b } }\n"
+            "measure { (F.été=a) = 1/2 (F.été=b) = 1/2 }\n")
+    patterns = []
+    lex = parser._lex
+    monkeypatch.setattr(parser, "_lex",
+                        lambda text, pattern, *at: patterns.append(pattern) or lex(text, pattern, *at))
+    assert parse_space(text).worlds[0].components == (("été", ("a", "b")),)
+    # the ASCII pattern stops at 'é'; the Unicode pattern then starts once
+    assert patterns == [parser._ASCII_TOKENS, parser._unicode_tokens()]
+    monkeypatch.undo()
+    assert len(parser.tokenize(text)) == 38
+    assert lexed(monkeypatch, parse_space, text) == 7 + 38
