@@ -126,15 +126,12 @@ class SCMModel:
         return values
 
 
-def _two_world_schema(model: SCMModel) -> SpaceSchema:
-    return SpaceSchema([Coordinate(w, name, labels) for w in (F, CF) for name, labels in model.endo])
-
-
-def _indexer(model: SCMModel):
-    """Solution of the model -> its half outcome: one label index per
-    endogenous variable, in declaration order."""
-    index = [(name, {lab: i for i, lab in enumerate(labels)}) for name, labels in model.endo]
-    return lambda values: tuple(ix[values[name]] for name, ix in index)
+def _two_world_schema(model: SCMModel):
+    """The F/CF schema, and the map from a solution of the model to its half
+    outcome: one label index per endogenous variable, in declaration order."""
+    schema = SpaceSchema([Coordinate(w, name, labels) for w in (F, CF) for name, labels in model.endo])
+    index = list(zip(model.endo_names, schema.label_maps))  # world F's coordinates
+    return schema, lambda values: tuple(ix[values[name]] for name, ix in index)
 
 
 def _plan(pf: tuple, pc: tuple, weights: tuple) -> tuple:
@@ -159,9 +156,8 @@ def compile_scm(model: SCMModel) -> CfSpace:
     pair of partitions is summed once.  Only the measure is built here,
     which rejects a cyclic model; each kernel is built when first read.
     """
-    schema = _two_world_schema(model)
+    schema, half = _two_world_schema(model)
     n = len(model.endo_names)
-    half = _indexer(model)
     weights = tuple(ints(model.noise_dist)[0].values())
     halves: dict = {}
     partitions: dict = {}  # one tuple per partition, so plan keys compare by identity
@@ -211,8 +207,7 @@ def compile_backtracking(model: SCMModel, coupling) -> CfSpace:
     mechanism.  A diagonal coupling reproduces the standard compilation's
     measure.
     """
-    schema = _two_world_schema(model)
-    half = _indexer(model)
+    schema, half = _two_world_schema(model)
     budget(math.prod(len(labels) for _, labels in model.noise))
     noise_rows = set(itertools.product(*(labels for _, labels in model.noise)))
     coupling = {(tuple(u), tuple(u_star)): q for (u, u_star), q in coupling.items()}
@@ -287,18 +282,18 @@ def compile_po(model: POModel) -> CfSpace:
     endo_order = tuple(name for name, _ in model.endo)
     domains = dict(model.endo)
     coords = []
-    columns = []  # (function table, label list) per coordinate
+    columns = []  # the function table of each coordinate
     for j, assignment in enumerate(assignments, start=1):
         world = f"W{j}"
         for name in endo_order:
             if (name, assignment) in model.potentials:
                 coords.append(Coordinate(world, name, domains[name]))
-                columns.append((model.potentials[(name, assignment)], domains[name]))
+                columns.append(model.potentials[(name, assignment)])
     for name in endo_order:
         coords.append(Coordinate(OBS, name, domains[name]))
-        columns.append((model.observed[name], domains[name]))
+        columns.append(model.observed[name])
     schema = SpaceSchema(coords)
     P = Measure._of(schema, schema.all_on, pushforward(
-        (tuple(labels.index(fn[unit]) for fn, labels in columns), n)
+        (tuple(ix[fn[unit]] for fn, ix in zip(columns, schema.label_maps)), n)
         for unit, n in ints(model.unit_dist)[0].items()))
     return CfSpace(schema, P, None)

@@ -24,11 +24,18 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .measure import Margin, Measure, _as_equal, _independent, same_trace
-from .space import SpaceSchema, budget, projector
+from .space import Coordinate, SpaceSchema, budget, projector
 
 
 class MissingKernelError(LookupError):
     """An operation required a causal kernel, or a kernel row, that is absent."""
+
+
+def _lacking(schema: SpaceSchema, S, rows, why: str) -> MissingKernelError:
+    """The error of a kernel on S without `rows`, naming eight of them at most."""
+    named = ", ".join(schema.describe_row(S, row) for row in rows[:8])
+    more = f" and {len(rows) - 8} more" if len(rows) > 8 else ""
+    return MissingKernelError(f"kernel on {schema.describe_set(S)} lacks rows {named}{more}{why}")
 
 
 class Kernel:
@@ -65,8 +72,8 @@ class Kernel:
         try:
             return self.rows[tuple(row)]
         except KeyError:
-            raise MissingKernelError(
-                f"kernel on {sorted(self.on)} has no row {tuple(row)!r}"
+            raise MissingKernelError(  # the row as written: it may be no row at all
+                f"kernel on {self.schema.describe_set(self.on)} has no row {tuple(row)!r}"
             ) from None
 
     def is_total(self) -> bool:
@@ -182,7 +189,7 @@ class Mechanism:
         S = self.schema.positions(S)
         k = self._lookup(S)
         if k is None:
-            raise MissingKernelError(f"no kernel for coordinate set {sorted(S)}")
+            raise MissingKernelError(f"no kernel on {self.schema.describe_set(S)}")
         return k
 
     def keys(self) -> tuple[frozenset, ...]:
@@ -352,8 +359,7 @@ def intervene(space: CfSpace, U, Q: Margin) -> CfSpace:
     k_u = space.mech.get(U)
     missing = [row for row in sorted(Q._n) if row not in k_u.rows]
     if missing:
-        raise MissingKernelError(
-            f"kernel on {sorted(U)} lacks rows {missing} needed by the intervention measure")
+        raise _lacking(schema, U, missing, " needed by the intervention measure")
     mech = Mechanism(schema, None, _do=(space.mech, U, Q))
     return CfSpace(schema, mech._lookup(frozenset()).rows[()], mech)
 
@@ -544,9 +550,7 @@ def _total_kernel(space: CfSpace, U) -> Kernel:
     k = space.kernel(U)
     missing = k.missing_rows()
     if missing:
-        raise MissingKernelError(
-            f"kernel on {sorted(k.on)} lacks rows {list(missing)}; "
-            "the query quantifies over all rows")
+        raise _lacking(k.schema, k.on, missing, "; the query quantifies over all rows")
     return k
 
 
@@ -594,25 +598,26 @@ def _is_version(space: CfSpace, U: frozenset, agrees) -> bool:
         elif not agrees(m, given):
             return False
     if blocked:
-        raise MissingKernelError(
-            f"kernel on {sorted(U)} lacks rows {blocked} at P-positive atoms")
+        raise _lacking(space.schema, U, blocked, " at P-positive atoms")
     return True
 
 
 def is_source(space: CfSpace, U, target) -> bool:
     """Whether the kernel on U is a version of conditioning on sigma(U).
 
-    `target` is an event or a coordinate set, checked on its marginal: a
-    canonical table of the atoms of its sigma-algebra.  Only P-positive
+    `target` is an event, any iterable of outcomes (tuples of label
+    indices), or else coordinate references, checked on their marginal: a
+    canonical table of the atoms of their sigma-algebra.  Only P-positive
     atoms are quantified; null atoms are exempt.  A definite mismatch
     answers False even if other rows are absent; an absence that blocks
     certification raises MissingKernelError.
     """
     U = space.schema.positions(U)
-    if isinstance(target, (frozenset, set)) and all(isinstance(x, tuple) for x in target):
-        A = space.schema.require_event(target)
+    members = () if isinstance(target, (int, str, Coordinate)) else tuple(target)
+    if members and all(isinstance(x, tuple) and {int}.issuperset(map(type, x)) for x in members):
+        A = space.schema.require_event(members)
         return _is_version(space, U, lambda m, given: m._prob(A) == given._prob(A))
-    T = space.schema.positions(target)
+    T = space.schema.positions(members or target)
     return _is_version(space, U, lambda m, given: m.marginal(T) == given.marginal(T))
 
 

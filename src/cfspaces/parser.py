@@ -663,7 +663,7 @@ def parse_space(text: str) -> SpaceDocument:
 
     # Every table of the document is a measure over the whole outcome
     # space, keyed by outcome.
-    index = [(c.key, {lab: i for i, lab in enumerate(c.labels)}) for c in schema.coords]
+    index = [(c.key, m) for c, m in zip(schema.coords, schema.label_maps)]
     outcome = assignment_key(ts, ts.coord_ref, index, "coordinate")
     outcomes = schema.n_outcomes, lambda: schema.rows(schema.all_on)
 
@@ -733,8 +733,7 @@ def serialize_space(doc: SpaceDocument) -> str:
     a table with fewer nonzero entries than outcomes ends in 'default = 0'.
     """
     schema = doc.schema()
-    # "W.c=l" per coordinate, indexed by label index.
-    pairs = [[f"{c.key}={lab}" for lab in c.labels] for c in schema.coords]
+    texts = schema.label_texts
     out = [f"space {doc.name}"]
     for decl in doc.worlds:
         if decl.mirror_of is not None:
@@ -746,7 +745,7 @@ def serialize_space(doc: SpaceDocument) -> str:
         out.append("}")
 
     def assignment(positions, row) -> str:
-        return ", ".join([pairs[p][v] for p, v in zip(positions, row)])
+        return ", ".join([texts[p][v] for p, v in zip(positions, row)])
 
     def emit_table(table: dict, indent: str):
         lines = []
@@ -763,7 +762,7 @@ def serialize_space(doc: SpaceDocument) -> str:
         out.append("}")
     for kernel in doc.kernels:
         on = sorted(kernel.on)
-        out.append(f"kernel on {{{', '.join(schema.coords[p].key for p in on)}}} {{")
+        out.append(f"kernel on {schema.describe_set(on)} {{")
         for row, body in kernel.rows:
             out.append(f"  given ({assignment(on, row)}) {{")
             out.extend(emit_table(body, "    "))

@@ -379,22 +379,27 @@ def run_script(space: CfSpace, script: QueryScript) -> QueryRun:
     bindings: dict[str, frozenset] = {}
     cond: frozenset | None = None  # no CONDITION yet
     current = space
+    held = space.P  # current.P | cond, or None once an INTERVENE makes it stale
     lines: list[str] = []
     exit_code = 0
 
     def conditioned():
-        return current.P if cond is None else condition_event(current.P, cond)
+        nonlocal held
+        if held is None:
+            held = current.P if cond is None else condition_event(current.P, cond)
+        return held
 
     for stmt in script.statements:
         if isinstance(stmt, LetStmt):
             bindings[stmt.name] = eval_expr(stmt.expr, schema, bindings)
         elif isinstance(stmt, ConditionStmt):
             event = eval_expr(stmt.expr, schema, bindings)
+            held = condition_event(conditioned(), event)  # raises on a null event
             cond = event if cond is None else cond & event
-            conditioned()  # raises ConditioningUndefinedError on a null event
         elif isinstance(stmt, InterveneStmt):
             U = schema.positions(stmt.coords)
             current = intervene(current, U, _build_margin(schema, U, stmt.dist))
+            held = None
         elif isinstance(stmt, ProbStmt):
             value = conditioned().prob(eval_expr(stmt.expr, schema, bindings))
             lines.append(f"{stmt.src} = {fmt_value(value)}")
@@ -445,10 +450,11 @@ def _build_margin(schema, U, dist) -> Margin:
     rows = {}
     for assignment, q in dist.entries.items():
         assignment = dict(assignment)
-        if set(schema.position(c) for c in assignment) != set(U):
+        if schema.positions(assignment) != U:
             raise SchemaError(
                 "weight table rows must assign exactly the intervened coordinates")
-        rows[tuple(schema.label_index(p, assignment[schema.coords[p].key]) for p in pos)] = q
+        fixed = schema.assignment(assignment)
+        rows[tuple(fixed[p] for p in pos)] = q
     weights = replace(dist, entries=rows).law(
         *product_domain([range(len(schema.coords[p].labels)) for p in pos]),
         "weight table", "rows")
@@ -476,17 +482,13 @@ def _run_effect(current, schema, bindings, stmt) -> str:
                 f"value {fmt_value(w.value)} baseline {fmt_value(w.reference)}")
     if verdict.tag == "dormant":
         w = verdict.witness
-        return (f"{stmt.src} = dormant witness {_coords_str(schema, w.S)}"
+        return (f"{stmt.src} = dormant witness {schema.describe_set(w.S)}"
                 f"{schema.describe_row(w.S, w.row)} value {fmt_value(w.value)} "
-                f"against {_coords_str(schema, w.against)} value {fmt_value(w.reference)}")
+                f"against {schema.describe_set(w.against)} value {fmt_value(w.reference)}")
     if verdict.tag == "no_effect":
         return f"{stmt.src} = no-effect"
     return (f"{stmt.src} = undetermined missing "
-            f"{'; '.join(_coords_str(schema, S) for S in verdict.missing)}")
-
-
-def _coords_str(schema, S) -> str:
-    return "{" + ", ".join(schema.coords[p].key for p in sorted(S)) + "}"
+            f"{'; '.join(schema.describe_set(S) for S in verdict.missing)}")
 
 
 def render_check(space: CfSpace):
@@ -502,16 +504,16 @@ def render_check(space: CfSpace):
     schema = space.schema
     for v in axioms.violations:
         lines.append(
-            f"  violation {v.axiom} on {_coords_str(schema, v.S)} "
+            f"  violation {v.axiom} on {schema.describe_set(v.S)} "
             f"given {schema.describe_row(v.S, v.row)}: {v.detail}")
     for v in cross.violations:
         lines.append(
             f"  violation no-cross-world-effect world {v.world} "
-            f"kernel {_coords_str(schema, v.S)} given {schema.describe_row(v.S, v.row)}: "
+            f"kernel {schema.describe_set(v.S)} given {schema.describe_row(v.S, v.row)}: "
             f"{fmt_fraction(v.value)} != {fmt_fraction(v.reference)}")
     for u in cross.uncheckable:
         where = "" if u.row is None else f" given {schema.describe_row(u.S, u.row)}"
         lines.append(
-            f"  uncheckable world {u.world} kernel {_coords_str(schema, u.S)}{where} "
-            f"needs {_coords_str(schema, u.needs)}")
+            f"  uncheckable world {u.world} kernel {schema.describe_set(u.S)}{where} "
+            f"needs {schema.describe_set(u.needs)}")
     return lines, bad

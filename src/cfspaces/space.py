@@ -77,6 +77,9 @@ class SpaceSchema:
         self._ranges = tuple(range(len(c.labels)) for c in self.coords)
         self.n_outcomes = self.size(self.all_on)
         self._index = {(c.world, c.name): i for i, c in enumerate(self.coords)}
+        # The one name table: per coordinate, label -> index and index -> "W.c=l".
+        self.label_maps = tuple({lab: i for i, lab in enumerate(c.labels)} for c in self.coords)
+        self.label_texts = tuple(tuple(f"{c.key}={lab}" for lab in c.labels) for c in self.coords)
         self._outcomes: tuple[tuple[int, ...], ...] | None = None
         self._outcome_set: frozenset | None = None
 
@@ -135,8 +138,8 @@ class SpaceSchema:
                 raise SchemaError(f"label index {label} out of range for coordinate {coord.key}")
             return label
         try:
-            return coord.labels.index(label)
-        except ValueError:
+            return self.label_maps[pos][label]
+        except (KeyError, TypeError):
             raise SchemaError(f"unknown label {label!r} for coordinate {coord.key}") from None
 
     def assignment(self, assignment: Mapping) -> dict[int, int]:
@@ -205,9 +208,12 @@ class SpaceSchema:
 
     def describe_row(self, S, row) -> str:
         """Render a partial outcome on S as "(W.c=l, ...)" for reports."""
-        pos = sorted(self.positions(S))
-        parts = [f"{self.coords[p].key}={self.coords[p].labels[v]}" for p, v in zip(pos, row)]
-        return "(" + ", ".join(parts) + ")"
+        texts = [self.label_texts[p] for p in sorted(self.positions(S))]
+        return "(" + ", ".join([t[v] for t, v in zip(texts, row)]) + ")"
+
+    def describe_set(self, S) -> str:
+        """Render a coordinate set as "{W.c, ...}" for reports."""
+        return "{" + ", ".join(self.coords[p].key for p in sorted(self.positions(S))) + "}"
 
 
 def projector(src, dst):

@@ -1,0 +1,138 @@
+"""The mutation register: small, exact edits of `src/` that the tests must catch.
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries only
+
+Each entry names a module of the package, an exact snippet of it and its
+replacement, and the pytest node ids that must fail once the snippet is
+replaced.  The script copies `src/` to a temporary directory and first runs
+every chosen node id against the unmutated copy, which must pass.  Then, one
+entry at a time, it applies the edit to the copy, runs only that entry's
+node ids and restores the file.  An entry is
+
+- killed when pytest reports a failed test (exit code 1);
+- a survivor when every node id passes;
+- stale when its snippet is not found exactly once in the module;
+- broken when pytest exits otherwise (an unknown node id, an import error).
+
+Only killed entries pass: the script prints one line per entry and exits 1
+if any entry is not killed.  It needs pytest and the stdlib, and is not a
+test module, so the tier-1 suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cfspaces"
+
+# (name, module of the package, snippet, replacement, node ids that must fail)
+MUTANTS = [
+    ("label-map-drops-a-label", "space.py",
+     "{lab: i for i, lab in enumerate(c.labels)}",
+     "{lab: i for i, lab in enumerate(c.labels[:-1])}",
+     ["tests/test_space.py::test_the_name_tables_agree_with_the_formulas_they_replace"]),
+    ("missing-rows-named-without-a-cap", "mechanism.py",
+     "schema.describe_row(S, row) for row in rows[:8])",
+     "schema.describe_row(S, row) for row in rows)",
+     ["tests/test_diagnostics.py::test_diagnostic"]),
+    ("conditioning-rebuilt-at-every-read", "query.py",
+     "        if held is None:\n"
+     "            held = current.P if cond is None else condition_event(current.P, cond)\n",
+     "        if True:\n"
+     "            held = current.P if cond is None else condition_event(current.P, cond)\n",
+     ["tests/test_query_cli.py::TestQueryScripts::test_a_condition_is_applied_once_and_held"]),
+    ("held-condition-outlives-an-intervention", "query.py",
+     "            current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n"
+     "            held = None\n",
+     "            current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n",
+     ["tests/test_query_cli.py::TestQueryScripts::test_the_held_condition_follows_interventions"]),
+    ("list-event-read-as-coordinates", "mechanism.py",
+     "members = () if isinstance(target, (int, str, Coordinate)) else tuple(target)",
+     "members = tuple(target) if isinstance(target, (set, frozenset)) else ()",
+     ["tests/test_mechanism.py::TestSources"
+      "::test_a_target_of_outcomes_is_an_event_and_any_other_names_coordinates"]),
+    # Mutations that earlier changes checked by hand on a scratch copy.
+    ("conditionals-yield-p-not-p-given-the-atom", "mechanism.py",
+     "        yield row, Measure._of(P.schema, P.on, {o: n[o] for o in atom})\n",
+     "        yield row, P\n",
+     ["tests/test_oracles.py::TestConditionSigmaOracle::test_rows_are_p_given_each_positive_atom"]),
+    ("source-scan-materialises-the-conditionals", "mechanism.py",
+     "    for row, given in _conditionals(space.P, U):\n",
+     "    for row, given in list(_conditionals(space.P, U)):\n",
+     ["tests/test_mechanism.py::TestSources::test_a_failing_scan_conditions_only_the_atoms_it_reaches"]),
+    ("cross-world-check-takes-marginals-per-row", "worlds.py",
+     "                if pushforward(zip(map(key, m._n), m._n.values())) == scaled[ck]:\n",
+     "                if m.marginal(t_world) == m_ref.marginal(t_world):\n",
+     ["tests/test_oracles.py::TestWholeFamilyWork::test_forced_chain_and_its_intervention"]),
+    ("symmetry-settles-a-mirror-with-fewer-rows", "worlds.py",
+     "found and len(k.rows) == len(k_star.rows):\n",
+     "found:\n",
+     ["tests/test_worlds.py::TestSymmetry"
+      "::test_a_clean_pass_settles_the_mirror_only_with_as_many_rows"]),
+    ("plans-keyed-on-the-factual-partition-alone", "compilers.py",
+     "        if (pf, pc) not in plans:\n"
+     "            plans[pf, pc] = _plan(pf, pc, weights)\n"
+     "        blocks, nums = plans[pf, pc]\n",
+     "        if pf not in plans:\n"
+     "            plans[pf] = _plan(pf, pc, weights)\n"
+     "        blocks, nums = plans[pf]\n",
+     ["tests/test_compilers.py::TestAgainstEnumeration::test_scm_measure_and_every_kernel_row"]),
+]
+
+
+def run_pytest(src: Path, node_ids) -> subprocess.CompletedProcess:
+    """Run `node_ids` from the repository root against the package under `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def main(names) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    start = time.perf_counter()
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(PACKAGE, src / "cfspaces", ignore=shutil.ignore_patterns("__pycache__"))
+        base = run_pytest(src, list(dict.fromkeys(n for m in chosen for n in m[4])))
+        if base.returncode:
+            print(base.stdout[-3000:] + base.stderr[-3000:])
+            print("the unmutated source fails the register's tests: nothing can be told")
+            return 2
+        for name, module, snippet, replacement, node_ids in chosen:
+            path = src / "cfspaces" / module
+            text = path.read_text(encoding="utf-8")
+            found = text.count(snippet)
+            if found != 1:
+                print(f"STALE     {name}: the snippet occurs {found} times in {module}")
+                bad += 1
+                continue
+            path.write_text(text.replace(snippet, replacement), encoding="utf-8")
+            try:
+                result = run_pytest(src, node_ids)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            status = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "BROKEN")
+            bad += status != "killed"
+            print(f"{status:9} {name}" + ("" if status == "killed" else
+                                          f" (pytest exit {result.returncode}: {' '.join(node_ids)})"))
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -142,6 +142,20 @@ CASES = [
       "cfq": "INTERVENE {" + ", ".join(f"F.c{i}" for i in range(12))
              + ", " + ", ".join(f"CF.c{i}" for i in range(9)) + "} WITH { default = 1/2097152 }\n"},
      (2, "error: 1:154: 2097152 rows to list, beyond the budget of 1048576\n")),
+    # exit 4: a missing kernel is named by its coordinate set and rows, eight rows at most
+    ("cfq-no-kernel-on-the-set", RUN, {"cfq": "INTERVENE {CF.class, CF.exam} WITH uniform\n"},
+     (4, "error: no kernel on {CF.class, CF.exam}\n")),
+    ("cfq-weight-table-over-a-row-partial-kernel", ["run", "{cfs}", "{cfq}"],
+     {"cfs": CFS + MEASURE + KERNEL.split("  given (W.c=b)")[0] + "}\n",
+      "cfq": "INTERVENE {W.c} WITH { (W.c=a) = 1/3 (W.c=b) = 2/3 }\nPROB ()\n"},
+     (4, "error: kernel on {W.c} lacks rows (W.c=b) needed by the intervention measure\n")),
+    ("cfq-source-over-a-kernel-missing-eleven-rows", ["run", "{cfs}", "{cfq}"],
+     {"cfs": "space x\nworld W { component c { " + " ".join(map(str, range(12))) + " } }\n"
+             "measure { default = 1/12 }\n"
+             "kernel on {W.c} { given (W.c=0) { (W.c=0) = 1 default = 0 } }\n",
+      "cfq": "SOURCE {W.c}\n"},
+     (4, "error: kernel on {W.c} lacks rows " + ", ".join(f"(W.c={i})" for i in range(1, 9))
+         + " and 3 more at P-positive atoms\n")),
     # the command line
     ("usage-check", ["check"], {}, USAGE_ERROR),
     ("usage-check-two-files", ["check", "a.cfs", "b.cfs"], {}, USAGE_ERROR),

@@ -642,12 +642,33 @@ class TestSources:
         assert not global_source(exam, exam.schema.positions(["CF.class"]))
         assert len(calls) == 1
 
+    def test_a_target_of_outcomes_is_an_event_and_any_other_names_coordinates(
+            self, exam, monkeypatch):
+        s = exam.schema
+        u = s.positions(["CF.class"])
+        A = cylinder(s, {"CF.exam": "P"})
+        T = s.positions(["CF.exam"])
+        as_event, as_coords = is_source(exam, u, A), is_source(exam, u, T)
+        checked = []
+        require = SpaceSchema.require_event
+        monkeypatch.setattr(SpaceSchema, "require_event",
+                            lambda self, A: checked.append(A) or require(self, A))
+        for target in (sorted(A), list(A), (o for o in A), set(A), frozenset(A)):
+            assert is_source(exam, u, target) == as_event
+        assert len(checked) == 5  # once per call
+        for target in ({("CF", "exam")}, [("CF", "exam")], ["CF.exam"], {"CF.exam"},
+                       (p for p in T), "CF.exam", sorted(T)[0]):
+            assert is_source(exam, u, target) == as_coords
+        assert len(checked) == 5  # coordinates are no event
+        for target in ([], set(), frozenset(), (o for o in ())):
+            assert is_source(exam, u, target) is True
+
     def test_absent_row_without_a_mismatch_raises(self):
         space = kernel_on_a(2, {1: conditioned_on(1)})
         b = cylinder(space.schema, {"W.b": "1"})
-        with pytest.raises(MissingKernelError, match=r"lacks rows \[\(0,\)\]"):
+        with pytest.raises(MissingKernelError, match=r"^kernel on \{W\.a\} lacks rows \(W\.a=0\) at P-pos"):
             is_source(space, {0}, b)
-        with pytest.raises(MissingKernelError, match=r"lacks rows \[\(0,\)\]"):
+        with pytest.raises(MissingKernelError, match=r"^kernel on \{W\.a\} lacks rows \(W\.a=0\) at P-pos"):
             global_source(space, {0})
 
     def test_a_mismatch_beats_an_absent_row(self, dormant):

@@ -5,9 +5,9 @@ from importlib import resources
 import pytest
 
 from cfspaces import parse_query, run_script
-from cfspaces import build_nway, compile_scm, parse_scm
+from cfspaces import ConditioningUndefinedError, Margin, build_nway, compile_scm, intervene, parse_scm
 from cfspaces.cli import main
-from cfspaces.query import eval_expr, fmt_decimal
+from cfspaces.query import eval_expr, fmt_decimal, fmt_value
 from cfspaces.repro import FIXTURES, fixture_text
 from cfspaces.space import SpaceSchema, cylinder
 from conftest import chain_scm
@@ -139,6 +139,34 @@ class TestQueryScripts:
         assert calls == []
         both = cylinder(s, {"F.X7": "1", "CF.X7": "0", "F.X0": "1"})
         assert event == both | cylinder(s, {"CF.X3": "1"}) | cylinder(s, {"F.X1": "0"})
+
+    def test_a_condition_is_applied_once_and_held(self, exam, monkeypatch):
+        checked = []
+        require = SpaceSchema.require_event
+        monkeypatch.setattr(SpaceSchema, "require_event",
+                            lambda self, A: checked.append(A) or require(self, A))
+        run = run_script(exam, parse_query("CONDITION (F.exam=P)\n" + "PROB (CF.exam=P)\n" * 5))
+        assert run.lines == ["PROB (CF.exam=P) = 27/31 ~ 0.870968"] * 5
+        assert len(checked) == 6  # the CONDITION once, then one per PROB
+
+    def test_the_held_condition_follows_interventions(self, exam):
+        s = exam.schema
+        X = cylinder(s, {"CF.exam": "P"})
+        A = cylinder(s, {"F.class": "N"}) & cylinder(s, {"F.exam": "F"})
+        after = intervene(exam, s.positions(["CF.class"]), Margin.point(s, {"CF.class": "Y"}))
+        expected = [exam.P.condition(A).prob(X), after.P.condition(A).prob(X),
+                    after.P.condition(A & cylinder(s, {"CF.class": "Y"})).prob(X)]
+        run = run_script(exam, parse_query(
+            "CONDITION (F.class=N)\nCONDITION (F.exam=F)\nPROB (CF.exam=P)\n"
+            "INTERVENE {CF.class} WITH point(CF.class=Y)\nPROB (CF.exam=P)\n"
+            "CONDITION (CF.class=Y)\nPROB (CF.exam=P)\n"))
+        assert run.lines == [f"PROB (CF.exam=P) = {fmt_value(v)}" for v in expected]
+        assert expected[1] == Fraction(4, 17)
+        # a condition that the intervention makes null raises at the next read only
+        stale = "CONDITION (CF.class=N)\nINTERVENE {CF.class} WITH point(CF.class=Y)\n"
+        assert run_script(exam, parse_query(stale + "SOURCE {CF.class}\n")).exit_code == 0
+        with pytest.raises(ConditioningUndefinedError):
+            run_script(exam, parse_query(stale + "PROB ()\n"))
 
     def test_decimal_rendering(self):
         assert fmt_decimal(Fraction(1, 3)) == "0.333333"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from cfspaces import (
     synchronized,
 )
 from cfspaces.space import MAX_OUTCOMES, projector
+from randspaces import random_schema
 
 
 def three_bits():
@@ -153,6 +155,41 @@ class TestAtoms:
                 union = frozenset().union(*blocks)
                 assert union == s.outcome_set()
                 assert sum(len(b) for b in blocks) == s.n_outcomes
+
+
+# Labels beyond the generators' digits: non-ASCII, several digits, a leading zero.
+LABEL_POOL = ("0", "1", "10", "07", "é", "ß", "λ0", "a_b", "Ω")
+
+
+def relabelled(rng, schema):
+    """`schema` with each coordinate's labels drawn from LABEL_POOL and a
+    non-ASCII world name."""
+    return SpaceSchema(Coordinate(c.world + "é", c.name, tuple(rng.sample(LABEL_POOL, len(c.labels))))
+                       for c in schema.coords)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_name_tables_agree_with_the_formulas_they_replace(seed):
+    rng = random.Random(seed)
+    base = random_schema(rng, n_worlds=rng.choice((1, 2, 3)), mirrored=rng.random() < 0.5)
+    for s in (base, relabelled(rng, base)):
+        for p, c in enumerate(s.coords):
+            assert s.label_maps[p] == {lab: i for i, lab in enumerate(c.labels)}
+            assert s.label_texts[p] == tuple(f"{c.key}={lab}" for lab in c.labels)
+            for i, lab in enumerate(c.labels):
+                assert s.label_index(p, lab) == c.labels.index(lab) == i
+                assert s.label_index(p, i) == i
+            for bad in ("zz", c.labels[0] + "x", None, []):
+                with pytest.raises(SchemaError, match=f"^unknown label {re.escape(repr(bad))} "
+                                                      f"for coordinate {re.escape(c.key)}$"):
+                    s.label_index(p, bad)
+        for size in range(len(s.coords) + 1):
+            for S in map(frozenset, itertools.combinations(range(len(s.coords)), size)):
+                assert s.describe_set(S) == "{" + ", ".join(s.coords[p].key for p in sorted(S)) + "}"
+                for row in s.rows(S):
+                    assert s.describe_row(S, row) == "(" + ", ".join(
+                        f"{s.coords[p].key}={s.coords[p].labels[v]}"
+                        for p, v in zip(sorted(S), row)) + ")"
 
 
 class TestRequireEvent:
