@@ -197,13 +197,6 @@ class Measure(Margin):
         return cls(schema, {tuple(outcome): 1})
 
     @classmethod
-    def mixture(cls, schema: SpaceSchema, parts: Iterable[tuple[Fraction, "Measure"]]) -> "Measure":
-        """The convex combination sum_i q_i * P_i; the q_i must form a law."""
-        parts = list(parts)
-        _, nums, _ = _law(dict(enumerate(q for q, _ in parts)), "mixture")
-        return cls._mix(schema, [(a, parts[i][1]) for i, a in nums.items()])
-
-    @classmethod
     def _mix(cls, schema: SpaceSchema, parts: list) -> "Measure":
         """Mix (positive int weight, measure) pairs in proportion to the weights, unchecked."""
         den = math.lcm(*(m._d for _, m in parts))

@@ -55,6 +55,7 @@ from .parser import (
     parse_outcome_tuple,
     parse_table,
     product_domain,
+    quoted,
 )
 
 
@@ -89,9 +90,9 @@ def parse_scm(text: str):
         tok = ts.peek()
         target = ts.name()
         if target not in endo_names:
-            raise ParseError(f"fn target {target!r} is not a variable", tok.line, tok.col)
+            raise ParseError(f"fn target {quoted(target)} is not a variable", tok.line, tok.col)
         if target in eqs:
-            raise ParseError(f"duplicate fn for {target!r}", tok.line, tok.col)
+            raise ParseError(f"duplicate fn for {quoted(target)}", tok.line, tok.col)
         ts.expect_sym("(")
         inputs = []
         while not ts.at_sym(")"):
@@ -133,7 +134,7 @@ def parse_scm(text: str):
 
     tok = ts.peek()
     if tok.kind != "eof":
-        ts.error(f"unexpected {tok.value!r} after the model")
+        ts.error(f"unexpected {quoted(tok.value)} after the model")
     for tok, (vname, _) in zip(declared, endo):
         if vname not in eqs:
             ts.error(f"no structural equation for {vname}", tok)
@@ -172,10 +173,10 @@ def parse_po(text: str):
         tok = ts.peek()
         var = ts.name()
         if var not in domains:
-            raise ParseError(f"unknown variable {var!r}", tok.line, tok.col)
+            raise ParseError(f"unknown variable {quoted(var)}", tok.line, tok.col)
         if kind == "observe":
             if var in observed:
-                raise ParseError(f"duplicate observe block for {var!r}", tok.line, tok.col)
+                raise ParseError(f"duplicate observe block for {quoted(var)}", tok.line, tok.col)
             observed[var] = unit_fn(kind, var)
         else:
             ts.expect_word("given")
@@ -190,7 +191,7 @@ def parse_po(text: str):
 
     tok = ts.peek()
     if tok.kind != "eof":
-        ts.error(f"unexpected {tok.value!r} after the model")
+        ts.error(f"unexpected {quoted(tok.value)} after the model")
     for tok, (vname, _) in zip(declared, endo):
         if vname not in observed:
             ts.error(f"no observed function for {vname}", tok)

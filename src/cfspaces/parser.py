@@ -1,42 +1,20 @@
 """Text format for spaces (.cfs) and its canonical serializer.
 
-A document declares worlds and components, an observational measure,
-causal kernels and an optional world mirror:
-
-    space exam
-    world F {
-      component class { Y N }
-      component exam { P F }
-    }
-    world CF mirror F
-    measure {
-      (F.class=Y, F.exam=P, CF.class=Y, CF.exam=P) = 0.32
-      ...
-      default = 0
-    }
-    kernel on {CF.class} {
-      given (CF.class=Y) { ... }
-    }
-    mirror F CF
-
-Rationals are written p/q or as decimal literals, which are parsed exactly
-(0.32 means 32/100).  Measure entries must assign every coordinate;
-unlisted outcomes take the block default, and omitting both is a coverage
-error.  Comments run from '#' to end of line.  Errors carry line and
-column.
+A document declares worlds and their components, an observational
+measure, causal kernels ('kernel on {CF.c} { given (CF.c=a) { ... } }')
+and an optional world mirror; README.md gives the grammar with an example.
+Rationals are p/q or decimal literals, parsed exactly (0.32 is 32/100).
+Measure entries assign every coordinate; unlisted outcomes take the block
+default, and omitting both is a coverage error.  Comments run from '#' to
+end of line.  Errors carry line and column.
 
 Every table of every input format (.cfs, .scm, .po and the .cfq weight
 table) is read by `parse_table` and completed by `Table.law` or
-`Table.fill`.  A parsed document keeps only the nonzero entries of each
-table, so a sparse table with 'default = 0' parses and serializes in time
-proportional to its entries, whatever the size of the outcome space.
-
-Reading costs one regex match per entry, not one token per character
-run: `TokenStream` lexes a token only when the grammar looks at it, and
-`parse_table` reads each 'key = value' entry in its usual one-line
-spelling with one anchored match, resolving names and labels through the
-readers' dicts.  Any entry that the match does not read is read again
-from the same place token by token, and only that path reports errors.
+`Table.fill`, which keep only its nonzero entries: a sparse table with
+'default = 0' costs time in proportion to its entries.  A table in its
+usual spelling, and so each .cfs kernel row 'given (row) { ... }', is
+read with one regex match; any other is read again from its first
+character token by token, and only that path reports errors.
 """
 
 from __future__ import annotations
@@ -64,6 +42,11 @@ class ParseError(ValueError):
         if line is not None:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
+
+
+def quoted(text: str) -> str:
+    """repr(text) cut after 40 characters: how a diagnostic quotes the input."""
+    return repr(text if len(text) <= 40 else text[:40] + "…")
 
 
 # -- lexer ----------------------------------------------------------------
@@ -129,7 +112,7 @@ def _lex(text: str, pattern: re.Pattern, pos: int = 0, line: int = 1, line_start
             if pattern is _ASCII_TOKENS and not value.isascii():
                 yield None
                 return
-            raise ParseError(f"unexpected character {value!r}", line, start - line_start + 1)
+            raise ParseError(f"unexpected character {quoted(value)}", line, start - line_start + 1)
         yield Token(_KINDS[group], value, line, start - line_start + 1, start)
     # End of input takes the column after the last token or blank; a
     # comment on the last line does not advance it.
@@ -146,14 +129,11 @@ _ASCII_CLEAN = re.compile(rf"(?:[\w \t\r\n{re.escape(_SYMBOLS)}]+|#[^\n]*)*", re
 
 class TokenStream:
     """A cursor over `text` that lexes each token when the grammar first
-    looks at it.
-
-    Lexical errors still come before grammar errors.  One regex pass at
-    construction finds whether the ASCII pattern lexes the whole text;
-    only a text where it does not is lexed whole, once, by `tokenize`,
-    which raises the first lexical error.  In an ASCII text, `match` reads
-    a whole element, such as a table entry, with one anchored regex match
-    at the cursor.
+    looks at it.  Lexical errors still come before grammar errors: one
+    regex pass at construction finds whether the ASCII pattern lexes the
+    whole text, and only a text where it does not is lexed whole, once, by
+    `tokenize`, which raises the first lexical error.  In an ASCII text,
+    `match` reads a whole element, such as a table, with one regex match.
     """
 
     def __init__(self, text: str):
@@ -186,7 +166,7 @@ class TokenStream:
         """resolve(*groups) of a match of `regex` at the cursor, which then
         moves past the match; None, with the cursor left where it was,
         when the text is not ASCII, `regex` does not match or `resolve`
-        gives None.  After its first group a match spans no newline."""
+        gives None."""
         if not self._ascii:
             return None
         tok = self._tok
@@ -196,17 +176,14 @@ class TokenStream:
         else:
             pos = tok.pos
         m = regex.match(self.text, pos)
-        if m is None:
-            return None
-        value = resolve(*m.groups())
+        value = None if m is None else resolve(*m.groups())
         if value is not None:
             line, line_start = tok.line, tok.pos - tok.col + 1
-            start = m.start(1)
-            newlines = self.text.count("\n", pos, start)
+            end = m.end()
+            newlines = self.text.count("\n", pos, end)
             if newlines:
                 line += newlines
-                line_start = self.text.rfind("\n", pos, start) + 1
-            end = m.end()
+                line_start = self.text.rfind("\n", pos, end) + 1
             self._tok = self._tokens = None
             self._last = Token("mark", "", line, end - line_start + 1, end)
         return value
@@ -218,14 +195,14 @@ class TokenStream:
     def expect_sym(self, sym: str) -> Token:
         tok = self.peek()
         if tok.kind != "sym" or tok.value != sym:
-            self.error(f"expected {sym!r}, found {tok.value!r}")
+            self.error(f"expected {sym!r}, found {quoted(tok.value)}")
         return self.next()
 
     def expect_word(self, word: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != "word" or (word is not None and tok.value != word):
             wanted = "identifier" if word is None else repr(word)
-            self.error(f"expected {wanted}, found {tok.value!r}")
+            self.error(f"expected {wanted}, found {quoted(tok.value)}")
         return self.next()
 
     def at_word(self, word: str) -> bool:
@@ -243,9 +220,9 @@ class TokenStream:
         """A label; when `labels` is given it must be one of them."""
         tok = self.peek()
         if tok.kind not in ("word", "number") or (tok.kind == "number" and "." in tok.value):
-            self.error(f"expected a label, found {tok.value!r}")
+            self.error(f"expected a label, found {quoted(tok.value)}")
         if labels is not None and tok.value not in labels:
-            self.error(f"unknown {what} {tok.value!r}")
+            self.error(f"unknown {what} {quoted(tok.value)}")
         return self.next().value
 
     def label_set(self) -> tuple[str, ...]:
@@ -256,7 +233,7 @@ class TokenStream:
             tok = self.peek()
             label = self.label()
             if label in labels:
-                self.error(f"label {label!r} listed twice", tok)
+                self.error(f"label {quoted(label)} listed twice", tok)
             labels[label] = None
         self.expect_sym("}")
         if not labels:
@@ -271,7 +248,7 @@ class TokenStream:
     def _rational(self) -> Fraction:
         tok = self.peek()
         if tok.kind != "number":
-            self.error(f"expected a number, found {tok.value!r}")
+            self.error(f"expected a number, found {quoted(tok.value)}")
         self.next()
         if "." in tok.value:
             return self._numeral(tok, Fraction)
@@ -293,7 +270,7 @@ class TokenStream:
         try:
             return convert(tok.value)
         except ValueError:
-            self.error(f"invalid number {tok.value!r}", tok)
+            self.error(f"invalid number {quoted(tok.value)}", tok)
 
     def coord_ref(self, world: str | None = None) -> str:
         """'W.c' as "W.c"; with `world`, the rest after that word."""
@@ -306,65 +283,66 @@ class TokenStream:
 
 # -- readers ----------------------------------------------------------------
 #
-# The patterns below are the usual spellings of keys, labels and weights,
-# in ASCII text and within one line.  Each matches only text that the
-# token path reads to the same value and the same end: a word or number
-# is never followed by a character that would lengthen its token, and an
-# integer weight is never followed by '/' or a comment, which could hide
-# a '/' token.
+# The patterns below are the usual spellings of tables, keys, labels and
+# weights, in ASCII text.  Each matches only text that the token path reads
+# to the same value and the same end: no word or number is followed by a
+# character that would lengthen its token, no integer weight by '/' or a
+# comment, which could hide a '/' token, and a key, any text in parentheses
+# on one line, is checked against _KEY by its reader's cached resolve.
 
 _BLANK = r"[ \t\r]*"
+_SPACE = r"[ \t\r\n]*"  # between elements, which may stand on lines of their own
 _WORD = r"[A-Za-z_]\w*"
 _NAME = rf"{_WORD}(?:\.{_WORD})?"  # a plain name or W.c
 _LABEL = r"(?:[A-Za-z_]\w*|[0-9]+)(?!\w|\.[0-9])"
 _PAIR = rf"{_NAME}{_BLANK}={_BLANK}{_LABEL}"
-_KEY = rf"\({_BLANK}({_PAIR}(?:{_BLANK},{_BLANK}{_PAIR})*){_BLANK}\)"
+_KEY = re.compile(rf"\({_BLANK}{_PAIR}(?:{_BLANK},{_BLANK}{_PAIR})*{_BLANK}\)", re.ASCII).fullmatch
+_PARENS = r"\([^()\n]*\)"
 _PAIRS = re.compile(rf"({_NAME}){_BLANK}={_BLANK}({_LABEL})", re.ASCII).findall
-_RATIONAL = r"([0-9]+(?:/[0-9]+|\.[0-9]+|(?![ \t\r\n]*[/#])))(?![0-9]|\.[0-9])"
+_RATIONAL = r"[0-9]+(?:/[0-9]+|\.[0-9]+|(?![ \t\r\n]*[/#]))(?![0-9]|\.[0-9])"
 
 
 @functools.cache
-def _anchored(*patterns: str) -> re.Pattern:
-    """One regex for elements joined by '=' on one line, after any blanks
-    and newlines."""
-    return re.compile(r"[ \t\r\n]*" + f"{_BLANK}={_BLANK}".join(patterns), re.ASCII)
+def _table_regex(key: str, value: str, head: str = "") -> tuple:
+    """The regex of `head` and a whole table '{ key = value ... default =
+    value }', whose last two groups are the text of the entries and of the
+    default's value, and the findall of the entries' (key, value) texts."""
+    def entry(group):  # 'key = value' on one line, each in a group opened by `group`
+        return rf"{_SPACE}{group}(?!default\b){key}){_BLANK}={_BLANK}{group}{value})"
+
+    return (re.compile(rf"{head}{_SPACE}\{{((?:{entry('(?:')})*)"
+                       rf"(?:{_SPACE}default{_BLANK}={_BLANK}({value}))?{_SPACE}\}}", re.ASCII),
+            re.compile(entry("("), re.ASCII).findall)
 
 
-class Reader:
-    """Reads one element of the grammar: with one anchored match where
-    that gives its value, token by token otherwise.
+class Reader(NamedTuple):
+    """An element of the grammar: `read` reads it from the tokens of `ts`
+    and alone reports errors; `pattern` matches its usual spelling, alone
+    or in a table read whole, and `resolve` maps that text to the value
+    `read` gives, or to None where only `read` may read it (a name or label
+    not in the reader's dicts, a name assigned twice, a zero denominator)."""
 
-    `pattern` has one group, the element's text, and `resolve` maps that
-    text to the value `read` returns for it, or to None when `read` must
-    read it: a name or label that is not in the reader's dicts, a name
-    assigned twice, a zero denominator.  `read` alone reports errors, so
-    every diagnostic keeps its text and its line:col.
-    """
-
-    def __init__(self, ts: TokenStream, read, pattern: str, resolve):
-        self.ts, self.read, self.pattern, self.resolve = ts, read, pattern, resolve
-        self._regex = _anchored(pattern)
+    ts: TokenStream
+    read: object
+    pattern: str
+    resolve: object
 
     def __call__(self):
-        value = self.ts.match(self._regex, self.resolve)
+        value = self.ts.match(re.compile(rf"{_SPACE}({self.pattern})", re.ASCII), self.resolve)
         return self.read() if value is None else value
 
 
 @functools.lru_cache(maxsize=4096)
 def _rational_value(text: str) -> Fraction | None:
-    num, slash, den = text.partition("/")
     try:
-        if slash:
-            den = int(den)
-            return Fraction(int(num), den) if den else None
-        return Fraction(text) if "." in text else Fraction(int(text))
-    except ValueError:  # more digits than int() converts
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or p/0
         return None
 
 
 def label_reader(ts: TokenStream, labels, what: str) -> Reader:
     """The reader of one of `labels`, as `ts.label(labels, what)`."""
-    return Reader(ts, lambda: ts.label(labels, what), f"({_LABEL})",
+    return Reader(ts, lambda: ts.label(labels, what), _LABEL,
                   lambda text: text if text in labels else None)
 
 
@@ -372,7 +350,8 @@ def key_reader(ts: TokenStream, read, resolve) -> Reader:
     """A reader of '(name=label, ...)' keys: `read` reads one from the
     tokens, and `resolve` maps its ((name, label), ...) pairs, as written,
     to the same key or to None."""
-    return Reader(ts, read, _KEY, functools.cache(lambda text: resolve(_PAIRS(text))))
+    return Reader(ts, read, _PARENS,
+                  functools.cache(lambda text: resolve(_PAIRS(text)) if _KEY(text) else None))
 
 
 def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variable") -> dict:
@@ -388,7 +367,7 @@ def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variabl
         tok = ts.peek()
         name = ref()
         if domains is not None and name not in domains:
-            raise ParseError(f"unknown {what} {name!r}", tok.line, tok.col)
+            raise ParseError(f"unknown {what} {quoted(name)}", tok.line, tok.col)
         ts.expect_sym("=")
         label = ts.label(None if domains is None else domains[name], f"label of {name}")
         if name in assignment:
@@ -439,8 +418,8 @@ class Table:
 
     entries: dict
     default: object
-    line: int
-    col: int
+    line: int | None
+    col: int | None
 
     def _unlisted(self, size: int, what: str, unit: str) -> int:
         unlisted = size - len(self.entries)
@@ -479,32 +458,23 @@ class Table:
 
 def parse_table(ts: TokenStream, key, value) -> Table:
     """Parse '{ key = value ... default = value }' with the readers `key`
-    and `value`.
-
-    When both readers are `Reader`s, each entry is read with one anchored
-    match of their joined patterns, and only an entry that this does not
-    read goes through the tokens.  A key listed twice and a second default
+    and `value`: with one match, and its entries with one findall, when
+    both are `Reader`s and the table is in their usual spelling; token by
+    token from its '{' otherwise.  A key listed twice and a second default
     are errors at their line:col.  Numbers are unsigned in the grammar, so
     a negative weight stops at the lexer, also with its line:col.
     """
-    open_tok = ts.expect_sym("{")
+    open_tok = ts.peek()
+    if isinstance(key, Reader) and isinstance(value, Reader):
+        regex, findall = _table_regex(key.pattern, value.pattern)
+        table = ts.match(regex, lambda *texts: _read_body(
+            key, value, findall, *texts, open_tok.line, open_tok.col))
+        if table is not None:
+            return table
+    ts.expect_sym("{")
     entries: dict = {}
     default = None
-    fast = isinstance(key, Reader) and isinstance(value, Reader)
-    if fast:
-        regex = _anchored(key.pattern, value.pattern)
-
-        def entry(key_text, value_text):
-            k, v = key.resolve(key_text), value.resolve(value_text)
-            return None if k is None or v is None or k in entries else (k, v)
-
-    while True:
-        kv = fast and ts.match(regex, entry)
-        if kv:
-            entries[kv[0]] = kv[1]
-            continue
-        if ts.at_sym("}"):
-            break
+    while not ts.at_sym("}"):
         tok = ts.peek()
         if ts.at_word("default"):
             ts.next()
@@ -522,6 +492,20 @@ def parse_table(ts: TokenStream, key, value) -> Table:
     return Table(entries, default, open_tok.line, open_tok.col)
 
 
+def _read_body(key: Reader, value: Reader, findall, entries, default, line=None, col=None):
+    """The table of the texts of its entries and default, read whole; None
+    when a text does not resolve or a key is listed twice."""
+    table = {}
+    for k, v in findall(entries):
+        k, v = key.resolve(k), value.resolve(v)
+        if k is None or v is None or k in table:
+            return None
+        table[k] = v
+    if default is not None and (default := value.resolve(default)) is None:
+        return None
+    return Table(table, default, line, col)
+
+
 def product_domain(axes) -> tuple:
     """(size, enumerator) of the label tuples over a sequence of axes."""
     return math.prod(map(len, axes)), lambda: itertools.product(*axes)
@@ -535,7 +519,7 @@ def parse_coordset(ts: TokenStream) -> tuple[str, ...]:
         tok = ts.peek()
         ref = ts.coord_ref()
         if ref in refs:
-            ts.error(f"coordinate {ref!r} listed twice", tok)
+            ts.error(f"coordinate {quoted(ref)} listed twice", tok)
         refs[ref] = None
         if ts.at_sym(","):
             ts.next()
@@ -555,7 +539,7 @@ def parse_declarations(ts: TokenStream, keyword: str, what: str, taken=frozenset
         tokens.append(ts.next())
         tok = ts.expect_word()
         if tok.value in names:
-            ts.error(f"{what} {tok.value!r} declared twice{where}", tok)
+            ts.error(f"{what} {quoted(tok.value)} declared twice{where}", tok)
         names.add(tok.value)
         decls.append((tok.value, ts.label_set()))
     return decls, tokens
@@ -637,38 +621,38 @@ def parse_space(text: str) -> SpaceDocument:
         wtok = ts.expect_word()
         wname = wtok.value
         if any(w.name == wname for w in worlds):
-            ts.error(f"world {wname!r} declared twice", wtok)
+            ts.error(f"world {quoted(wname)} declared twice", wtok)
         if ts.at_word("mirror"):
             ts.next()
             ttok = ts.expect_word()
             target = ttok.value
             if not any(w.name == target for w in worlds):
-                ts.error(f"world {wname!r} mirrors undeclared world {target!r}", ttok)
+                ts.error(f"world {quoted(wname)} mirrors undeclared world {quoted(target)}", ttok)
             worlds.append(WorldDecl(wname, None, target))
             continue
         ts.expect_sym("{")
-        comps, _ = parse_declarations(ts, "component", "component", where=f" in world {wname!r}")
+        comps, _ = parse_declarations(ts, "component", "component",
+                                      where=f" in world {quoted(wname)}")
         if not comps:
-            ts.error(f"world {wname!r} declares no components")
+            ts.error(f"world {quoted(wname)} declares no components")
         ts.expect_sym("}")
         worlds.append(WorldDecl(wname, tuple(comps), None))
     if not worlds:
         ts.error("document declares no worlds")
 
-    doc = SpaceDocument(name, tuple(worlds), None)
     try:
-        schema = doc.schema()
+        schema = SpaceDocument(name, tuple(worlds), None).schema()
     except SchemaError as exc:
         raise ParseError(str(exc)) from None
 
     # Every table of the document is a measure over the whole outcome
     # space, keyed by outcome.
     index = [(c.key, m) for c, m in zip(schema.coords, schema.label_maps)]
-    outcome = assignment_key(ts, ts.coord_ref, index, "coordinate")
+    outcome, rational = assignment_key(ts, ts.coord_ref, index, "coordinate"), ts.rational
     outcomes = schema.n_outcomes, lambda: schema.rows(schema.all_on)
 
     def parse_measure() -> dict:
-        return parse_table(ts, outcome, ts.rational).law(*outcomes, "measure", "outcomes")
+        return parse_table(ts, outcome, rational).law(*outcomes, "measure", "outcomes")
 
     measure = None
     if ts.at_word("measure"):
@@ -690,9 +674,28 @@ def parse_space(text: str) -> SpaceDocument:
         seen_sets.add(on)
         given = assignment_key(ts, ts.coord_ref, [index[p] for p in sorted(on)],
                                "kernel coordinate")
+        row_regex, findall = _table_regex(outcome.pattern, rational.pattern,
+                                          rf"{_SPACE}given{_SPACE}({given.pattern})")
+
+        def read_row(row_text, *texts):  # None leaves every error to the token path
+            row = given.resolve(row_text)
+            table = None if row is None or row in rows else _read_body(
+                outcome, rational, findall, *texts)
+            if table is None:
+                return None
+            try:
+                rows[row] = table.law(*outcomes, "measure", "outcomes")
+            except ParseError:
+                return None
+            return True
+
         ts.expect_sym("{")
         rows = {}
-        while ts.at_word("given"):
+        while True:
+            if ts.match(row_regex, read_row):
+                continue
+            if not ts.at_word("given"):
+                break
             ts.next()
             tok = ts.peek()
             row = given()
@@ -710,17 +713,14 @@ def parse_space(text: str) -> SpaceDocument:
         a, b = ts.expect_word(), ts.expect_word()
         for tok in (a, b):
             if not any(d.name == tok.value for d in worlds):
-                ts.error(f"mirror references undeclared world {tok.value!r}", tok)
+                ts.error(f"mirror references undeclared world {quoted(tok.value)}", tok)
         mirror = (a.value, b.value)
 
     tok = ts.peek()
     if tok.kind != "eof":
-        ts.error(f"unexpected {tok.value!r} after the document")
+        ts.error(f"unexpected {quoted(tok.value)} after the document")
 
-    doc.measure = measure
-    doc.kernels = tuple(kernels)
-    doc.mirror = mirror
-    return doc
+    return SpaceDocument(name, tuple(worlds), measure, tuple(kernels), mirror)
 
 
 # -- serialization ------------------------------------------------------------

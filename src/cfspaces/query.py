@@ -39,6 +39,7 @@ from .parser import (
     parse_outcome_tuple,
     parse_table,
     product_domain,
+    quoted,
 )
 from .space import SchemaError, cylinder
 from .worlds import check_cross_world
@@ -87,7 +88,7 @@ def eval_expr(expr, schema, bindings) -> frozenset:
         try:
             return bindings[expr.name]
         except KeyError:
-            raise ParseError(f"unbound event name {expr.name!r}") from None
+            raise ParseError(f"unbound event name {quoted(expr.name)}") from None
     if isinstance(expr, NotExpr):
         return schema.outcome_set() - eval_expr(expr.inner, schema, bindings)
     if isinstance(expr, (AndExpr, OrExpr)):
@@ -207,13 +208,13 @@ def _parse_primary(ts: TokenStream, depth: int, bound):
         ts.next()
         if not ts.at_sym("."):
             if tok.value not in bound:
-                ts.error(f"unbound event name {tok.value!r}", tok)
+                ts.error(f"unbound event name {quoted(tok.value)}", tok)
             return NameExpr(tok.value)
         coord = ts.coord_ref(tok.value)
         ts.expect_sym("=")
         label = ts.label()
         return AtomExpr(coord, label)
-    ts.error(f"expected an event expression, found {tok.value!r}")
+    ts.error(f"expected an event expression, found {quoted(tok.value)}")
 
 
 def _parse_and(ts: TokenStream, depth: int, bound):
@@ -277,7 +278,7 @@ def parse_query(text: str) -> QueryScript:
         if tok.kind == "eof":
             break
         if tok.kind != "word" or tok.value not in _STATEMENT_WORDS:
-            ts.error(f"expected a statement keyword, found {tok.value!r}")
+            ts.error(f"expected a statement keyword, found {quoted(tok.value)}")
         start = tok.pos
         ts.next()
         if tok.value == "LET":

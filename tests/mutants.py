@@ -85,6 +85,32 @@ MUTANTS = [
      "            plans[pf] = _plan(pf, pc, weights)\n"
      "        blocks, nums = plans[pf]\n",
      ["tests/test_compilers.py::TestAgainstEnumeration::test_scm_measure_and_every_kernel_row"]),
+    # The read of a whole table or kernel row, and the token path behind it.
+    ("table-read-accepts-a-repeated-key", "parser.py",
+     "        if k is None or v is None or k in table:\n",
+     "        if k is None or v is None:\n",
+     ["tests/test_parser.py::test_malformed_entry_diagnostics[duplicate entry]",
+      "tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
+    ("row-read-skips-the-law", "parser.py",
+     '                rows[row] = table.law(*outcomes, "measure", "outcomes")\n',
+     "                rows[row] = table.entries\n",
+     ["tests/test_diagnostics.py::test_diagnostic[cfs-kernel-row-short]",
+      "tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
+    ("match-counts-lines-to-the-start-of-the-match", "parser.py",
+     '            newlines = self.text.count("\\n", pos, end)\n'
+     "            if newlines:\n"
+     "                line += newlines\n"
+     '                line_start = self.text.rfind("\\n", pos, end) + 1\n',
+     '            newlines = self.text.count("\\n", pos, m.start(1))\n'
+     "            if newlines:\n"
+     "                line += newlines\n"
+     '                line_start = self.text.rfind("\\n", pos, m.start(1)) + 1\n',
+     ["tests/test_parser.py::test_kernel_set_diagnostics",
+      "tests/test_diagnostics.py::test_diagnostic[cfs-duplicate-given-row]"]),
+    ("table-read-takes-default-for-a-key", "parser.py",
+     "(?!default\\b){key}",
+     "{key}",
+     ["tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
 ]
 
 

@@ -11,6 +11,7 @@ from importlib import resources
 import pytest
 
 from cfspaces.cli import USAGE, main
+from cfspaces.repro import fixture_text
 
 CFS = "space x\nworld W { component c { a b } }\n"
 MEASURE = "measure { (W.c=a) = 1/2 (W.c=b) = 1/2 }\n"
@@ -60,6 +61,13 @@ CASES = [
      (2, "error: 4:10: mirror references undeclared world 'V'\n")),
     ("cfs-no-measure", CHECK, {"cfs": CFS},
      (2, "error: document has no measure block; cannot build a space\n")),
+    ("cfs-kernel-row-short", CHECK,
+     {"cfs": CFS + MEASURE + KERNEL.replace("(W.c=b) = 1 default", "(W.c=b) = 1/2 default")},
+     (2, "error: 6:17: measure sums to 1/2, short by 1/2\n")),
+    # a quoted token is cut after 40 characters
+    ("cfs-invalid-number-of-5001-digits", CHECK,
+     {"cfs": fixture_text("exam").replace("= 0.16", "= 1" + "0" * 5000, 1)},
+     (2, "error: 35:52: invalid number '1" + "0" * 39 + "…'\n")),
     # 12 binary components in each of two worlds: 2^24 outcomes, over space.MAX_OUTCOMES,
     # which a nonzero default would list
     ("cfs-too-many-outcomes", CHECK,

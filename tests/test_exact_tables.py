@@ -7,6 +7,7 @@ different routes is one table, and count the Fraction operations of the
 whole-family checks.
 """
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -79,6 +80,13 @@ def reference_marginal(reference: dict, S) -> dict:
     return {row: q for row, q in out.items() if q}
 
 
+def mixture(schema, parts) -> Measure:
+    """sum_i q_i * P_i over (q_i, P_i) pairs whose q_i form a law, mixed by
+    `Measure._mix` in proportion to integer weights."""
+    den = math.lcm(*(q.denominator for q, _ in parts))
+    return Measure._mix(schema, [(q.numerator * (den // q.denominator), m) for q, m in parts if q])
+
+
 def reference_mixture(t: Fraction, a: dict, b: dict) -> dict:
     out = {o: t * q for o, q in a.items()}
     for o, q in b.items():
@@ -100,7 +108,7 @@ def test_int_tables_match_fraction_reference(case):
     assert type(P.weight(schema.outcomes()[0])) is Fraction
     assert P.support() == frozenset(ref_p)
     assert P.marginal(S).as_dict() == reference_marginal(ref_p, S)
-    mix = Measure.mixture(schema, [(t, P), (1 - t, R)])
+    mix = mixture(schema, [(t, P), (1 - t, R)])
     assert mix.as_dict() == reference_mixture(t, ref_p, ref_r)
     p_a = P.prob(A)
     assert type(p_a) is Fraction and p_a == sum((ref_p.get(o, 0) for o in A), Fraction(0))
@@ -115,21 +123,21 @@ def test_one_law_by_several_routes_is_one_table(case):
     P = Measure(schema, ref_p)
     routes = [
         Measure(schema, {o: f"{2 * q.numerator}/{2 * q.denominator}" for o, q in ref_p.items()}),
-        Measure.mixture(schema, [(t, P), (1 - t, P)]),
+        mixture(schema, [(t, P), (1 - t, P)]),
         Measure(schema, ref_p).marginal(schema.all_on),
-        Measure.mixture(schema, [(Fraction(1, 2), P), (Fraction(1, 2), P)]).condition(
+        mixture(schema, [(Fraction(1, 2), P), (Fraction(1, 2), P)]).condition(
             schema.outcome_set()),
     ]
     # Conditioning a mixture with a law off supp(P) on supp(P) gives P back.
     off = {o: q for o, q in ref_r.items() if o not in ref_p}
     if off:
         rest = Measure(schema, {o: q / sum(off.values()) for o, q in off.items()})
-        routes.append(Measure.mixture(schema, [(Fraction(1, 3), P), (Fraction(2, 3), rest)])
+        routes.append(mixture(schema, [(Fraction(1, 3), P), (Fraction(2, 3), rest)])
                       .condition(P.support()))
     for other in routes:
         assert other == P and hash(other) == hash(P)
     direct = Margin(schema, S, reference_marginal(ref_p, S))
-    for other in (P.marginal(S), Measure.mixture(schema, [(t, P), (1 - t, P)]).marginal(S)):
+    for other in (P.marginal(S), mixture(schema, [(t, P), (1 - t, P)]).marginal(S)):
         assert other == direct and hash(other) == hash(direct)
 
 

@@ -57,16 +57,6 @@ class TestMeasureBasics:
         with pytest.raises(ValueError, match="^weights sum to 1/2, not 1$"):
             Margin(s, [0], {(7,): 0, (0,): Fraction(1, 2)})
 
-    def test_mixture_weights_must_form_a_law(self):
-        s = two_by_two()
-        a, b = Measure.dirac(s, (0, 0)), Measure.dirac(s, (1, 1))
-        mix = Measure.mixture(s, [(Fraction(1, 4), a), (0, b), (Fraction(3, 4), b)])
-        assert mix.as_dict() == {(0, 0): Fraction(1, 4), (1, 1): Fraction(3, 4)}
-        with pytest.raises(ValueError, match="^mixture weights sum to 1/2, not 1$"):
-            Measure.mixture(s, [(Fraction(1, 4), a), (Fraction(1, 4), b)])
-        with pytest.raises(ValueError, match="^negative mixture weight -1/2 at 1$"):
-            Measure.mixture(s, [(Fraction(3, 2), a), (Fraction(-1, 2), b)])
-
     def test_exam_row_mass(self, exam):
         a = cylinder(exam.schema, {"F.class": "Y", "F.exam": "P"})
         assert exam.P.prob(a) == Fraction(43, 100)

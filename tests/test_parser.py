@@ -348,6 +348,25 @@ class TestEntryPath:
         assert lexed(monkeypatch, parse_space, denser_text) <= tokens
         assert lexed(monkeypatch, parse_space, token_path_text(text)) > 20 * tokens
 
+    def test_a_compiled_file_is_read_with_one_match_per_table(self, compiled_chains,
+                                                             monkeypatch):
+        text = compiled_chains[3]
+        doc = parse_space(text)
+        rows = sum(len(k.rows) for k in doc.kernels)
+        assert (len(doc.kernels), rows) == (63, 728)
+        matches = 0
+        match = parser.TokenStream.match
+
+        def counting(*args):
+            nonlocal matches
+            matches += 1
+            return match(*args)
+
+        monkeypatch.setattr(parser.TokenStream, "match", counting)
+        assert lexed(monkeypatch, parse_space, text) <= 1300
+        # each row, the measure, and the '}' that ends each kernel's rows
+        assert matches == rows + len(doc.kernels) + 1
+
 
 EXAM_ROW = "(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = 0.16"
 
