@@ -36,9 +36,9 @@ observed functions and the potential-outcome functions:
     observe Y { ... }
     potential Y given (X=1) { always = P ... }
 
-Every '{ key = value ... }' block is a table in the grammar of
-`parser.parse_table`: laws hold weights, function tables hold labels, and
-any table may close with a default for its unlisted keys.
+Every '{ key = value ... }' block, the coupling too, is a table that
+`parser.parse_table` reads whole or by tokens: laws hold weights, function
+tables hold labels, and any table may close with a default for the rest.
 """
 
 from __future__ import annotations
@@ -51,12 +51,13 @@ from .parser import (
     TokenStream,
     assignment_key,
     label_reader,
+    pair_reader,
     parse_declarations,
     parse_outcome_tuple,
     parse_table,
     product_domain,
-    quoted,
 )
+from .space import quoted
 
 
 def parse_scm(text: str):
@@ -73,9 +74,9 @@ def parse_scm(text: str):
     # A key of a model table is the tuple of its labels.
     noise_row = assignment_key(ts, ts.name, [(n, dict(zip(labels, labels))) for n, labels in noise],
                                "noise variable")
-    noise_axes = [labels for _, labels in noise]
+    n_rows, noise_rows = product_domain([labels for _, labels in noise])
     noise_dist = parse_table(ts, noise_row, ts.rational).law(
-        *product_domain(noise_axes), "noise law", "noise rows")
+        n_rows, noise_rows, "noise law", "noise rows")
 
     noise_names = {n for n, _ in noise}
     endo, declared = parse_declarations(ts, "var", "variable", noise_names)
@@ -118,17 +119,16 @@ def parse_scm(text: str):
     coupling = None
     if ts.at_word("coupling"):
         ts.next()
-        n_rows, noise_rows = product_domain(noise_axes)
 
         def noise_pair():
             ts.expect_sym("(")
-            u = noise_row()
+            u = noise_row.read()
             ts.expect_sym(",")
-            u_star = noise_row()
+            u_star = noise_row.read()
             ts.expect_sym(")")
             return u, u_star
 
-        coupling = parse_table(ts, noise_pair, ts.rational).law(
+        coupling = parse_table(ts, pair_reader(noise_pair, noise_row), ts.rational).law(
             n_rows ** 2, lambda: itertools.product(noise_rows(), repeat=2), "coupling",
             "noise row pairs")
 

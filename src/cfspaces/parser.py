@@ -11,10 +11,10 @@ end of line.  Errors carry line and column.
 Every table of every input format (.cfs, .scm, .po and the .cfq weight
 table) is read by `parse_table` and completed by `Table.law` or
 `Table.fill`, which keep only its nonzero entries: a sparse table with
-'default = 0' costs time in proportion to its entries.  A table in its
-usual spelling, and so each .cfs kernel row 'given (row) { ... }', is
-read with one regex match; any other is read again from its first
-character token by token, and only that path reports errors.
+'default = 0' costs time in proportion to its entries.  A table, and each
+.cfs kernel row 'given (row) { ... }', is read one of two ways: whole,
+with one regex match, when it is in its usual spelling, or else by tokens
+from its first character, the only path that reports errors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .measure import Measure, ints
 from .mechanism import CfSpace, Kernel, Mechanism
-from .space import Coordinate, SchemaError, SpaceSchema, budget
+from .space import Coordinate, SchemaError, SpaceSchema, budget, quoted
 
 
 class ParseError(ValueError):
@@ -42,11 +42,6 @@ class ParseError(ValueError):
         if line is not None:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
-
-
-def quoted(text: str) -> str:
-    """repr(text) cut after 40 characters: how a diagnostic quotes the input."""
-    return repr(text if len(text) <= 40 else text[:40] + "…")
 
 
 # -- lexer ----------------------------------------------------------------
@@ -133,7 +128,7 @@ class TokenStream:
     regex pass at construction finds whether the ASCII pattern lexes the
     whole text, and only a text where it does not is lexed whole, once, by
     `tokenize`, which raises the first lexical error.  In an ASCII text,
-    `match` reads a whole element, such as a table, with one regex match.
+    `match` reads a whole table or kernel row with one regex match.
     """
 
     def __init__(self, text: str):
@@ -243,7 +238,7 @@ class TokenStream:
     @property
     def rational(self) -> Reader:
         """The reader of a weight: p/q or an exact decimal literal."""
-        return Reader(self, self._rational, _RATIONAL, _rational_value)
+        return Reader(self._rational, _RATIONAL, _rational_value)
 
     def _rational(self) -> Fraction:
         tok = self.peek()
@@ -275,10 +270,9 @@ class TokenStream:
     def coord_ref(self, world: str | None = None) -> str:
         """'W.c' as "W.c"; with `world`, the rest after that word."""
         if world is None:
-            world = self.expect_word().value
+            world = self.name()
         self.expect_sym(".")
-        name = self.expect_word().value
-        return f"{world}.{name}"
+        return f"{world}.{self.name()}"
 
 
 # -- readers ----------------------------------------------------------------
@@ -316,20 +310,15 @@ def _table_regex(key: str, value: str, head: str = "") -> tuple:
 
 
 class Reader(NamedTuple):
-    """An element of the grammar: `read` reads it from the tokens of `ts`
-    and alone reports errors; `pattern` matches its usual spelling, alone
-    or in a table read whole, and `resolve` maps that text to the value
-    `read` gives, or to None where only `read` may read it (a name or label
-    not in the reader's dicts, a name assigned twice, a zero denominator)."""
+    """A key or value of a table, read as the table is: `read` reads it
+    from the tokens at the cursor and alone reports errors; `pattern`
+    matches its usual spelling in a table read whole, and `resolve` maps
+    that text to the value `read` gives, or to None where only `read` may
+    (a name or label not in the reader's dicts, a name assigned twice, p/0)."""
 
-    ts: TokenStream
     read: object
     pattern: str
     resolve: object
-
-    def __call__(self):
-        value = self.ts.match(re.compile(rf"{_SPACE}({self.pattern})", re.ASCII), self.resolve)
-        return self.read() if value is None else value
 
 
 @functools.lru_cache(maxsize=4096)
@@ -342,16 +331,28 @@ def _rational_value(text: str) -> Fraction | None:
 
 def label_reader(ts: TokenStream, labels, what: str) -> Reader:
     """The reader of one of `labels`, as `ts.label(labels, what)`."""
-    return Reader(ts, lambda: ts.label(labels, what), _LABEL,
+    return Reader(lambda: ts.label(labels, what), _LABEL,
                   lambda text: text if text in labels else None)
 
 
-def key_reader(ts: TokenStream, read, resolve) -> Reader:
+def key_reader(read, resolve) -> Reader:
     """A reader of '(name=label, ...)' keys: `read` reads one from the
     tokens, and `resolve` maps its ((name, label), ...) pairs, as written,
     to the same key or to None."""
-    return Reader(ts, read, _PARENS,
+    return Reader(read, _PARENS,
                   functools.cache(lambda text: resolve(_PAIRS(text)) if _KEY(text) else None))
+
+
+def pair_reader(read, key: Reader) -> Reader:
+    """A reader of '(k, k*)' pairs of the keys that the key reader `key`
+    reads: `read` reads one from the tokens, and the pair's two '(...)' as
+    written resolve through `key`."""
+    def resolve(text) -> tuple | None:
+        pair = tuple(map(key.resolve, re.findall(_PARENS, text)))
+        return None if None in pair else pair
+
+    return Reader(read, rf"\({_BLANK}{_PARENS}{_BLANK},{_BLANK}{_PARENS}{_BLANK}\)",
+                  functools.cache(resolve))
 
 
 def parse_outcome_tuple(ts: TokenStream, ref, domains=None, what: str = "variable") -> dict:
@@ -394,14 +395,13 @@ def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
         return tuple(values[assignment[name]] for name, values in domains.items())
 
     def resolve(pairs) -> tuple | None:
-        # A name written twice leaves another one unassigned.
-        if len(pairs) != len(domains):
+        if len(pairs) != len(domains):  # a name written twice leaves another unassigned
             return None
         assignment = dict(pairs)
         key = tuple([values.get(assignment.get(name)) for name, values in domains.items()])
         return None if None in key else key
 
-    return key_reader(ts, read, resolve)
+    return key_reader(read, resolve)
 
 
 # -- tables -------------------------------------------------------------------
@@ -457,20 +457,19 @@ class Table:
 
 
 def parse_table(ts: TokenStream, key, value) -> Table:
-    """Parse '{ key = value ... default = value }' with the readers `key`
-    and `value`: with one match, and its entries with one findall, when
-    both are `Reader`s and the table is in their usual spelling; token by
-    token from its '{' otherwise.  A key listed twice and a second default
-    are errors at their line:col.  Numbers are unsigned in the grammar, so
-    a negative weight stops at the lexer, also with its line:col.
+    """Parse '{ key = value ... default = value }' with the `Reader`s `key`
+    and `value`: whole, with one match and its entries with one findall,
+    when the table is in their usual spelling, and by tokens from its '{'
+    otherwise.  A key listed twice and a second default are errors at
+    their line:col.  Numbers are unsigned in the grammar, so a negative
+    weight stops at the lexer, also with its line:col.
     """
     open_tok = ts.peek()
-    if isinstance(key, Reader) and isinstance(value, Reader):
-        regex, findall = _table_regex(key.pattern, value.pattern)
-        table = ts.match(regex, lambda *texts: _read_body(
-            key, value, findall, *texts, open_tok.line, open_tok.col))
-        if table is not None:
-            return table
+    regex, findall = _table_regex(key.pattern, value.pattern)
+    table = ts.match(regex, lambda *texts: _read_body(
+        key, value, findall, *texts, open_tok.line, open_tok.col))
+    if table is not None:
+        return table
     ts.expect_sym("{")
     entries: dict = {}
     default = None
@@ -481,13 +480,13 @@ def parse_table(ts: TokenStream, key, value) -> Table:
             ts.expect_sym("=")
             if default is not None:
                 raise ParseError("duplicate default", tok.line, tok.col)
-            default = value()
+            default = value.read()
             continue
-        k = key()
+        k = key.read()
         if k in entries:
             raise ParseError("duplicate entry", tok.line, tok.col)
         ts.expect_sym("=")
-        entries[k] = value()
+        entries[k] = value.read()
     ts.expect_sym("}")
     return Table(entries, default, open_tok.line, open_tok.col)
 
@@ -698,7 +697,7 @@ def parse_space(text: str) -> SpaceDocument:
                 break
             ts.next()
             tok = ts.peek()
-            row = given()
+            row = given.read()
             if row in rows:
                 raise ParseError("duplicate 'given' row", tok.line, tok.col)
             rows[row] = parse_measure()

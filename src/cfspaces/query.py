@@ -39,9 +39,8 @@ from .parser import (
     parse_outcome_tuple,
     parse_table,
     product_domain,
-    quoted,
 )
-from .space import SchemaError, cylinder
+from .space import SchemaError, cylinder, quoted
 from .worlds import check_cross_world
 
 
@@ -246,14 +245,13 @@ def _assignment(ts: TokenStream) -> Reader:
             return tuple(sorted(assignment.items()))
         return None
 
-    return key_reader(
-        ts, lambda: tuple(sorted(parse_outcome_tuple(ts, ts.coord_ref).items())), resolve)
+    return key_reader(lambda: tuple(sorted(parse_outcome_tuple(ts, ts.coord_ref).items())), resolve)
 
 
 def _parse_dist(ts: TokenStream):
     if ts.at_word("point"):
         tok = ts.next()
-        assignment = _assignment(ts)()
+        assignment = _assignment(ts).read()
         if not assignment:
             ts.error("point() needs at least one coordinate assignment", tok)
         return PointDist(assignment)

@@ -26,6 +26,14 @@ class SchemaError(ValueError):
     """Malformed schema, or a reference to an unknown coordinate or label."""
 
 
+def quoted(text) -> str:
+    """repr(text), as a diagnostic quotes it: cut after 40 characters of a string or a repr."""
+    if isinstance(text, str):
+        return repr(text if len(text) <= 40 else text[:40] + "…")
+    text = repr(text)
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 def budget(count: int):
     """Refuse, before it starts, a listing of `count` rows over MAX_OUTCOMES."""
     if count > MAX_OUTCOMES:
@@ -110,12 +118,12 @@ class SpaceSchema:
         if isinstance(ref, str):
             world, dot, name = ref.partition(".")
             if not dot:
-                raise SchemaError(f"coordinate reference {ref!r} is not of the form world.name")
+                raise SchemaError(f"coordinate reference {quoted(ref)} is not of the form world.name")
             key = (world, name)
         try:
             return self._index[tuple(key)]
         except (KeyError, TypeError):
-            raise SchemaError(f"unknown coordinate {ref!r}") from None
+            raise SchemaError(f"unknown coordinate {quoted(ref)}") from None
 
     def positions(self, refs) -> frozenset:
         """Resolve an iterable of coordinate references to a position set."""
@@ -128,7 +136,7 @@ class SpaceSchema:
 
     def world_positions(self, world: str) -> frozenset:
         if world not in self.worlds:
-            raise SchemaError(f"unknown world {world!r}")
+            raise SchemaError(f"unknown world {quoted(world)}")
         return frozenset(i for i, c in enumerate(self.coords) if c.world == world)
 
     def label_index(self, pos: int, label) -> int:
@@ -140,7 +148,7 @@ class SpaceSchema:
         try:
             return self.label_maps[pos][label]
         except (KeyError, TypeError):
-            raise SchemaError(f"unknown label {label!r} for coordinate {coord.key}") from None
+            raise SchemaError(f"unknown label {quoted(label)} for coordinate {coord.key}") from None
 
     def assignment(self, assignment: Mapping) -> dict[int, int]:
         """{position: label index} of a mapping of coordinate references to

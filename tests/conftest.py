@@ -60,21 +60,44 @@ def coin_sync():
     )
 
 
-def chain_scm(n: int) -> str:
-    """The chain X0 = U0, Xi = X(i-1) xor Ui as .scm text, with independent
-    noise, P(Ui = 1) = (i + 1)/(n + 2)."""
+PARENTS = {"chain": lambda i, n: [i - 1] if i else [],
+           "fork": lambda i, n: [0] if i else [],
+           "collider": lambda i, n: list(range(n - 1)) if i == n - 1 else []}
+
+
+def shaped_scm(n: int, shape: str, coupled: bool = False) -> str:
+    """Binary X0..X(n-1), Xi = xor(parents) xor Ui in a chain, fork or
+    collider (PARENTS), as .scm text, with independent noise, P(Ui = 1) =
+    (i + 1)/(n + 2); `coupled` adds a coupling block, one entry a line,
+    that puts half its mass on equal noise rows and half on a noise row and
+    a uniform second row, so that it is not symmetric."""
     bias = [Fraction(i + 1, n + 2) for i in range(n)]
-    lines = [f"scm chain{n}"] + [f"noise U{i} {{ 0 1 }}" for i in range(n)] + ["dist {"]
-    for u in itertools.product((0, 1), repeat=n):
-        q = math.prod(b if v else 1 - b for b, v in zip(bias, u))
-        lines.append("  (" + ", ".join(f"U{i}={v}" for i, v in enumerate(u)) + f") = {q}")
-    lines.append("}")
+    law = {u: math.prod(b if v else 1 - b for b, v in zip(bias, u))
+           for u in itertools.product((0, 1), repeat=n)}
+
+    def row(u):
+        return "(" + ", ".join(f"U{i}={v}" for i, v in enumerate(u)) + ")"
+
+    lines = [f"scm {shape}{n}"] + [f"noise U{i} {{ 0 1 }}" for i in range(n)] + ["dist {"]
+    lines += [f"  {row(u)} = {q}" for u, q in law.items()] + ["}"]
     lines += [f"var X{i} {{ 0 1 }}" for i in range(n)]
-    lines.append("fn X0 (U0) { (U0=0) = 0 (U0=1) = 1 }")
-    for i in range(1, n):
-        rows = " ".join(f"(X{i - 1}={a}, U{i}={b}) = {a ^ b}" for a in (0, 1) for b in (0, 1))
-        lines.append(f"fn X{i} (X{i - 1}, U{i}) {{ {rows} }}")
+    for i in range(n):
+        inputs = [f"X{p}" for p in PARENTS[shape](i, n)] + [f"U{i}"]
+        rows = " ".join("(" + ", ".join(f"{x}={v}" for x, v in zip(inputs, values))
+                        + f") = {sum(values) % 2}"
+                        for values in itertools.product((0, 1), repeat=len(inputs)))
+        lines.append(f"fn X{i} ({', '.join(inputs)}) {{ {rows} }}")
+    if coupled:
+        lines.append("coupling {")
+        lines += [f"  ({row(u)}, {row(v)}) = {law[u] * (Fraction(1, len(law)) + (u == v)) / 2}"
+                  for u in law for v in law]
+        lines += ["  default = 0", "}"]
     return "\n".join(lines) + "\n"
+
+
+def chain_scm(n: int) -> str:
+    """The chain X0 = U0, Xi = X(i-1) xor Ui as .scm text (see shaped_scm)."""
+    return shaped_scm(n, "chain")
 
 
 @pytest.fixture(scope="session")

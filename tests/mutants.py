@@ -111,6 +111,55 @@ MUTANTS = [
      "(?!default\\b){key}",
      "{key}",
      ["tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
+    ("coupling-key-resolves-its-rows-swapped", "parser.py",
+     "pair = tuple(map(key.resolve, re.findall(_PARENS, text)))",
+     "pair = tuple(map(key.resolve, re.findall(_PARENS, text)[::-1]))",
+     ["tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
+    # a repeated key sends the whole table to the token path, so only the work shows it
+    ("coupling-key-resolves-the-first-row-twice", "parser.py",
+     "pair = tuple(map(key.resolve, re.findall(_PARENS, text)))",
+     "pair = tuple(map(key.resolve, re.findall(_PARENS, text)[:1] * 2))",
+     ["tests/test_parser.py::TestEntryPath::test_a_coupled_model_is_read_with_one_match_per_table"]),
+    ("coupling-read-by-tokens-alone", "parser.py",
+     "        return None if None in pair else pair\n",
+     "        return None\n",
+     ["tests/test_parser.py::TestEntryPath::test_a_coupled_model_is_read_with_one_match_per_table"]),
+    # The lazy derivation of an intervened mechanism (`_lookup`, `_derive`, `_scan`).
+    ("derivation-carries-over-on-overlap", "mechanism.py",
+     "        if k_w is None or U <= S:\n",
+     "        if k_w is None or U & S:\n",
+     ["tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("derivation-reads-the-wrong-parent-key", "mechanism.py",
+     "        k_w = parent._lookup(S | U)\n",
+     "        k_w = parent._lookup(S)\n",
+     ["tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("chain-walk-builds-the-wrong-ancestor-keys", "mechanism.py",
+     "            mech, key = mech._source[0], key | mech._source[1]\n",
+     "            mech, key = mech._source[0], key\n",
+     ["tests/test_mechanism.py::TestLazyIntervention"
+      "::test_a_chain_builds_only_the_kernels_its_read_needs"]),
+    ("derivation-keeps-an-empty-kernel", "mechanism.py",
+     "        return Kernel._of(self.schema, S, rows) if rows else None\n",
+     "        return Kernel._of(self.schema, S, rows)\n",
+     ["tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("scan-misses-a-drop-note", "mechanism.py",
+     "                    dropped.append(DerivationNote(W, None, W | U))\n",
+     "                    pass\n",
+     ["tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("scan-notes-in-the-wrong-order", "mechanism.py",
+     "        for W in parent.keys():\n",
+     "        for W in reversed(parent.keys()):\n",
+     ["tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("scan-skips-the-completeness-check", "mechanism.py",
+     "                    rows = {row for row, parts in plan if parts is not None}\n",
+     "                    rows = {row for row, parts in plan}\n",
+     ["tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
 ]
 
 

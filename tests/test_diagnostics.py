@@ -68,6 +68,9 @@ CASES = [
     ("cfs-invalid-number-of-5001-digits", CHECK,
      {"cfs": fixture_text("exam").replace("= 0.16", "= 1" + "0" * 5000, 1)},
      (2, "error: 35:52: invalid number '1" + "0" * 39 + "…'\n")),
+    ("cfs-unknown-coordinate-of-5003-characters", CHECK,
+     {"cfs": fixture_text("exam").replace("{CF.class} {", "{CF." + "x" * 5000 + "} {", 1)},
+     (2, "error: 30:11: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
     # 12 binary components in each of two worlds: 2^24 outcomes, over space.MAX_OUTCOMES,
     # which a nonzero default would list
     ("cfs-too-many-outcomes", CHECK,
@@ -139,6 +142,14 @@ CASES = [
      (2, "error: 1:27: point() needs at least one coordinate assignment\n")),
     ("cfq-empty-point-at-the-end", RUN, {"cfq": "INTERVENE {CF.class} WITH point()"},
      (2, "error: 1:27: point() needs at least one coordinate assignment\n")),
+    # a coordinate or label the script names is quoted as the input is, cut after 40 characters
+    ("cfq-unknown-coordinate-of-5003-characters", RUN, {"cfq": "PROB (CF." + "x" * 5000 + "=P)\n"},
+     (2, "error: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
+    ("cfq-unknown-label-of-5000-characters", RUN, {"cfq": "PROB (CF.exam=" + "x" * 5000 + ")\n"},
+     (2, "error: unknown label '" + "x" * 40 + "…' for coordinate CF.exam\n")),
+    ("cfq-intervened-coordinate-of-5003-characters", RUN,
+     {"cfq": "INTERVENE {CF." + "x" * 5000 + "} WITH uniform\n"},
+     (2, "error: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
     # a name is bound by an earlier LET
     ("cfq-unbound-name", RUN, {"cfq": "PROB ()\nPROB (nope)\n"},
      (2, "error: 2:7: unbound event name 'nope'\n")),

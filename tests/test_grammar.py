@@ -14,7 +14,7 @@ from cfspaces.compilers import POModel, SCMModel
 from cfspaces.parser import TokenStream, tokenize
 from cfspaces.repro import FIXTURES, fixture_text
 
-from conftest import chain_scm
+from conftest import PARENTS, chain_scm, shaped_scm
 from oracle_util import reference_tokenize
 
 
@@ -376,13 +376,16 @@ def test_front_ends_never_raise(command, fuzz_dir):
 ENTRY_CHARS = list("{}()=,./#\n \t-$_a01") + ["²", "é", "€"]
 ENTRY_TOKENS = ENTRY_CHARS + ["F.X0", "CF.X2", "F.X9", "1/2", "0.5", "1/0", "1.²", "default",
                               "given", "F.X0=1", "CF.X1=0"]
+# and those of an .scm coupling entry '((U0=0, ...), (U0=0, ...)) = 1/2'
+COUPLING_TOKENS = ENTRY_CHARS + ["U0", "U2=1", "U9=0", "X0=1", "(U1=0)", "((U0=0, U1=0, U2=0),",
+                                 "1/2", "0.5", "1/0", "default"]
 
 
 @st.composite
-def mutated_entries(draw, text):
+def mutated_entries(draw, text, vocabulary=ENTRY_TOKENS):
     """`text` with one to three of its table lines (entries, 'given' rows,
     defaults and closing braces) edited, character by character or token
-    by token."""
+    by token, drawing the tokens it inserts from `vocabulary`."""
     lines = text.split("\n")
     entries = [i for i, line in enumerate(lines)
                if line.lstrip().startswith(("(", "given", "default", "}"))]
@@ -401,11 +404,11 @@ def mutated_entries(draw, text):
             j = draw(st.integers(0, len(tokens)))
             edit = draw(st.sampled_from(("insert", "delete", "replace", "duplicate")))
             if edit == "insert" or j == len(tokens):
-                tokens.insert(j, draw(st.sampled_from(ENTRY_TOKENS)))
+                tokens.insert(j, draw(st.sampled_from(vocabulary)))
             elif edit == "delete":
                 del tokens[j]
             elif edit == "replace":
-                tokens[j] = draw(st.sampled_from(ENTRY_TOKENS))
+                tokens[j] = draw(st.sampled_from(vocabulary))
             else:
                 tokens[j:j] = tokens[j:j + draw(st.integers(1, 6))]
             lines[i] = "    " + " ".join(tokens)
@@ -467,6 +470,7 @@ def test_table_reader_reads_as_the_token_path(monkeypatch, compiled_chains):
                   .replace("units { a b }", "units { a b default }")))
     texts += [(parse_query, f"INTERVENE {{CF.class}} WITH {table}\nPROB (CF.exam=P)\n")
               for table in WEIGHT_TABLES]
+    texts += [(parse_scm, shaped_scm(n, shape, coupled=True)) for shape in PARENTS for n in (2, 3)]
     for parse, text in texts:
         assert_read_alike(monkeypatch, parse, text)
 
@@ -487,5 +491,15 @@ def test_table_reader_reads_edited_compiled_files_as_the_token_path(
     @given(mutated_entries(compiled_chains[3]))
     def check(text):
         assert_read_alike(monkeypatch, parse_space, text)
+
+    check()
+
+
+@pytest.mark.parametrize("shape", PARENTS)
+def test_table_reader_reads_edited_couplings_as_the_token_path(shape, monkeypatch):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(mutated_entries(shaped_scm(3, shape, coupled=True), COUPLING_TOKENS))
+    def check(text):
+        assert_read_alike(monkeypatch, parse_scm, text)
 
     check()

@@ -47,6 +47,16 @@ from conftest import chain_scm
 from randspaces import random_cf_space, random_margin
 
 
+def copies_model(n):
+    """Vi = Ui for i < n, over n independent fair binary noise variables."""
+    ident = {(u,): u for u in "01"}
+    return SCMModel(
+        [(f"U{i}", ("0", "1")) for i in range(n)],
+        {u: Fraction(1, 2 ** n) for u in itertools.product("01", repeat=n)},
+        [(f"V{i}", ("0", "1")) for i in range(n)],
+        {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(n)})
+
+
 def tampered_empty_kernel(space):
     """A mechanism whose trivial kernel disagrees with P at one outcome."""
     outcomes = sorted(space.P.support())
@@ -218,13 +228,7 @@ class TestLazyIntervention:
         return counts
 
     def test_kernels_are_built_when_read(self, work):
-        ident = {(u,): u for u in "01"}
-        model = SCMModel(
-            [(f"U{i}", ("0", "1")) for i in range(3)],
-            {u: Fraction(1, 8) for u in itertools.product("01", repeat=3)},
-            [(f"V{i}", ("0", "1")) for i in range(3)],
-            {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(3)})
-        space = compile_scm(model)
+        space = compile_scm(copies_model(3))
         assert work["kernels"] == 1  # the empty kernel only
         assert len(space.mech.keys()) == 64 and space.mech.is_total()
         assert space.derivation is None and repr(space)
@@ -252,6 +256,18 @@ class TestLazyIntervention:
         # 3**5 rows; kernels: the parent's on (), on {0} and on the 32 keys
         # that hold U, and the 32 derived ones
         assert work["mixtures"] == 3 ** 5 and work["kernels"] == 2 + 32 + 32
+
+    def test_a_chain_builds_only_the_kernels_its_read_needs(self, work):
+        space = compile_scm(copies_model(3))
+        s = space.schema
+        once = intervene(space, {4}, Margin.uniform(s, {4}))
+        twice = intervene(once, {5}, Margin.uniform(s, {5}))
+        kernels, mixtures = work["kernels"], work["mixtures"]
+        k = twice.mech.get({1})
+        # the compiled kernel on {1, 4, 5}, the one on {1, 5} derived from it, and k
+        assert work["kernels"] == kernels + 3
+        assert work["mixtures"] == mixtures + len(once.mech.get({1, 5}).rows) + len(k.rows)
+        assert work["kernels"] == kernels + 3  # the kernel on {1, 5} was read from the cache
 
     def test_each_intervention_mixes_its_measure_once(self, work, exam):
         # the new measure is the derived kernel on (): reading that kernel,
@@ -349,13 +365,7 @@ class TestLazyIntervention:
         assert len(calls) == 64  # one per key, not 3 * 64
 
     def test_long_chains_need_no_deep_recursion(self):
-        ident = {(u,): u for u in "01"}
-        model = SCMModel(
-            [(f"U{i}", ("0", "1")) for i in range(2)],
-            {u: Fraction(1, 4) for u in itertools.product("01", repeat=2)},
-            [(f"V{i}", ("0", "1")) for i in range(2)],
-            {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(2)})
-        space = compile_scm(model)
+        space = compile_scm(copies_model(2))
         s = space.schema
         for i in range(1200):
             U = frozenset({2 + i % 2})
@@ -442,15 +452,9 @@ class TestClassifyEffect:
         # a 3-variable SCM (six coordinates) keeping every kernel off the
         # last coordinate and the kernel on it alone: every S that meets
         # U = {5} is absent, so the scan lists them by size, cut at 8
-        ident = {(u,): u for u in "01"}
-        model = SCMModel(
-            [(f"U{i}", ("0", "1")) for i in range(3)],
-            {u: Fraction(1, 8) for u in itertools.product("01", repeat=3)},
-            [(f"V{i}", ("0", "1")) for i in range(3)],
-            {f"V{i}": StructuralEq(f"V{i}", (), (f"U{i}",), ident) for i in range(3)})
         u = frozenset({5})
         kept = [frozenset(c) for r in range(6) for c in itertools.combinations(range(5), r)]
-        full = compile_scm(model)
+        full = compile_scm(copies_model(3))
         space = CfSpace(full.schema, full.P,
                         Mechanism(full.schema, full.P, [full.mech.get(S) for S in kept + [u]]))
         a = cylinder(space.schema, {"F.V0": "1"})

@@ -16,7 +16,7 @@ from cfspaces import parser
 from cfspaces.parser import KernelDecl
 from cfspaces.repro import FIXTURES, fixture_text
 
-from conftest import chain_scm
+from conftest import PARENTS, chain_scm, shaped_scm
 from randspaces import random_cf_space
 
 MINI = """\
@@ -366,6 +366,26 @@ class TestEntryPath:
         assert lexed(monkeypatch, parse_space, text) <= 1300
         # each row, the measure, and the '}' that ends each kernel's rows
         assert matches == rows + len(doc.kernels) + 1
+
+    @pytest.mark.parametrize("shape", PARENTS)
+    def test_a_coupled_model_is_read_with_one_match_per_table(self, shape, monkeypatch):
+        text = shaped_scm(3, shape, coupled=True)
+        model, coupling, _ = parse_scm(text)
+        assert (len(model.eqs), len(coupling)) == (3, 64)
+        matches = 0
+        match = parser.TokenStream.match
+
+        def counting(*args):
+            nonlocal matches
+            matches += 1
+            return match(*args)
+
+        monkeypatch.setattr(parser.TokenStream, "match", counting)
+        assert parse_scm(text)[1] == coupling
+        assert matches == 5  # the noise law, the three fn tables and the coupling
+        # the word 'coupling' and the end of the text: no entry of the coupling is lexed
+        assert lexed(monkeypatch, parse_scm, text) == lexed(
+            monkeypatch, parse_scm, shaped_scm(3, shape)) + 2
 
 
 EXAM_ROW = "(F.class=N, F.exam=P, CF.class=Y, CF.exam=P) = 0.16"

@@ -67,6 +67,20 @@ class TestSchema:
             with pytest.raises(SchemaError):
                 s.positions(bad)
 
+    def test_references_are_quoted_with_a_cap(self, exam):
+        s = exam.schema
+        long = "x" * 5000
+        for call, quote in [(lambda: s.position("CF." + long), repr("CF." + "x" * 37 + "…")),
+                            (lambda: s.position(long), repr("x" * 40 + "…")),
+                            (lambda: s.position(("CF", long)), repr(("CF", long))[:40] + "…"),
+                            (lambda: s.world_positions(long), repr("x" * 40 + "…")),
+                            (lambda: s.label_index(3, long), repr("x" * 40 + "…")),
+                            (lambda: s.label_index(3, [long]), repr([long])[:40] + "…"),
+                            (lambda: s.position(("CF", "zz")), "('CF', 'zz')")]:
+            with pytest.raises(SchemaError) as err:
+                call()
+            assert quote in str(err.value) and len(str(err.value)) <= 100
+
     def test_outcomes_canonical_order(self):
         s = two_by_two()
         assert s.outcomes() == ((0, 0), (0, 1), (1, 0), (1, 1))
