@@ -44,6 +44,7 @@ tables hold labels, and any table may close with a default for the rest.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .compilers import POModel, SCMModel, StructuralEq
 from .parser import (
@@ -58,6 +59,12 @@ from .parser import (
     product_domain,
 )
 from .space import quoted
+
+
+def _weights(nums: dict) -> dict:
+    """An integer table, as `Table.law` gives, in the Fractions that models take."""
+    d = sum(nums.values())
+    return {key: Fraction(n, d) for key, n in nums.items()}
 
 
 def parse_scm(text: str):
@@ -75,8 +82,8 @@ def parse_scm(text: str):
     noise_row = assignment_key(ts, ts.name, [(n, dict(zip(labels, labels))) for n, labels in noise],
                                "noise variable")
     n_rows, noise_rows = product_domain([labels for _, labels in noise])
-    noise_dist = parse_table(ts, noise_row, ts.rational).law(
-        n_rows, noise_rows, "noise law", "noise rows")
+    noise_dist = _weights(parse_table(ts, noise_row, ts.rational).law(
+        n_rows, noise_rows, "noise law", "noise rows"))
 
     noise_names = {n for n, _ in noise}
     endo, declared = parse_declarations(ts, "var", "variable", noise_names)
@@ -128,9 +135,9 @@ def parse_scm(text: str):
             ts.expect_sym(")")
             return u, u_star
 
-        coupling = parse_table(ts, pair_reader(noise_pair, noise_row), ts.rational).law(
+        coupling = _weights(parse_table(ts, pair_reader(noise_pair, noise_row), ts.rational).law(
             n_rows ** 2, lambda: itertools.product(noise_rows(), repeat=2), "coupling",
-            "noise row pairs")
+            "noise row pairs"))
 
     tok = ts.peek()
     if tok.kind != "eof":
@@ -154,8 +161,8 @@ def parse_po(text: str):
     units = ts.label_set()
     ts.expect_word("dist")
     unit = label_reader(ts, units, "unit")
-    unit_dist = parse_table(ts, unit, ts.rational).law(
-        len(units), lambda: units, "unit law", "units")
+    unit_dist = _weights(parse_table(ts, unit, ts.rational).law(
+        len(units), lambda: units, "unit law", "units"))
 
     endo, declared = parse_declarations(ts, "var", "variable")
     if not endo:

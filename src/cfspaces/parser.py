@@ -15,6 +15,8 @@ table) is read by `parse_table` and completed by `Table.law` or
 .cfs kernel row 'given (row) { ... }', is read one of two ways: whole,
 with one regex match, when it is in its usual spelling, or else by tokens
 from its first character, the only path that reports errors.
+A probability table becomes the integer table that a `Measure` holds,
+and documents hold those tables from text to space and back.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .measure import Measure, ints
+from .measure import Measure
 from .mechanism import CfSpace, Kernel, Mechanism
 from .space import Coordinate, SchemaError, SpaceSchema, budget, quoted
 
@@ -443,17 +445,22 @@ class Table:
         return self.entries
 
     def law(self, size: int, domain, what: str, unit: str) -> dict:
-        """The nonzero weights of a probability table, which must sum to
-        exactly one; see `fill`."""
+        """A probability table as the integer table of a `Margin`: its
+        nonzero weights as numerators over the lcm of their denominators,
+        which must be their sum, so they have no common factor; see `fill`."""
         unlisted = self._unlisted(size, what, unit)
-        nums, den = ints(self.entries)
-        total = Fraction(sum(nums.values()), den) + (self.default or 0) * unlisted
-        if total != 1:
-            gap = 1 - total
-            direction = "short by" if gap > 0 else "in excess by"
-            raise ParseError(f"{what} sums to {total}, {direction} {abs(gap)}",
-                             self.line, self.col)
-        return {key: q for key, q in self.fill(size, domain, what, unit).items() if q}
+        default = self.default if unlisted else 0  # an int has numerator and denominator too
+        den = math.lcm(default.denominator, *[q.denominator for q in self.entries.values()])
+        nums = {key: q.numerator * (den // q.denominator) for key, q in self.entries.items()}
+        fill = default.numerator * (den // default.denominator)
+        total = sum(nums.values()) + fill * unlisted
+        if total != den:
+            gap = 1 - Fraction(total, den)
+            raise ParseError(f"{what} sums to {1 - gap}, {'short' if gap > 0 else 'in excess'} "
+                             f"by {abs(gap)}", self.line, self.col)
+        if fill:
+            nums = replace(self, entries=nums, default=fill).fill(size, domain, what, unit)
+        return {key: n for key, n in nums.items() if n} if 0 in nums.values() else nums
 
 
 def parse_table(ts: TokenStream, key, value) -> Table:
@@ -557,26 +564,28 @@ class WorldDecl:
 @dataclass
 class KernelDecl:
     """A kernel block: `on` is its set of schema positions, and each row,
-    an index tuple over the ascending positions of `on`, has a table keyed
-    as the document's measure."""
+    an index tuple over the ascending positions of `on`, has an integer
+    table keyed as the document's measure."""
 
     on: frozenset
-    rows: tuple  # ((row, {outcome: nonzero Fraction}), ...)
+    rows: tuple  # ((row, {outcome: positive int}), ...)
 
 
 @dataclass
 class SpaceDocument:
     """Parsed form of a .cfs file.
 
-    Tables are keyed as in `Measure`: the measure and every kernel-row body
-    map outcomes, label-index tuples in schema order, to their nonzero
-    weights, and outcomes absent from a table weigh zero.  Labels appear
-    only in the text that `parse_space` reads and `serialize_space` writes.
+    Tables are held as in `Measure`, and shared with the space that
+    `to_space` builds or `doc_from_space` reads: the measure and every
+    kernel-row body map outcomes, label-index tuples in schema order, to
+    positive integer numerators over the table's sum (a parsed table has no
+    common factor).  Labels appear only in the text that `parse_space`
+    reads and `serialize_space` writes.
     """
 
     name: str
     worlds: tuple[WorldDecl, ...]
-    measure: dict | None  # outcome -> nonzero Fraction
+    measure: dict | None  # outcome -> positive int
     kernels: tuple[KernelDecl, ...] = ()
     mirror: tuple[str, str] | None = None
 
@@ -594,19 +603,33 @@ class SpaceDocument:
         return SpaceSchema(coords)
 
     def to_space(self) -> CfSpace:
+        """The space of the document, whose tables, as it can be built by
+        hand, are checked at once before the unchecked constructors take them."""
         schema = self.schema()
         if self.measure is None:
             raise ParseError("document has no measure block; cannot build a space")
-        # The constructors check every table again: a document can be built
-        # by hand.
+        outcomes = schema.all_on
+        tables = [self.measure] + [body for decl in self.kernels for _, body in decl.rows]
+        nums = list(itertools.chain.from_iterable(map(dict.values, tables)))
         try:
-            P = Measure(schema, self.measure)
-            kernels = [Kernel(schema, decl.on, {row: Measure(schema, body)
-                                                for row, body in decl.rows})
-                       for decl in self.kernels]
+            if not all(tables) or not {int}.issuperset(map(type, nums)) or min(nums) <= 0:
+                row = next(row for t in tables for row, n in (t.items() or [(None, 0)])
+                           if type(n) is not int or n <= 0)
+                raise ParseError("table has no entries" if row is None else
+                                 f"weight at {row!r} is not a positive integer numerator")
+            schema.require_rows(outcomes, set().union(*tables))
+            P = Measure._of(schema, outcomes, self.measure)
+            kernels = []
+            for decl in self.kernels:
+                on, rows = schema.positions(decl.on), dict(decl.rows)
+                if not rows:
+                    raise ParseError("kernel has no rows")
+                schema.require_rows(sorted(on), rows)
+                kernels.append(Kernel._of(schema, on, {row: Measure._of(schema, outcomes, body)
+                                                       for row, body in rows.items()}))
+            mech = Mechanism(schema, P, kernels) if self.kernels else None
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        mech = Mechanism(schema, P, kernels) if self.kernels else None
         return CfSpace(schema, P, mech)
 
 
@@ -728,8 +751,8 @@ def parse_space(text: str) -> SpaceDocument:
 def serialize_space(doc: SpaceDocument) -> str:
     """Render a document canonically; parse_space(serialize_space(doc)) == doc.
 
-    Nonzero entries appear in canonical outcome order as reduced fractions;
-    a table with fewer nonzero entries than outcomes ends in 'default = 0'.
+    Entries appear in canonical outcome order as reduced fractions; a table
+    with fewer entries than outcomes ends in 'default = 0'.
     """
     schema = doc.schema()
     texts = schema.label_texts
@@ -746,12 +769,15 @@ def serialize_space(doc: SpaceDocument) -> str:
     def assignment(positions, row) -> str:
         return ", ".join([texts[p][v] for p, v in zip(positions, row)])
 
+    # '(W.c=l, ...) = ' of an outcome and the text of a weight, each made once
+    spell = functools.cache(lambda outcome: f"({assignment(schema.all_on, outcome)}) = ")
+    weight = functools.cache(fraction_text)  # a compiled file repeats few weights
+
     def emit_table(table: dict, indent: str):
-        lines = []
-        nonzero = sorted(outcome for outcome, q in table.items() if q)
-        for outcome in nonzero:
-            lines.append(f"{indent}({assignment(schema.all_on, outcome)}) = {table[outcome]}")
-        if len(nonzero) < schema.n_outcomes:
+        d = sum(table.values())
+        lines = [f"{indent}{spell(outcome)}{weight(n, d)}"
+                 for outcome, n in sorted(table.items())]
+        if len(table) < schema.n_outcomes:
             lines.append(f"{indent}default = 0")
         return lines
 
@@ -772,6 +798,12 @@ def serialize_space(doc: SpaceDocument) -> str:
     return "\n".join(out) + "\n"
 
 
+def fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) of ints n >= 0, d > 0 with one gcd: a weight as written."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
     """Build the canonical document for a space (used by the compilers)."""
     schema = space.schema
@@ -788,6 +820,6 @@ def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
             if not S:
                 continue  # the empty kernel is implied by the measure
             k = space.mech.get(S)
-            rows = tuple((row, k.rows[row].as_dict()) for row in sorted(k.rows))
+            rows = tuple((row, k.rows[row]._n) for row in sorted(k.rows))
             kernels.append(KernelDecl(k.on, rows))
-    return SpaceDocument(name, tuple(worlds), space.P.as_dict(), tuple(kernels), None)
+    return SpaceDocument(name, tuple(worlds), space.P._n, tuple(kernels), None)

@@ -172,6 +172,7 @@ class UniformDist:
 @dataclass(frozen=True)
 class QueryScript:
     statements: tuple
+    at: tuple = ()  # (line, col) of each statement's first token
 
 
 _STATEMENT_WORDS = {
@@ -267,7 +268,7 @@ def _parse_dist(ts: TokenStream):
 
 def parse_query(text: str) -> QueryScript:
     ts = TokenStream(text)
-    statements = []
+    statements, at = [], []
     bound = set()  # names of the LETs so far: statements run in order
     while True:
         while ts.at_sym(";"):
@@ -278,6 +279,7 @@ def parse_query(text: str) -> QueryScript:
         if tok.kind != "word" or tok.value not in _STATEMENT_WORDS:
             ts.error(f"expected a statement keyword, found {quoted(tok.value)}")
         start = tok.pos
+        at.append((tok.line, tok.col))
         ts.next()
         if tok.value == "LET":
             name_tok = ts.expect_word()
@@ -329,7 +331,7 @@ def parse_query(text: str) -> QueryScript:
         else:  # CHECK
             stmt = CheckStmt(_src(ts, start))
         statements.append(stmt)
-    return QueryScript(tuple(statements))
+    return QueryScript(tuple(statements), tuple(at))
 
 
 def _src(ts: TokenStream, start: int) -> str:
@@ -373,7 +375,8 @@ class QueryRun:
 
 def run_script(space: CfSpace, script: QueryScript) -> QueryRun:
     """Execute a script against a space; raises on undefined conditioning
-    or missing kernels so the CLI can map them to exit codes."""
+    or missing kernels so the CLI can map them to exit codes, and a schema
+    error (an unknown coordinate, say) as a ParseError at its statement."""
     schema = space.schema
     bindings: dict[str, frozenset] = {}
     cond: frozenset | None = None  # no CONDITION yet
@@ -388,49 +391,55 @@ def run_script(space: CfSpace, script: QueryScript) -> QueryRun:
             held = current.P if cond is None else condition_event(current.P, cond)
         return held
 
-    for stmt in script.statements:
-        if isinstance(stmt, LetStmt):
-            bindings[stmt.name] = eval_expr(stmt.expr, schema, bindings)
-        elif isinstance(stmt, ConditionStmt):
-            event = eval_expr(stmt.expr, schema, bindings)
-            held = condition_event(conditioned(), event)  # raises on a null event
-            cond = event if cond is None else cond & event
-        elif isinstance(stmt, InterveneStmt):
-            U = schema.positions(stmt.coords)
-            current = intervene(current, U, _build_margin(schema, U, stmt.dist))
-            held = None
-        elif isinstance(stmt, ProbStmt):
-            value = conditioned().prob(eval_expr(stmt.expr, schema, bindings))
-            lines.append(f"{stmt.src} = {fmt_value(value)}")
-        elif isinstance(stmt, EffectStmt):
-            lines.append(_run_effect(current, schema, bindings, stmt))
-        elif isinstance(stmt, IndepStmt):
-            base = conditioned()
-            if stmt.given is not None:
-                base = condition_event(base, eval_expr(stmt.given, schema, bindings))
-            if isinstance(stmt.a, tuple):
-                verdict = independent_sigmas(
-                    base, schema.positions(stmt.a), schema.positions(stmt.b))
+    try:
+        for stmt in script.statements:
+            if isinstance(stmt, LetStmt):
+                bindings[stmt.name] = eval_expr(stmt.expr, schema, bindings)
+            elif isinstance(stmt, ConditionStmt):
+                event = eval_expr(stmt.expr, schema, bindings)
+                held = condition_event(conditioned(), event)  # raises on a null event
+                cond = event if cond is None else cond & event
+            elif isinstance(stmt, InterveneStmt):
+                U = schema.positions(stmt.coords)
+                current = intervene(current, U, _build_margin(schema, U, stmt.dist))
+                held = None
+            elif isinstance(stmt, ProbStmt):
+                value = conditioned().prob(eval_expr(stmt.expr, schema, bindings))
+                lines.append(f"{stmt.src} = {fmt_value(value)}")
+            elif isinstance(stmt, EffectStmt):
+                lines.append(_run_effect(current, schema, bindings, stmt))
+            elif isinstance(stmt, IndepStmt):
+                base = conditioned()
+                if stmt.given is not None:
+                    base = condition_event(base, eval_expr(stmt.given, schema, bindings))
+                if isinstance(stmt.a, tuple):
+                    verdict = independent_sigmas(
+                        base, schema.positions(stmt.a), schema.positions(stmt.b))
+                else:
+                    verdict = independent(
+                        base,
+                        eval_expr(stmt.a, schema, bindings),
+                        eval_expr(stmt.b, schema, bindings))
+                lines.append(f"{stmt.src} = {str(verdict).lower()}")
+            elif isinstance(stmt, SyncStmt):
+                verdict = synchronized(
+                    conditioned(), schema.positions(stmt.s1), schema.positions(stmt.s2))
+                lines.append(f"{stmt.src} = {str(verdict).lower()}")
+            elif isinstance(stmt, SourceStmt):
+                verdict = global_source(current, schema.positions(stmt.coords))
+                lines.append(f"{stmt.src} = {str(verdict).lower()}")
+            elif isinstance(stmt, CheckStmt):
+                report_lines, bad = render_check(current)
+                lines.extend(report_lines)
+                if bad:
+                    exit_code = 1
             else:
-                verdict = independent(
-                    base,
-                    eval_expr(stmt.a, schema, bindings),
-                    eval_expr(stmt.b, schema, bindings))
-            lines.append(f"{stmt.src} = {str(verdict).lower()}")
-        elif isinstance(stmt, SyncStmt):
-            verdict = synchronized(
-                conditioned(), schema.positions(stmt.s1), schema.positions(stmt.s2))
-            lines.append(f"{stmt.src} = {str(verdict).lower()}")
-        elif isinstance(stmt, SourceStmt):
-            verdict = global_source(current, schema.positions(stmt.coords))
-            lines.append(f"{stmt.src} = {str(verdict).lower()}")
-        elif isinstance(stmt, CheckStmt):
-            report_lines, bad = render_check(current)
-            lines.extend(report_lines)
-            if bad:
-                exit_code = 1
-        else:
-            raise AssertionError(f"unknown statement {stmt!r}")
+                raise AssertionError(f"unknown statement {stmt!r}")
+    except SchemaError as exc:  # a coordinate or label the statement names
+        if not script.at:
+            raise
+        line, col = script.at[next(i for i, s in enumerate(script.statements) if s is stmt)]
+        raise ParseError(str(exc), line, col) from None
     return QueryRun(lines, exit_code)
 
 
@@ -454,10 +463,10 @@ def _build_margin(schema, U, dist) -> Margin:
                 "weight table rows must assign exactly the intervened coordinates")
         fixed = schema.assignment(assignment)
         rows[tuple(fixed[p] for p in pos)] = q
-    weights = replace(dist, entries=rows).law(
+    nums = replace(dist, entries=rows).law(
         *product_domain([range(len(schema.coords[p].labels)) for p in pos]),
         "weight table", "rows")
-    return Margin(schema, U, weights)
+    return Margin._of(schema, tuple(pos), nums)
 
 
 def _run_effect(current, schema, bindings, stmt) -> str:

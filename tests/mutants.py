@@ -50,9 +50,9 @@ MUTANTS = [
      "            held = current.P if cond is None else condition_event(current.P, cond)\n",
      ["tests/test_query_cli.py::TestQueryScripts::test_a_condition_is_applied_once_and_held"]),
     ("held-condition-outlives-an-intervention", "query.py",
-     "            current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n"
-     "            held = None\n",
-     "            current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n",
+     "                current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n"
+     "                held = None\n",
+     "                current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n",
      ["tests/test_query_cli.py::TestQueryScripts::test_the_held_condition_follows_interventions"]),
     ("list-event-read-as-coordinates", "mechanism.py",
      "members = () if isinstance(target, (int, str, Coordinate)) else tuple(target)",
@@ -124,6 +124,24 @@ MUTANTS = [
      "        return None if None in pair else pair\n",
      "        return None\n",
      ["tests/test_parser.py::TestEntryPath::test_a_coupled_model_is_read_with_one_match_per_table"]),
+    # Integer tables from .cfs text to the engine and back (`Table.law`,
+    # `SpaceDocument.to_space`, `fraction_text`).
+    ("to-space-skips-the-row-check", "parser.py",
+     "            schema.require_rows(outcomes, set().union(*tables))\n",
+     "",
+     ["tests/test_parser.py::TestOutcomeKeys::test_hand_built_tables_are_checked[index]"]),
+    ("law-sum-ignores-the-default", "parser.py",
+     "        total = sum(nums.values()) + fill * unlisted\n",
+     "        total = sum(nums.values())\n",
+     ["tests/test_parser.py::TestParseSpace::test_uniform_via_default_only"]),
+    ("writer-drops-the-gcd", "parser.py",
+     "    g = math.gcd(n, d)\n",
+     "    g = 1\n",
+     ["tests/test_parser.py::TestRoundTrip::test_wide_sparse_document_is_byte_identical"]),
+    ("to-space-accepts-a-zero-numerator", "parser.py",
+     "min(nums) <= 0",
+     "min(nums) < 0",
+     ["tests/test_parser.py::TestOutcomeKeys::test_hand_built_tables_are_checked[zero]"]),
     # The lazy derivation of an intervened mechanism (`_lookup`, `_derive`, `_scan`).
     ("derivation-carries-over-on-overlap", "mechanism.py",
      "        if k_w is None or U <= S:\n",

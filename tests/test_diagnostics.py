@@ -129,10 +129,10 @@ CASES = [
      (2, "error: 1:27: expected point(...), uniform, or a weight table\n")),
     ("cfq-point-off-the-intervened-set", RUN,
      {"cfq": "INTERVENE {CF.class} WITH point(CF.exam=P)\nPROB ()\n"},
-     (2, "error: point() must assign exactly the intervened coordinates\n")),
+     (2, "error: 1:1: point() must assign exactly the intervened coordinates\n")),
     ("cfq-table-row-off-the-intervened-set", RUN,
      {"cfq": "INTERVENE {CF.class} WITH { (CF.exam=P) = 1 }\nPROB ()\n"},
-     (2, "error: weight table rows must assign exactly the intervened coordinates\n")),
+     (2, "error: 1:1: weight table rows must assign exactly the intervened coordinates\n")),
     # at the second operand and at `point`, wherever the statement ends
     ("cfq-indep-mixed-operands", RUN, {"cfq": "INDEP {F.class} (CF.exam=P)\nPROB ()\n"},
      (2, "error: 1:17: INDEP operands must both be events or both coordinate sets\n")),
@@ -142,14 +142,22 @@ CASES = [
      (2, "error: 1:27: point() needs at least one coordinate assignment\n")),
     ("cfq-empty-point-at-the-end", RUN, {"cfq": "INTERVENE {CF.class} WITH point()"},
      (2, "error: 1:27: point() needs at least one coordinate assignment\n")),
-    # a coordinate or label the script names is quoted as the input is, cut after 40 characters
+    # a coordinate or label the script names is an error at its statement's first token
+    ("cfq-unknown-coordinate", RUN, {"cfq": "PROB (CF.zzz=P)\n"},
+     (2, "error: 1:1: unknown coordinate 'CF.zzz'\n")),
+    ("cfq-unknown-label", RUN, {"cfq": "PROB (CF.exam=Q)\n"},
+     (2, "error: 1:1: unknown label 'Q' for coordinate CF.exam\n")),
+    ("cfq-intervened-unknown-coordinate", RUN,
+     {"cfq": "PROB ()\n  INTERVENE {CF.zzz} WITH uniform\nPROB ()\n"},
+     (2, "error: 2:3: unknown coordinate 'CF.zzz'\n")),
+    # and is quoted as the input is, cut after 40 characters
     ("cfq-unknown-coordinate-of-5003-characters", RUN, {"cfq": "PROB (CF." + "x" * 5000 + "=P)\n"},
-     (2, "error: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
+     (2, "error: 1:1: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
     ("cfq-unknown-label-of-5000-characters", RUN, {"cfq": "PROB (CF.exam=" + "x" * 5000 + ")\n"},
-     (2, "error: unknown label '" + "x" * 40 + "…' for coordinate CF.exam\n")),
+     (2, "error: 1:1: unknown label '" + "x" * 40 + "…' for coordinate CF.exam\n")),
     ("cfq-intervened-coordinate-of-5003-characters", RUN,
      {"cfq": "INTERVENE {CF." + "x" * 5000 + "} WITH uniform\n"},
-     (2, "error: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
+     (2, "error: 1:1: unknown coordinate 'CF." + "x" * 37 + "…'\n")),
     # a name is bound by an earlier LET
     ("cfq-unbound-name", RUN, {"cfq": "PROB ()\nPROB (nope)\n"},
      (2, "error: 2:7: unbound event name 'nope'\n")),

@@ -4,7 +4,8 @@ A Margin keeps integer numerators over one canonical denominator and
 answers in Fractions.  These tests hold every public reading of it to a
 reference that sums Fractions directly, check that one law reached by
 different routes is one table, and count the Fraction operations of the
-whole-family checks.
+whole-family checks and of the .cfs text path, whose documents hold the
+same integer tables.
 """
 
 import math
@@ -14,6 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfspaces.measure
 from cfspaces import (
     Coordinate,
     Margin,
@@ -21,9 +23,12 @@ from cfspaces import (
     SpaceSchema,
     check_cross_world,
     compile_scm,
+    doc_from_space,
     is_symmetric,
     parse_scm,
+    parse_space,
 )
+from cfspaces.parser import fraction_text
 from conftest import chain_scm
 
 
@@ -186,3 +191,48 @@ def test_mismatches_match_the_loop_over_every_row(case, data):
     assert list(P.mismatches(Measure(schema, written_p))) == []
     assert list(P.marginal(S).mismatches(R.marginal(S))) == loop(
         reference_marginal(ref_p, S), reference_marginal(ref_r, S), schema.rows(S))
+
+
+# -- the .cfs text path ----------------------------------------------------------
+
+# Integers of up to 4,000 digits, under the interpreter's int <-> str limit.
+big = st.integers(0, 10 ** 4000)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(big, big, st.integers(1, 10 ** 40))
+def test_the_entry_writer_prints_the_reduced_fraction(a, b, factor):
+    n, d = sorted((a, b))
+    if d == 0:
+        n, d = 0, 1
+    for n, d in ((n, d), (n * factor, d * factor)):  # a common factor too
+        if len(str(d)) <= 4000:
+            assert fraction_text(n, d) == str(Fraction(n, d))
+
+
+def test_the_text_path_builds_no_fraction_tables(compiled_chains, monkeypatch):
+    """Building the compiled 3-variable chain from its document checks no
+    law in Fractions and calls no checked Measure constructor, and writing
+    its document back reads no table as Fractions."""
+    doc = parse_space(compiled_chains[3])
+    calls = []
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(cfspaces.measure, "_law")
+    counted(Measure, "__init__")
+    counted(Margin, "as_dict")
+    space = doc.to_space()
+    assert len(space.mech.kernels()) == 64
+    again = doc_from_space(space, doc.name)
+    assert calls == []
+    assert again.measure == doc.measure
+    assert [dict(k.rows) for k in again.kernels] == [dict(k.rows) for k in doc.kernels]
+    Measure(space.schema, space.P.as_dict())  # the counters count
+    assert calls == ["as_dict", "__init__", "_law"]

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import io
+import math
 import re
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from cfspaces import (
     serialize_space,
 )
 from cfspaces import parser
+from cfspaces.cli import main
 from cfspaces.parser import KernelDecl
 from cfspaces.repro import FIXTURES, fixture_text
 
@@ -43,17 +47,24 @@ WIDE = "".join(
     + ["  default = 0\n}\n"])
 
 
+def weight(table: dict, outcome) -> Fraction:
+    """The weight of `outcome` in an integer table: its numerator over the sum."""
+    return Fraction(table.get(outcome, 0), sum(table.values()))
+
+
 class TestParseSpace:
     def test_mini_document(self):
         doc = parse_space(MINI)
         assert doc.name == "mini"
         assert doc.worlds[1].mirror_of == "F"
-        assert doc.measure[(0, 0)] == Fraction(8, 25)
-        assert doc.measure[(1, 1)] == Fraction(1, 4)
+        # 0.32, 0.18, 1/4 and the default 1/4 over their lcm, 100
+        assert doc.measure == {(0, 0): 32, (0, 1): 18, (1, 0): 25, (1, 1): 25}
+        assert weight(doc.measure, (0, 0)) == Fraction(8, 25)
+        assert weight(doc.measure, (1, 1)) == Fraction(1, 4)
 
     def test_decimals_parse_exactly(self):
         doc = parse_space(MINI)
-        assert doc.measure[(0, 1)] == Fraction(9, 50)
+        assert weight(doc.measure, (0, 1)) == Fraction(9, 50)
 
     def test_uniform_via_default_only(self):
         text = MINI.replace(
@@ -108,8 +119,8 @@ class TestParseSpace:
 
     def test_sparse_table_keeps_nonzero_entries_only(self):
         doc = parse_space(WIDE)
-        assert len(doc.measure) == 3
-        assert doc.measure[(1,) * 16] == Fraction(1, 4)
+        assert doc.measure == {(0,) * 16: 2, (0,) * 15 + (1,): 1, (1,) * 16: 1}
+        assert weight(doc.measure, (1,) * 16) == Fraction(1, 4)
 
     def test_kernel_rows_resolve(self):
         space = parse_space(fixture_text("exam")).to_space()
@@ -160,6 +171,30 @@ class TestRoundTrip:
         assert len(rebuilt.kernels) == len(doc.kernels)
 
 
+# sha256 of `cfspaces compile scm` of shaped_scm(n, shape), recorded when
+# the writer formatted every entry as a Fraction: the integer writer must
+# write the same bytes.
+COMPILED_SHA256 = {
+    ("chain", 2): "e66ab68662ef1018005f66ab89a1718494827290fbe07862ad9e25ab173b71aa",
+    ("chain", 3): "62771736cdd9d0f91106bbb3c892f1f28b6535abc8c15fcfd92833953ca38a4f",
+    ("chain", 4): "d68e5d75bf3198bf9a0d1fa6c299b9e278fd84fa5faa5ebe49ff1af79103d45a",
+    ("fork", 2): "23bda8c28d9deb81613d7c7548d1a25a66feb97ed0ca0f855f4154de43fc937b",
+    ("fork", 3): "503904405a8dfebaea046827837048cad6c1e42ce6d69b1a4bfa880bd28acdf1",
+    ("fork", 4): "ee8018639c2b1f7d0878fb7825e491d2f113fe90f8997ad0b43049da475fc8ae",
+    ("collider", 2): "14ae157593a6d043d44f9dbb650e6aa711efea4b5223dad37a35389f63370c91",
+    ("collider", 3): "a837bb6f93d8390d9d67d82c0b3a9267e1ece477340a6ed6895b4adb8ef4e27b",
+    ("collider", 4): "c64a1c4de0261db7fddf05a0b16c61a1a067eb07fa38c6221dd833dd90d79e59",
+}
+
+
+@pytest.mark.parametrize("shape, n", list(COMPILED_SHA256), ids=[f"{s}{n}" for s, n in COMPILED_SHA256])
+def test_compiled_files_are_byte_pinned(shape, n, tmp_path):
+    model, out = tmp_path / "model.scm", tmp_path / "out.cfs"
+    model.write_text(shaped_scm(n, shape))
+    assert main(["compile", "scm", str(model), "-o", str(out)], io.StringIO(), io.StringIO()) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPILED_SHA256[shape, n]
+
+
 class TestOutcomeKeys:
     """Document tables hold the outcome-keyed tables of the space they build."""
 
@@ -168,36 +203,64 @@ class TestOutcomeKeys:
         for text in texts:
             doc = parse_space(text)
             space = doc.to_space()
-            assert doc.measure == space.P.as_dict()
+            assert doc.measure == space.P._n
+            assert {o: weight(doc.measure, o) for o in doc.measure} == space.P.as_dict()
             for decl in doc.kernels:
                 kernel = space.mech.get(decl.on)
                 assert decl.on == kernel.on
                 assert [row for row, _ in decl.rows] == list(kernel.rows)
                 for row, body in decl.rows:
-                    assert body == kernel.rows[row].as_dict()
+                    assert body == kernel.rows[row]._n
+                    assert {o: weight(body, o) for o in body} == kernel.rows[row].as_dict()
 
     def test_doc_from_space_holds_the_measure(self, compiled_chains):
         spaces = [random_cf_space(seed, n_worlds=2) for seed in range(5)]
         spaces += [parse_space(compiled_chains[n]).to_space() for n in (2, 3)]
         for space in spaces:
             doc = doc_from_space(space, "s")
-            assert doc.measure == space.P.as_dict()
+            assert doc.measure == space.P._n
             for decl in doc.kernels:
                 rows = space.mech.get(decl.on).rows
-                assert dict(decl.rows) == {row: m.as_dict() for row, m in rows.items()}
+                assert dict(decl.rows) == {row: m._n for row, m in rows.items()}
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: {(0, 0): Fraction(1, 2)}, "weights sum to 1/2, not 1"),
-        (lambda d: {(0, 2): Fraction(1)}, "label index 2 out of range for coordinate CF.c"),
-    ], ids=["sum", "index"])
-    def test_hand_built_tables_are_checked(self, edit, message):
+    @pytest.mark.parametrize("table, message", [
+        ({(0, 0): Fraction(1, 2), (1, 1): 1}, "weight at (0, 0) is not a positive integer numerator"),
+        ({(0, 0): 1, (1, 1): 0}, "weight at (1, 1) is not a positive integer numerator"),
+        ({(0, 0): 2, (1, 1): -1}, "weight at (1, 1) is not a positive integer numerator"),
+        ({(0, 0): 1, (1, 1): 1.0}, "weight at (1, 1) is not a positive integer numerator"),
+        ({(0, 0): 1, (1, 1): True}, "weight at (1, 1) is not a positive integer numerator"),
+        ({}, "table has no entries"),
+        ({(0, 2): 1}, "label index 2 out of range for coordinate CF.c"),
+        ({(0, 0): 1, (1,): 1}, "row (1,) does not match the coordinates (0, 1)"),
+    ], ids=["fraction", "zero", "negative", "float", "bool", "empty", "index", "size"])
+    def test_hand_built_tables_are_checked(self, table, message):
         doc = parse_space(MINI)
-        bad = dataclasses.replace(doc, measure=edit(doc.measure))
+        bad = dataclasses.replace(doc, measure=table)
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             bad.to_space()
-        kernel = KernelDecl(frozenset({1}), (((0,), edit(doc.measure)),))
+        kernel = KernelDecl(frozenset({1}), (((0,), table), ((1,), doc.measure)))
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(doc, kernels=(kernel,)).to_space()
+
+    @pytest.mark.parametrize("rows, message", [
+        ((), "kernel has no rows"),
+        ((((2,), {(0, 0): 1}),), "label index 2 out of range for coordinate CF.c"),
+        ((((0, 0), {(0, 0): 1}),), "row (0, 0) does not match the coordinates (1,)"),
+    ], ids=["empty", "index", "size"])
+    def test_hand_built_kernel_rows_are_checked(self, rows, message):
+        doc = dataclasses.replace(parse_space(MINI), kernels=(KernelDecl(frozenset({1}), rows),))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            doc.to_space()
+
+    def test_a_common_factor_means_the_reduced_law(self):
+        doc = parse_space(MINI)
+        scaled = {o: 6 * n for o, n in doc.measure.items()}
+        kernel = KernelDecl(frozenset({1}), (((0,), scaled), ((1,), doc.measure)))
+        space = dataclasses.replace(doc, measure=scaled, kernels=(kernel,)).to_space()
+        assert space.P == doc.to_space().P
+        assert space.P._n == doc.measure and space.P._d == 100
+        rows = space.mech.get({1}).rows
+        assert rows[(0,)] == rows[(1,)] == space.P
 
 
 SCM_TEXT = """\
@@ -330,9 +393,13 @@ class TestEntryPath:
     def test_tokens_lexed_do_not_grow_with_entries(self, compiled_chains, monkeypatch):
         doc = parse_space(compiled_chains[3])
         P = doc.measure
+        d_P = sum(P.values())
 
-        def mixed(body):  # the row half and half with P: more entries, same sum
-            return {k: (body.get(k, 0) + P.get(k, 0)) / 2 for k in body.keys() | P.keys()}
+        def mixed(body):  # the row half and half with P: more entries, the law of both
+            d = sum(body.values())
+            mix = {k: body.get(k, 0) * d_P + P.get(k, 0) * d for k in body.keys() | P.keys()}
+            g = math.gcd(*mix.values())  # a parsed table has no common factor
+            return {k: n // g for k, n in mix.items()}
 
         denser = dataclasses.replace(doc, kernels=tuple(
             KernelDecl(k.on, tuple((row, mixed(body)) for row, body in k.rows))

@@ -212,8 +212,8 @@ class TestCli:
         assert code == 4
 
     @pytest.mark.parametrize("script, message", [
-        ("PROB (CF.zzz=P)", "unknown coordinate 'CF.zzz'"),
-        ("EFFECT {CF.zzz} ON (CF.exam=P)", "unknown coordinate 'CF.zzz'"),
+        ("PROB (CF.zzz=P)", "1:1: unknown coordinate 'CF.zzz'"),
+        ("EFFECT {CF.zzz} ON (CF.exam=P)", "1:1: unknown coordinate 'CF.zzz'"),
         ("EFFECT {CF.class, CF.class} ON (CF.exam=P)",
          "1:19: coordinate 'CF.class' listed twice"),
         ("PROB ()\nSYNC {F.exam} {CF.exam, F.exam,\n CF.exam}",
@@ -362,7 +362,7 @@ class TestCli:
         # an event is still a set of outcomes: its cylinder would be listed
         script.write_text("PROB (F.c0=a)\n")
         assert run_cli(["run", str(cfs), str(script)]) == (
-            2, "", "error: 8388608 rows to list, beyond the budget of 1048576\n")
+            2, "", "error: 1:1: 8388608 rows to list, beyond the budget of 1048576\n")
 
     def test_compile_bscm_needs_coupling(self, tmp_path):
         model = tmp_path / "m.scm"
