@@ -70,7 +70,7 @@ class SCMModel:
             if eq.target != name:
                 raise ValueError(f"equation registered under {name!r} targets {eq.target!r}")
             for p in eq.parents:
-                if p not in endo_domains or p == name:
+                if p not in endo_domains:
                     raise ValueError(f"invalid parent {p!r} for {name}")
             for u in eq.noises:
                 if u not in noise_domains:
@@ -247,6 +247,8 @@ class POModel:
             if name not in observed:
                 raise ValueError(f"no observed function for {name}")
         for var, fn in observed.items():
+            if var not in domains:
+                raise ValueError(f"unknown observed variable {var!r}")
             check_fn(fn, var, "observed function")
             self.observed[var] = dict(fn)
         self.potentials = {}

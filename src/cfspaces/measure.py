@@ -128,6 +128,14 @@ class Margin:
 
     items = rows
 
+    def values(self) -> list:
+        """Nonzero weights in ascending row order."""
+        return [q for _, q in self.rows()]
+
+    def __len__(self) -> int:
+        """The number of rows with nonzero weight."""
+        return len(self._n)
+
     def as_dict(self) -> dict:
         d = self._d
         return {row: Fraction(n, d) for row, n in self._n.items()}

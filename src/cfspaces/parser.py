@@ -15,8 +15,8 @@ table) is read by `parse_table` and completed by `Table.law` or
 .cfs kernel row 'given (row) { ... }', is read one of two ways: whole,
 with one regex match, when it is in its usual spelling, or else by tokens
 from its first character, the only path that reports errors.
-A probability table becomes the integer table that a `Measure` holds,
-and documents hold those tables from text to space and back.
+A .cfs probability table is read into the `Measure` it denotes, and a
+document holds those Measures from text to space and back.
 """
 
 from __future__ import annotations
@@ -564,28 +564,27 @@ class WorldDecl:
 @dataclass
 class KernelDecl:
     """A kernel block: `on` is its set of schema positions, and each row,
-    an index tuple over the ascending positions of `on`, has an integer
-    table keyed as the document's measure."""
+    an index tuple over the ascending positions of `on`, has a `Measure`
+    on the document's schema."""
 
     on: frozenset
-    rows: tuple  # ((row, {outcome: positive int}), ...)
+    rows: tuple  # ((row, Measure), ...)
 
 
 @dataclass
 class SpaceDocument:
     """Parsed form of a .cfs file.
 
-    Tables are held as in `Measure`, and shared with the space that
-    `to_space` builds or `doc_from_space` reads: the measure and every
-    kernel-row body map outcomes, label-index tuples in schema order, to
-    positive integer numerators over the table's sum (a parsed table has no
-    common factor).  Labels appear only in the text that `parse_space`
-    reads and `serialize_space` writes.
+    The measure and every kernel-row body are `Measure`s on the document's
+    schema, shared with the space that `to_space` builds or `doc_from_space`
+    reads; their rows are outcomes, label-index tuples in schema order.
+    Labels appear only in the text that `parse_space` reads and
+    `serialize_space` writes.
     """
 
     name: str
     worlds: tuple[WorldDecl, ...]
-    measure: dict | None  # outcome -> positive int
+    measure: Measure | None
     kernels: tuple[KernelDecl, ...] = ()
     mirror: tuple[str, str] | None = None
 
@@ -603,31 +602,19 @@ class SpaceDocument:
         return SpaceSchema(coords)
 
     def to_space(self) -> CfSpace:
-        """The space of the document, whose tables, as it can be built by
-        hand, are checked at once before the unchecked constructors take them."""
-        schema = self.schema()
-        if self.measure is None:
+        """The space of the document.  Its measure must be a `Measure` on
+        its schema; the checked `Kernel` and `Mechanism` constructors check
+        the kernels, as for any caller, so a document built by hand is
+        checked as every measure and kernel is."""
+        P = self.measure
+        if P is None:
             raise ParseError("document has no measure block; cannot build a space")
-        outcomes = schema.all_on
-        tables = [self.measure] + [body for decl in self.kernels for _, body in decl.rows]
-        nums = list(itertools.chain.from_iterable(map(dict.values, tables)))
+        if not isinstance(P, Measure) or P.schema != self.schema():
+            raise ParseError("document measure is not a Measure on its schema")
+        schema = P.schema  # a parsed document's rows share it: each check is by identity
         try:
-            if not all(tables) or not {int}.issuperset(map(type, nums)) or min(nums) <= 0:
-                row = next(row for t in tables for row, n in (t.items() or [(None, 0)])
-                           if type(n) is not int or n <= 0)
-                raise ParseError("table has no entries" if row is None else
-                                 f"weight at {row!r} is not a positive integer numerator")
-            schema.require_rows(outcomes, set().union(*tables))
-            P = Measure._of(schema, outcomes, self.measure)
-            kernels = []
-            for decl in self.kernels:
-                on, rows = schema.positions(decl.on), dict(decl.rows)
-                if not rows:
-                    raise ParseError("kernel has no rows")
-                schema.require_rows(sorted(on), rows)
-                kernels.append(Kernel._of(schema, on, {row: Measure._of(schema, outcomes, body)
-                                                       for row, body in rows.items()}))
-            mech = Mechanism(schema, P, kernels) if self.kernels else None
+            kernels = [Kernel(schema, decl.on, dict(decl.rows)) for decl in self.kernels]
+            mech = Mechanism(schema, P, kernels) if kernels else None
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         return CfSpace(schema, P, mech)
@@ -662,10 +649,7 @@ def parse_space(text: str) -> SpaceDocument:
     if not worlds:
         ts.error("document declares no worlds")
 
-    try:
-        schema = SpaceDocument(name, tuple(worlds), None).schema()
-    except SchemaError as exc:
-        raise ParseError(str(exc)) from None
+    schema = SpaceDocument(name, tuple(worlds), None).schema()
 
     # Every table of the document is a measure over the whole outcome
     # space, keyed by outcome.
@@ -673,13 +657,13 @@ def parse_space(text: str) -> SpaceDocument:
     outcome, rational = assignment_key(ts, ts.coord_ref, index, "coordinate"), ts.rational
     outcomes = schema.n_outcomes, lambda: schema.rows(schema.all_on)
 
-    def parse_measure() -> dict:
-        return parse_table(ts, outcome, rational).law(*outcomes, "measure", "outcomes")
+    def measure_of(table: Table) -> Measure:
+        return Measure._of(schema, schema.all_on, table.law(*outcomes, "measure", "outcomes"))
 
     measure = None
     if ts.at_word("measure"):
         ts.next()
-        measure = parse_measure()
+        measure = measure_of(parse_table(ts, outcome, rational))
 
     kernels = []
     seen_sets = set()
@@ -706,7 +690,7 @@ def parse_space(text: str) -> SpaceDocument:
             if table is None:
                 return None
             try:
-                rows[row] = table.law(*outcomes, "measure", "outcomes")
+                rows[row] = measure_of(table)
             except ParseError:
                 return None
             return True
@@ -723,7 +707,7 @@ def parse_space(text: str) -> SpaceDocument:
             row = given.read()
             if row in rows:
                 raise ParseError("duplicate 'given' row", tok.line, tok.col)
-            rows[row] = parse_measure()
+            rows[row] = measure_of(parse_table(ts, outcome, rational))
         if not rows:
             ts.error("kernel declares no 'given' rows")
         ts.expect_sym("}")
@@ -773,10 +757,10 @@ def serialize_space(doc: SpaceDocument) -> str:
     spell = functools.cache(lambda outcome: f"({assignment(schema.all_on, outcome)}) = ")
     weight = functools.cache(fraction_text)  # a compiled file repeats few weights
 
-    def emit_table(table: dict, indent: str):
-        d = sum(table.values())
+    def emit_table(table: Measure, indent: str):
+        d = table._d
         lines = [f"{indent}{spell(outcome)}{weight(n, d)}"
-                 for outcome, n in sorted(table.items())]
+                 for outcome, n in sorted(table._n.items())]
         if len(table) < schema.n_outcomes:
             lines.append(f"{indent}default = 0")
         return lines
@@ -820,6 +804,5 @@ def doc_from_space(space: CfSpace, name: str) -> SpaceDocument:
             if not S:
                 continue  # the empty kernel is implied by the measure
             k = space.mech.get(S)
-            rows = tuple((row, k.rows[row]._n) for row in sorted(k.rows))
-            kernels.append(KernelDecl(k.on, rows))
-    return SpaceDocument(name, tuple(worlds), space.P._n, tuple(kernels), None)
+            kernels.append(KernelDecl(k.on, tuple(sorted(k.rows.items()))))
+    return SpaceDocument(name, tuple(worlds), space.P, tuple(kernels), None)

@@ -92,7 +92,7 @@ class SpaceSchema:
         self._outcome_set: frozenset | None = None
 
     def __eq__(self, other):
-        return isinstance(other, SpaceSchema) and self.coords == other.coords
+        return self is other or isinstance(other, SpaceSchema) and self.coords == other.coords
 
     def __hash__(self):
         return hash(self.coords)

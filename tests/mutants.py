@@ -92,8 +92,8 @@ MUTANTS = [
      ["tests/test_parser.py::test_malformed_entry_diagnostics[duplicate entry]",
       "tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
     ("row-read-skips-the-law", "parser.py",
-     '                rows[row] = table.law(*outcomes, "measure", "outcomes")\n',
-     "                rows[row] = table.entries\n",
+     "                rows[row] = measure_of(table)\n",
+     "                rows[row] = Measure._of(schema, schema.all_on, dict.fromkeys(table.entries, 1))\n",
      ["tests/test_diagnostics.py::test_diagnostic[cfs-kernel-row-short]",
       "tests/test_grammar.py::test_table_reader_reads_as_the_token_path"]),
     ("match-counts-lines-to-the-start-of-the-match", "parser.py",
@@ -124,12 +124,21 @@ MUTANTS = [
      "        return None if None in pair else pair\n",
      "        return None\n",
      ["tests/test_parser.py::TestEntryPath::test_a_coupled_model_is_read_with_one_match_per_table"]),
-    # Integer tables from .cfs text to the engine and back (`Table.law`,
-    # `SpaceDocument.to_space`, `fraction_text`).
-    ("to-space-skips-the-row-check", "parser.py",
-     "            schema.require_rows(outcomes, set().union(*tables))\n",
-     "",
-     ["tests/test_parser.py::TestOutcomeKeys::test_hand_built_tables_are_checked[index]"]),
+    # Measures from .cfs text to the engine and back (`Table.law`,
+    # `SpaceDocument.to_space`, `fraction_text`), and the constructors that
+    # check a hand-built document.
+    ("to-space-takes-any-measure", "parser.py",
+     "        if not isinstance(P, Measure) or P.schema != self.schema():\n",
+     "        if False:\n",
+     ["tests/test_parser.py::TestOutcomeKeys::test_only_measures_on_the_schema_are_taken[margin]",
+      "tests/test_parser.py::TestOutcomeKeys"
+      "::test_only_measures_on_the_schema_are_taken[other-schema]"]),
+    ("kernel-takes-a-row-on-another-schema", "mechanism.py",
+     "            if not isinstance(measure, Measure) or measure.schema != schema:\n",
+     "            if not isinstance(measure, Measure):\n",
+     ["tests/test_mechanism.py::TestConstructors::test_kernel[another-schema]",
+      "tests/test_parser.py::TestOutcomeKeys"
+      "::test_only_measures_on_the_schema_are_taken[other-schema]"]),
     ("law-sum-ignores-the-default", "parser.py",
      "        total = sum(nums.values()) + fill * unlisted\n",
      "        total = sum(nums.values())\n",
@@ -137,11 +146,32 @@ MUTANTS = [
     ("writer-drops-the-gcd", "parser.py",
      "    g = math.gcd(n, d)\n",
      "    g = 1\n",
-     ["tests/test_parser.py::TestRoundTrip::test_wide_sparse_document_is_byte_identical"]),
-    ("to-space-accepts-a-zero-numerator", "parser.py",
-     "min(nums) <= 0",
-     "min(nums) < 0",
-     ["tests/test_parser.py::TestOutcomeKeys::test_hand_built_tables_are_checked[zero]"]),
+     ["tests/test_exact_tables.py::test_the_entry_writer_prints_the_reduced_fraction",
+      "tests/test_parser.py::TestRoundTrip::test_wide_sparse_document_is_byte_identical"]),
+    # Rejections and skips that only direct tests reach.
+    ("intervene-takes-a-measure-off-the-intervened-set", "mechanism.py",
+     "    if Q.schema != schema or set(Q.on) != set(U):\n",
+     "    if Q.schema != schema:\n",
+     ["tests/test_mechanism.py::TestConstructors"
+      "::test_intervene_needs_a_measure_on_the_intervened_coordinates[another-set]"]),
+    ("effect-reads-an-absent-partner-kernel", "mechanism.py",
+     "        if partner not in mech:\n            continue\n",
+     "",
+     ["tests/test_mechanism.py::TestClassifyEffect::test_an_absent_partner_kernel_is_passed_over"]),
+    ("effect-reads-an-absent-partner-row", "mechanism.py",
+     "            if not k_p.has_row(sub):\n                continue\n",
+     "",
+     ["tests/test_mechanism.py::TestClassifyEffect::test_an_absent_partner_row_is_passed_over"]),
+    ("symmetry-takes-a-mirror-that-misses-a-world", "worlds.py",
+     "            != schema.all_positions:\n",
+     "            != schema.all_positions and False:\n",
+     ["tests/test_worlds.py::TestRejections"
+      "::test_symmetry_needs_two_worlds_or_a_covering_mirror"]),
+    ("indep-drops-its-given", "query.py",
+     "                    base = condition_event(base, eval_expr(stmt.given, schema, bindings))\n",
+     "                    pass\n",
+     ["tests/test_query_cli.py::TestQueryScripts::test_indep_given[events-constant]",
+      "tests/test_query_cli.py::TestQueryScripts::test_indep_given[sets-constant]"]),
     # The lazy derivation of an intervened mechanism (`_lookup`, `_derive`, `_scan`).
     ("derivation-carries-over-on-overlap", "mechanism.py",
      "        if k_w is None or U <= S:\n",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,79 @@ def test_law_checks(what, build, keys, outside, outside_error):
     coerced = build({a: "1/3", b: "2/3"})
     assert coerced == {a: Fraction(1, 3), b: Fraction(2, 3)}
     assert all(type(q) is Fraction for q in coerced.values())
+
+
+def scm_args(**changes) -> dict:
+    """The arguments of a two-variable SCMModel, X <- U and Y <- X, with `changes`."""
+    ident = {("0",): "0", ("1",): "1"}
+    args = dict(noise=[("U", ("0", "1"))],
+                noise_dist={("0",): Fraction(1, 2), ("1",): Fraction(1, 2)},
+                endo=[("X", ("0", "1")), ("Y", ("0", "1"))],
+                eqs={"X": StructuralEq("X", (), ("U",), ident),
+                     "Y": StructuralEq("Y", ("X",), (), ident)})
+    return args | changes
+
+
+def po_args(**changes) -> dict:
+    """The arguments of a two-unit POModel with one potential outcome, with `changes`."""
+    args = dict(units=("a", "b"), unit_dist={"a": Fraction(1, 2), "b": Fraction(1, 2)},
+                endo=[("X", ("0", "1")), ("Y", ("0", "1"))],
+                observed={"X": {"a": "1", "b": "0"}, "Y": {"a": "1", "b": "1"}},
+                potentials={("Y", (("X", "0"),)): {"a": "0", "b": "1"}})
+    return args | changes
+
+
+eq = StructuralEq  # short, for the cases below
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(endo=[("X", ("0", "1")), ("U", ("0", "1"))]),
+     "noise and endogenous variable names must be distinct"),
+    (dict(noise_dist={("2",): 1}), "noise assignment ('2',) does not match the noise variables"),
+    (dict(eqs={"X": eq("X", (), ("U",), {("0",): "0", ("1",): "1"})}),
+     "no structural equation for Y"),
+    (dict(eqs=scm_args()["eqs"] | {"Z": eq("Z", (), ("U",), {})}),
+     "equation target 'Z' is not an endogenous variable"),
+    (dict(eqs=scm_args()["eqs"] | {"Y": eq("X", (), ("U",), {})}),
+     "equation registered under 'Y' targets 'X'"),
+    (dict(eqs=scm_args()["eqs"] | {"Y": eq("Y", ("U",), (), {})}), "invalid parent 'U' for Y"),
+    (dict(eqs=scm_args()["eqs"] | {"Y": eq("Y", (), ("X",), {})}),
+     "invalid noise input 'X' for Y"),
+    (dict(eqs=scm_args()["eqs"] | {"Y": eq("Y", ("X",), (), {("0",): "0"})}),
+     "function table for Y does not cover its input domain"),
+    (dict(eqs=scm_args()["eqs"] | {"Y": eq("Y", ("X",), (), {("0",): "0", ("1",): "2"})}),
+     "function table for Y outputs unknown label '2'"),
+], ids=["shared-name", "noise-row", "no-equation", "unknown-target", "misregistered",
+        "parent", "noise-input", "uncovered", "unknown-label"])
+def test_scm_model_rejections(changes, message):
+    SCMModel(**scm_args())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SCMModel(**scm_args(**changes))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(units=("a", "a")), "duplicate units"),
+    (dict(unit_dist={"c": 1}), "unknown unit 'c'"),
+    (dict(observed={"X": {"a": "1", "b": "0"}}), "no observed function for Y"),
+    (dict(observed=po_args()["observed"] | {"Z": {"a": "1", "b": "0"}}),
+     "unknown observed variable 'Z'"),
+    (dict(observed=po_args()["observed"] | {"X": {"a": "1"}}),
+     "observed function for X is not total over the units"),
+    (dict(observed=po_args()["observed"] | {"X": {"a": "1", "b": "2"}}),
+     "observed function for X outputs unknown label '2'"),
+    (dict(potentials={("Z", (("X", "0"),)): {"a": "0", "b": "1"}}),
+     "unknown potential-outcome variable 'Z'"),
+    (dict(potentials={("Y", (("X", "5"),)): {"a": "0", "b": "1"}}),
+     "invalid treatment assignment (('X', '5'),)"),
+    (dict(potentials={("Y", (("X", "0"),)): {"a": "0"}}),
+     "potential-outcome function for Y is not total over the units"),
+], ids=["duplicate-unit", "unknown-unit", "no-observed", "unknown-observed",
+        "observed-partial", "observed-label", "unknown-potential", "treatment",
+        "potential-partial"])
+def test_po_model_rejections(changes, message):
+    POModel(**po_args())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        POModel(**po_args(**changes))
 
 
 class TestAgainstEnumeration:
@@ -296,6 +370,18 @@ class TestCompileSCM:
                 eqs={"A": StructuralEq("A", ("B",), (), flip),
                      "B": StructuralEq("B", ("A",), (), flip)},
             ).topo_order()
+
+    def test_a_self_loop_is_a_cycle(self):
+        model = SCMModel(
+            noise=[("U", ("0", "1"))],
+            noise_dist={("0",): Fraction(1, 2), ("1",): Fraction(1, 2)},
+            endo=[("X", ("0", "1"))],
+            eqs={"X": StructuralEq("X", ("X",), ("U",),
+                                   {(x, u): u for x in "01" for u in "01"})},
+        )
+        with pytest.raises(CyclicModelError,
+                           match=re.escape("structural equations are cyclic among ['X']")):
+            compile_scm(model)
 
     def test_seven_variables_build_only_the_kernels_read(self):
         # 2^14 kernels: compiling builds the empty one, and intervening on

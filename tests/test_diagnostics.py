@@ -109,6 +109,10 @@ CASES = [
      (2, "error: 5:4: repeated fn input\n")),
     ("scm-text-after-the-model", COMPILE_SCM, {"scm": SCM + "junk\n"},
      (2, "error: 6:1: unexpected 'junk' after the model\n")),
+    ("scm-self-loop", COMPILE_SCM,
+     {"scm": SCM.replace("var V { 0 1 }\nfn V (U)", "var X { 0 1 }\nfn X (X, U)")
+      .replace("(U=0) = 0  (U=1) = 1", "default = 0")},
+     (2, "error: structural equations are cyclic among ['X']\n")),
     # .po
     ("po-variable-twice", COMPILE_PO, {"po": PO.replace("var Y", "var X { 0 1 }\nvar Y")},
      (2, "error: 5:5: variable 'X' declared twice\n")),

@@ -106,6 +106,7 @@ def test_int_tables_match_fraction_reference(case):
     P, R = Measure(schema, written_p), Measure(schema, written_r)
     assert P.as_dict() == ref_p
     assert P.rows() == P.items() == sorted(ref_p.items())
+    assert P.values() == [q for _, q in sorted(ref_p.items())] and len(P) == len(ref_p)
     for outcome in schema.outcomes():
         assert P.weight(outcome) == ref_p.get(outcome, 0)
     assert all(type(q) is Fraction for q in P.as_dict().values())

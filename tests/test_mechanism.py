@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -374,6 +375,11 @@ class TestLazyIntervention:
         assert space.derivation.dropped == () and check_axioms(space).ok
 
 
+S2 = SpaceSchema([Coordinate("W", "a", ("0", "1")), Coordinate("W", "b", ("0", "1"))])
+OTHER = SpaceSchema([Coordinate("V", "a", ("0", "1")), Coordinate("V", "b", ("0", "1"))])
+P2 = Measure.uniform(S2)
+
+
 class TestClassifyEffect:
     def test_active_on_second_component(self, dormant):
         s = dormant.schema
@@ -463,6 +469,88 @@ class TestClassifyEffect:
         assert verdict.missing == tuple(frozenset(s) for s in [
             {0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}, {0, 1, 5}, {0, 2, 5}, {0, 3, 5}])
         assert classify_effect(full, u, a).tag == "no_effect"
+
+    @staticmethod
+    def ab_space(kernels) -> CfSpace:
+        """W.a, W.b binary and uniform, with the kernel on {W.a} that spreads
+        W.b uniformly and the given kernels as {S: {row: outcomes}}, each
+        row uniform on its outcomes."""
+        kernels = {frozenset({0}): {(i,): [(i, 0), (i, 1)] for i in (0, 1)}} | kernels
+        mech = Mechanism(S2, P2, [
+            Kernel(S2, S, {row: Measure(S2, dict.fromkeys(outs, Fraction(1, len(outs))))
+                           for row, outs in rows.items()})
+            for S, rows in kernels.items()])
+        return CfSpace(S2, P2, mech)
+
+    def test_an_absent_partner_kernel_is_passed_over(self):
+        # no kernel on {W.b}, the partner of {W.a, W.b} against U = {W.a}
+        ab = {(i, j): [(i, j)] for i in (0, 1) for j in (0, 1)}
+        space = self.ab_space({frozenset({0, 1}): ab})
+        same = frozenset({(0, 0), (1, 1)})  # W.a = W.b
+        assert classify_effect(space, {0}, same) == EffectVerdict(
+            "undetermined", missing=(frozenset({1}),))
+
+    def test_an_absent_partner_row_is_passed_over(self):
+        # the kernel on {W.b} lacks row (0,): the pair's rows (i, 0) are
+        # passed over, and row (0, 1) disagrees with the partner's row (1,)
+        ab = {(i, j): [(i, j)] for i in (0, 1) for j in (0, 1)}
+        space = self.ab_space({frozenset({0, 1}): ab, frozenset({1}): {(1,): [(0, 1), (1, 1)]}})
+        verdict = classify_effect(space, {0}, frozenset({(0, 0), (1, 1)}))
+        assert verdict.tag == "dormant"
+        w = verdict.witness
+        assert (w.S, w.row, w.value, w.reference, w.against) == (
+            frozenset({0, 1}), (0, 1), 0, Fraction(1, 2), frozenset({1}))
+
+
+class TestConstructors:
+    """The checked constructors refuse what does not fit their schema."""
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ({(0,): Measure.uniform(OTHER)}, ValueError,
+         "kernel rows must map to measures on the same schema"),
+        ({(0,): Margin.uniform(S2, {0})}, ValueError,
+         "kernel rows must map to measures on the same schema"),
+        ({(0,): P2.as_dict()}, ValueError, "kernel rows must map to measures on the same schema"),
+        ({}, ValueError, "kernel has no rows"),
+        ({(2,): P2}, SchemaError, "label index 2 out of range for coordinate W.a"),
+        ({(0, 0): P2}, SchemaError, "row (0, 0) does not match the coordinates (0,)"),
+    ], ids=["another-schema", "a-margin", "a-dict", "no-rows", "index", "size"])
+    def test_kernel(self, rows, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Kernel(S2, {0}, rows)
+
+    @pytest.mark.parametrize("P, kernels, message", [
+        (P2, [Kernel(OTHER, {0}, {(0,): Measure.uniform(OTHER)})],
+         "kernel schema does not match the mechanism schema"),
+        (P2, [Kernel(S2, {0}, {(0,): P2}), Kernel(S2, {0}, {(1,): P2})],
+         "duplicate kernel for coordinate set [0]"),
+        (Measure.uniform(OTHER), [], "kernel rows must map to measures on the same schema"),
+        (None, [], "kernel rows must map to measures on the same schema"),
+    ], ids=["another-schema", "duplicate", "measure-on-another-schema", "no-measure"])
+    def test_mechanism(self, P, kernels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Mechanism(S2, P, kernels)
+
+    @pytest.mark.parametrize("P, mech, message", [
+        (Measure.uniform(OTHER), None, "measure schema does not match the space schema"),
+        (P2, Mechanism(OTHER, Measure.uniform(OTHER)),
+         "mechanism schema does not match the space schema"),
+    ], ids=["measure", "mechanism"])
+    def test_space(self, P, mech, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CfSpace(S2, P, mech)
+
+    def test_a_space_without_a_mechanism_has_no_kernel(self):
+        with pytest.raises(MissingKernelError, match="^space has no causal mechanism$"):
+            CfSpace(S2, P2).kernel({0})
+
+    @pytest.mark.parametrize("Q", [Margin.uniform(S2, {1}), Margin.uniform(OTHER, {0}), P2],
+                             ids=["another-set", "another-schema", "every-coordinate"])
+    def test_intervene_needs_a_measure_on_the_intervened_coordinates(self, Q):
+        space = CfSpace(S2, P2, Mechanism(S2, P2, [Kernel(S2, {0}, {(0,): P2, (1,): P2})]))
+        with pytest.raises(ValueError, match="^intervention measure is not a measure "
+                                             "on the intervened coordinates$"):
+            intervene(space, {0}, Q)
 
 
 class TestConditionalEffect:

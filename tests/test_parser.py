@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
 import io
-import math
 import re
 from fractions import Fraction
 
 import pytest
 
 from cfspaces import (
+    Coordinate,
+    Measure,
     ParseError,
+    SpaceSchema,
     doc_from_space,
     parse_po,
     parse_scm,
@@ -47,24 +49,20 @@ WIDE = "".join(
     + ["  default = 0\n}\n"])
 
 
-def weight(table: dict, outcome) -> Fraction:
-    """The weight of `outcome` in an integer table: its numerator over the sum."""
-    return Fraction(table.get(outcome, 0), sum(table.values()))
-
-
 class TestParseSpace:
     def test_mini_document(self):
         doc = parse_space(MINI)
         assert doc.name == "mini"
         assert doc.worlds[1].mirror_of == "F"
+        assert type(doc.measure) is Measure and doc.measure.schema == doc.schema()
+        assert doc.measure.as_dict() == {(0, 0): Fraction(8, 25), (0, 1): Fraction(9, 50),
+                                         (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4)}
         # 0.32, 0.18, 1/4 and the default 1/4 over their lcm, 100
-        assert doc.measure == {(0, 0): 32, (0, 1): 18, (1, 0): 25, (1, 1): 25}
-        assert weight(doc.measure, (0, 0)) == Fraction(8, 25)
-        assert weight(doc.measure, (1, 1)) == Fraction(1, 4)
+        assert doc.measure._n == {(0, 0): 32, (0, 1): 18, (1, 0): 25, (1, 1): 25}
 
     def test_decimals_parse_exactly(self):
         doc = parse_space(MINI)
-        assert weight(doc.measure, (0, 1)) == Fraction(9, 50)
+        assert doc.measure.weight((0, 1)) == Fraction(9, 50)
 
     def test_uniform_via_default_only(self):
         text = MINI.replace(
@@ -119,8 +117,9 @@ class TestParseSpace:
 
     def test_sparse_table_keeps_nonzero_entries_only(self):
         doc = parse_space(WIDE)
-        assert doc.measure == {(0,) * 16: 2, (0,) * 15 + (1,): 1, (1,) * 16: 1}
-        assert weight(doc.measure, (1,) * 16) == Fraction(1, 4)
+        assert doc.measure.as_dict() == {
+            (0,) * 16: Fraction(1, 2), (0,) * 15 + (1,): Fraction(1, 4), (1,) * 16: Fraction(1, 4)}
+        assert len(doc.measure) == 3
 
     def test_kernel_rows_resolve(self):
         space = parse_space(fixture_text("exam")).to_space()
@@ -167,8 +166,8 @@ class TestRoundTrip:
         space = doc.to_space()
         rebuilt = doc_from_space(space, "dormant")
         # mirrors and declaration sugar aside, the resolved content agrees
-        assert {k: v for k, v in rebuilt.measure.items()} == doc.measure
-        assert len(rebuilt.kernels) == len(doc.kernels)
+        assert rebuilt.measure is space.P and rebuilt.measure == doc.measure
+        assert rebuilt.kernels == doc.kernels
 
 
 # sha256 of `cfspaces compile scm` of shaped_scm(n, shape), recorded when
@@ -196,71 +195,85 @@ def test_compiled_files_are_byte_pinned(shape, n, tmp_path):
 
 
 class TestOutcomeKeys:
-    """Document tables hold the outcome-keyed tables of the space they build."""
+    """Document tables are the outcome-keyed Measures of the space they build."""
 
     def test_tables_are_the_built_measures_and_rows(self, compiled_chains):
         texts = [fixture_text(name) for name in FIXTURES] + [compiled_chains[n] for n in (2, 3)]
         for text in texts:
             doc = parse_space(text)
             space = doc.to_space()
-            assert doc.measure == space.P._n
-            assert {o: weight(doc.measure, o) for o in doc.measure} == space.P.as_dict()
+            assert space.P is doc.measure
             for decl in doc.kernels:
                 kernel = space.mech.get(decl.on)
                 assert decl.on == kernel.on
                 assert [row for row, _ in decl.rows] == list(kernel.rows)
                 for row, body in decl.rows:
-                    assert body == kernel.rows[row]._n
-                    assert {o: weight(body, o) for o in body} == kernel.rows[row].as_dict()
+                    assert kernel.rows[row] is body and body.schema is doc.measure.schema
 
     def test_doc_from_space_holds_the_measure(self, compiled_chains):
         spaces = [random_cf_space(seed, n_worlds=2) for seed in range(5)]
         spaces += [parse_space(compiled_chains[n]).to_space() for n in (2, 3)]
         for space in spaces:
             doc = doc_from_space(space, "s")
-            assert doc.measure == space.P._n
+            assert doc.measure is space.P
             for decl in doc.kernels:
-                rows = space.mech.get(decl.on).rows
-                assert dict(decl.rows) == {row: m._n for row, m in rows.items()}
+                assert dict(decl.rows) == space.mech.get(decl.on).rows
 
     @pytest.mark.parametrize("table, message", [
-        ({(0, 0): Fraction(1, 2), (1, 1): 1}, "weight at (0, 0) is not a positive integer numerator"),
-        ({(0, 0): 1, (1, 1): 0}, "weight at (1, 1) is not a positive integer numerator"),
-        ({(0, 0): 2, (1, 1): -1}, "weight at (1, 1) is not a positive integer numerator"),
-        ({(0, 0): 1, (1, 1): 1.0}, "weight at (1, 1) is not a positive integer numerator"),
-        ({(0, 0): 1, (1, 1): True}, "weight at (1, 1) is not a positive integer numerator"),
-        ({}, "table has no entries"),
+        ({(0, 0): 2, (1, 1): -1}, "negative weight -1 at (1, 1)"),
+        ({}, "weights sum to 0, not 1"),
         ({(0, 2): 1}, "label index 2 out of range for coordinate CF.c"),
-        ({(0, 0): 1, (1,): 1}, "row (1,) does not match the coordinates (0, 1)"),
-    ], ids=["fraction", "zero", "negative", "float", "bool", "empty", "index", "size"])
+        ({(0, 0): Fraction(1, 2), (1,): Fraction(1, 2)},
+         "row (1,) does not match the coordinates (0, 1)"),
+    ], ids=["negative", "empty", "index", "size"])
     def test_hand_built_tables_are_checked(self, table, message):
+        """A hand-built table is a Measure, checked when it is built; a
+        bare table in its place is refused by `to_space`."""
         doc = parse_space(MINI)
-        bad = dataclasses.replace(doc, measure=table)
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            bad.to_space()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Measure(doc.schema(), table)
+        self.assert_refused(doc, table)
+
+    @staticmethod
+    def assert_refused(doc, table):
+        """`to_space` refuses `table` as the measure and as a kernel row."""
+        with pytest.raises(ParseError, match="^document measure is not a Measure on its schema$"):
+            dataclasses.replace(doc, measure=table).to_space()
         kernel = KernelDecl(frozenset({1}), (((0,), table), ((1,), doc.measure)))
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParseError,
+                           match="^kernel rows must map to measures on the same schema$"):
             dataclasses.replace(doc, kernels=(kernel,)).to_space()
+
+    @pytest.mark.parametrize("build", [
+        lambda schema, P: P.as_dict(),
+        lambda schema, P: P.marginal({0}),
+        lambda schema, P: Measure(SpaceSchema([Coordinate(c.world, c.name, c.labels[::-1])
+                                               for c in schema.coords]), P.as_dict()),
+    ], ids=["dict", "margin", "other-schema"])
+    def test_only_measures_on_the_schema_are_taken(self, build):
+        doc = parse_space(MINI)
+        self.assert_refused(doc, build(doc.schema(), doc.measure))
 
     @pytest.mark.parametrize("rows, message", [
         ((), "kernel has no rows"),
-        ((((2,), {(0, 0): 1}),), "label index 2 out of range for coordinate CF.c"),
-        ((((0, 0), {(0, 0): 1}),), "row (0, 0) does not match the coordinates (1,)"),
+        (((2,),), "label index 2 out of range for coordinate CF.c"),
+        (((0, 0),), "row (0, 0) does not match the coordinates (1,)"),
     ], ids=["empty", "index", "size"])
     def test_hand_built_kernel_rows_are_checked(self, rows, message):
-        doc = dataclasses.replace(parse_space(MINI), kernels=(KernelDecl(frozenset({1}), rows),))
+        doc = parse_space(MINI)
+        rows = tuple((row, Measure.dirac(doc.schema(), (0, 0))) for row in rows)
+        doc = dataclasses.replace(doc, kernels=(KernelDecl(frozenset({1}), rows),))
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             doc.to_space()
 
-    def test_a_common_factor_means_the_reduced_law(self):
+    def test_a_hand_built_document_builds_its_space(self):
         doc = parse_space(MINI)
-        scaled = {o: 6 * n for o, n in doc.measure.items()}
-        kernel = KernelDecl(frozenset({1}), (((0,), scaled), ((1,), doc.measure)))
-        space = dataclasses.replace(doc, measure=scaled, kernels=(kernel,)).to_space()
-        assert space.P == doc.to_space().P
-        assert space.P._n == doc.measure and space.P._d == 100
-        rows = space.mech.get({1}).rows
-        assert rows[(0,)] == rows[(1,)] == space.P
+        schema = doc.schema()  # equal to the measure's schema, not the same object
+        row = Measure(schema, {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 3)})
+        hand = dataclasses.replace(doc, kernels=(KernelDecl(frozenset({1}), (((0,), row),)),))
+        space = hand.to_space()
+        assert space.P is doc.measure and space.mech.get({1}).rows == {(0,): row}
+        assert parse_space(serialize_space(hand)) == hand
 
 
 SCM_TEXT = """\
@@ -393,13 +406,9 @@ class TestEntryPath:
     def test_tokens_lexed_do_not_grow_with_entries(self, compiled_chains, monkeypatch):
         doc = parse_space(compiled_chains[3])
         P = doc.measure
-        d_P = sum(P.values())
 
         def mixed(body):  # the row half and half with P: more entries, the law of both
-            d = sum(body.values())
-            mix = {k: body.get(k, 0) * d_P + P.get(k, 0) * d for k in body.keys() | P.keys()}
-            g = math.gcd(*mix.values())  # a parsed table has no common factor
-            return {k: n // g for k, n in mix.items()}
+            return Measure._mix(P.schema, [(1, body), (1, P)])
 
         denser = dataclasses.replace(doc, kernels=tuple(
             KernelDecl(k.on, tuple((row, mixed(body)) for row, body in k.rows))

@@ -1,16 +1,18 @@
 import io
+import re
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from cfspaces import parse_query, run_script
+from cfspaces import ParseError, parse_query, run_script
 from cfspaces import ConditioningUndefinedError, Margin, build_nway, compile_scm, intervene, parse_scm
 from cfspaces.cli import main
 from cfspaces.query import eval_expr, fmt_decimal, fmt_value
 from cfspaces.repro import FIXTURES, fixture_text
 from cfspaces.space import SpaceSchema, cylinder
 from conftest import chain_scm
+from oracle_util import brute_independent_sigmas
 
 
 def fixture_path(name: str) -> str:
@@ -94,6 +96,41 @@ class TestQueryScripts:
             "INDEP (F.class=Y & F.exam=P) (CF.class=Y & CF.exam=P)"))
         assert run2.lines == [
             "INDEP (F.class=Y & F.exam=P) (CF.class=Y & CF.exam=P) = false"]
+
+    @pytest.mark.parametrize("statement, verdict", [
+        # given F.class=Y & F.exam=P the CF weights are 32, 4, 6 and 1 (of 43):
+        # P(CF.class=Y & CF.exam=P) = 32/43, but 36/43 * 38/43 = 1368/1849
+        ("INDEP {CF.class} {CF.exam} GIVEN (F.class=Y & F.exam=P)", "false"),
+        ("INDEP (CF.class=Y) (CF.exam=P) GIVEN (F.class=Y & F.exam=P)", "false"),
+        # given F.class=Y, F.class is almost surely constant
+        ("INDEP {F.class} {CF.exam} GIVEN (F.class=Y)", "true"),
+        ("INDEP (F.class=Y) (CF.exam=P) GIVEN (F.class=Y)", "true"),
+    ], ids=["sets", "events", "sets-constant", "events-constant"])
+    def test_indep_given(self, exam, statement, verdict):
+        script = parse_query(statement)
+        assert run_script(exam, script).lines == [f"{statement} = {verdict}"]
+        stmt, s = script.statements[0], exam.schema
+        given = exam.P.condition(eval_expr(stmt.given, s, {}))
+        if isinstance(stmt.a, tuple):
+            oracle = brute_independent_sigmas(given, s.positions(stmt.a), s.positions(stmt.b))
+        else:
+            w = given.as_dict()
+            A, B = (eval_expr(e, s, {}) for e in (stmt.a, stmt.b))
+            p = [sum((w.get(o, 0) for o in E), Fraction(0)) for E in (A & B, A, B)]
+            oracle = p[0] == p[1] * p[2]
+        assert oracle == (verdict == "true")
+
+    def test_an_empty_event_is_everything(self, exam):
+        run = run_script(exam, parse_query("LET all = EVENT()\nPROB (all)\nPROB (!all)"))
+        assert run.lines == ["PROB (all) = 1 ~ 1.000000", "PROB (!all) = 0 ~ 0.000000"]
+
+    @pytest.mark.parametrize("key, message", [
+        ("(CF.class=Y, CF.class=N)", "1:42: CF.class assigned twice"),
+        ("(class=Y)", "1:35: expected '.', found '='"),
+    ], ids=["assigned-twice", "plain-name"])
+    def test_a_weight_table_key_the_reader_cannot_resolve_is_read_by_tokens(self, key, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_query(f"INTERVENE {{CF.class}} WITH {{ {key} = 1 }}")
 
     def test_source_statement(self, dormant):
         run = run_script(dormant, parse_query(

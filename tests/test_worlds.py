@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,45 @@ class TestSymmetry:
                    Kernel(s, {1}, {(0,): Measure(s, {(0, 0): 1}), (1,): Measure(s, {(1, 1): 1})})]
         report = is_symmetric(CfSpace(s, P, Mechanism(s, P, kernels)))
         assert report.ok and report.uncheckable == ((frozenset({1}), frozenset({0}), (1,)),)
+
+
+class TestRejections:
+    """WorldMirror, is_symmetric and marginalize refuse what they cannot pair or keep."""
+
+    @pytest.mark.parametrize("coords, message", [
+        ([("F", "c", "ab"), ("CF", "d", "ab")], "worlds 'F' and 'CF' have different components"),
+        ([("F", "c", "ab"), ("CF", "c", "az")], "component 'c' has different labels in 'F' and 'CF'"),
+    ], ids=["components", "labels"])
+    def test_a_mirror_pairs_equal_worlds(self, coords, message):
+        schema = SpaceSchema([Coordinate(w, c, tuple(labels)) for w, c, labels in coords])
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            WorldMirror.derive(schema, "F", "CF")
+
+    def test_a_mirror_knows_only_its_positions(self, exam):
+        mirror = WorldMirror.derive(exam.schema, "F", "CF")
+        assert mirror.swap_positions({0, 3}) == {2, 1}
+        with pytest.raises(SchemaError, match="^position 4 is not covered by the mirror$"):
+            mirror.counterpart(4)
+
+    def test_symmetry_needs_two_worlds_or_a_covering_mirror(self, exam, dormant):
+        with pytest.raises(SchemaError, match="^symmetry needs a two-world space "
+                                              "or an explicit mirror$"):
+            is_symmetric(dormant)
+        three = build_nway({"F": [("c", "ab")], "CF": [("c", "ab")], "G": [("c", "ab")]},
+                           {("a", "a", "a"): 1})
+        mirror = WorldMirror.derive(three.schema, "F", "CF")
+        with pytest.raises(SchemaError, match="^the mirror must cover every coordinate "
+                                              "of the space$"):
+            is_symmetric(three, mirror)
+
+    @pytest.mark.parametrize("keep, message", [
+        ([], "cannot marginalise away every coordinate"),
+        (["F.class", "F.exam"], "marginalisation would drop worlds ['CF']; "
+                                "pass allow_world_drop=True to acknowledge"),
+    ], ids=["nothing", "a-world"])
+    def test_marginalize_keeps_a_coordinate_of_every_world(self, exam, keep, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            marginalize(exam, exam.schema.positions(keep))
 
 
 class TestMarginalize:
