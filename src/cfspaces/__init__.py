@@ -5,6 +5,7 @@ potential-outcome models."""
 
 from .space import (
     Coordinate,
+    Event,
     SchemaError,
     SpaceSchema,
     atoms_of,

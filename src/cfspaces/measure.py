@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping
 
-from .space import SpaceSchema, projector
+from .space import Event, SpaceSchema, projector
 
 
 class ConditioningUndefinedError(ValueError):
@@ -219,20 +220,20 @@ class Measure(Margin):
         """Total weight of an event (exact, finitely additive)."""
         return self._prob(self.schema.require_event(A))
 
-    def _prob(self, A: frozenset) -> Fraction:
+    def _prob(self, A: Event) -> Fraction:
         """`prob` of an event that has passed `require_event`."""
         w = self._n
-        if len(w) <= len(A):
-            return Fraction(sum(n for o, n in w.items() if o in A), self._d)
-        return Fraction(sum(w[o] for o in A if o in w), self._d)
+        if len(A.on) == len(self.on) and len(A.rows) <= len(w):  # few members: look them up
+            return Fraction(sum(w[o] for o in A.rows if o in w), self._d)
+        return Fraction(sum(compress(w.values(), A.mask(w))), self._d)
 
     def condition(self, G) -> "Measure":
         """The conditional measure given G; undefined when G is null."""
         return self._condition(self.schema.require_event(G))
 
-    def _condition(self, G: frozenset) -> "Measure":
+    def _condition(self, G: Event) -> "Measure":
         """`condition` on an event that has passed `require_event`."""
-        w = {o: n for o, n in self._n.items() if o in G}
+        w = dict(compress(self._n.items(), G.mask(self._n)))
         if not w:
             raise ConditioningUndefinedError("conditioning event has probability zero")
         return Measure._of(self.schema, self.on, w)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .measure import Margin, Measure, _as_equal, _independent, same_trace
-from .space import Coordinate, SpaceSchema, budget, projector
+from .space import Coordinate, Event, SpaceSchema, budget, projector
 
 
 class MissingKernelError(LookupError):
@@ -112,6 +112,8 @@ class Mechanism:
                 raise ValueError(f"duplicate kernel for coordinate set {sorted(k.on)}")
             table[k.on] = k
         if _do is None and frozenset() not in table:
+            if P is None:
+                raise ValueError("a mechanism needs the observational measure or a kernel on the empty set")
             table[frozenset()] = Kernel(schema, (), {(): P})
         self._k = table
 
@@ -613,8 +615,10 @@ def is_source(space: CfSpace, U, target) -> bool:
     certification raises MissingKernelError.
     """
     U = space.schema.positions(U)
-    members = () if isinstance(target, (int, str, Coordinate)) else tuple(target)
-    if members and all(isinstance(x, tuple) and {int}.issuperset(map(type, x)) for x in members):
+    members = target if isinstance(target, Event) else \
+        () if isinstance(target, (int, str, Coordinate)) else tuple(target)
+    if isinstance(members, Event) or members and all(
+            isinstance(x, tuple) and {int}.issuperset(map(type, x)) for x in members):
         A = space.schema.require_event(members)
         return _is_version(space, U, lambda m, given: m._prob(A) == given._prob(A))
     T = space.schema.positions(members or target)

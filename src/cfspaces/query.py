@@ -7,10 +7,13 @@ EFFECT, SOURCE and CHECK are mechanism-level statements that consult the
 ambient space directly (EFFECT takes its conditioning from its own GIVEN
 clause).  Each result statement emits one deterministic transcript line
 with the reduced fraction and, for probabilities, a six-place decimal.
+Events (expressions, LET bindings, the held CONDITION) are `space.Event`s
+on the coordinates they name, so no statement lists the outcome space.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -40,7 +43,7 @@ from .parser import (
     parse_table,
     product_domain,
 )
-from .space import SchemaError, cylinder, quoted
+from .space import Event, SchemaError, cylinder, quoted
 from .worlds import check_cross_world
 
 
@@ -78,9 +81,9 @@ class FullExpr:
     """The full outcome space, written ()."""
 
 
-def eval_expr(expr, schema, bindings) -> frozenset:
+def eval_expr(expr, schema, bindings) -> Event:
     if isinstance(expr, FullExpr):
-        return schema.outcome_set()
+        return cylinder(schema, {})
     if isinstance(expr, AtomExpr):
         return cylinder(schema, {expr.coord: expr.label})
     if isinstance(expr, NameExpr):
@@ -89,10 +92,10 @@ def eval_expr(expr, schema, bindings) -> frozenset:
         except KeyError:
             raise ParseError(f"unbound event name {quoted(expr.name)}") from None
     if isinstance(expr, NotExpr):
-        return schema.outcome_set() - eval_expr(expr.inner, schema, bindings)
+        return eval_expr(expr.inner, schema, bindings).complement()
     if isinstance(expr, (AndExpr, OrExpr)):
-        fold = frozenset.intersection if isinstance(expr, AndExpr) else frozenset.union
-        return fold(*(eval_expr(item, schema, bindings) for item in expr.items))
+        fold = Event.__and__ if isinstance(expr, AndExpr) else Event.__or__
+        return functools.reduce(fold, (eval_expr(item, schema, bindings) for item in expr.items))
     raise AssertionError(f"unknown expression node {expr!r}")
 
 
@@ -378,8 +381,8 @@ def run_script(space: CfSpace, script: QueryScript) -> QueryRun:
     or missing kernels so the CLI can map them to exit codes, and a schema
     error (an unknown coordinate, say) as a ParseError at its statement."""
     schema = space.schema
-    bindings: dict[str, frozenset] = {}
-    cond: frozenset | None = None  # no CONDITION yet
+    bindings: dict[str, Event] = {}
+    cond: Event | None = None  # no CONDITION yet
     current = space
     held = space.P  # current.P | cond, or None once an INTERVENE makes it stale
     lines: list[str] = []

@@ -2,18 +2,19 @@
 
 A coordinate is one measurable component of one world and carries a finite
 ordered label set.  An outcome is a plain tuple of label indices, one per
-coordinate, in schema order.  Events are frozensets of outcomes and
-coordinate subsets are frozensets of schema positions, so the usual set
-algebra is available for free.  All values are immutable after construction
-and every function here is pure.
+coordinate, in schema order; coordinate subsets are frozensets of schema
+positions.  An event is an `Event`, a read-only set of outcomes held as its
+rows on the coordinates it names, so it costs what those rows cost.  All
+values are immutable after construction and every function here is pure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Set
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 # The one size budget: no call lists more rows than this (outcomes, rows of
@@ -89,7 +90,6 @@ class SpaceSchema:
         self.label_maps = tuple({lab: i for i, lab in enumerate(c.labels)} for c in self.coords)
         self.label_texts = tuple(tuple(f"{c.key}={lab}" for lab in c.labels) for c in self.coords)
         self._outcomes: tuple[tuple[int, ...], ...] | None = None
-        self._outcome_set: frozenset | None = None
 
     def __eq__(self, other):
         return self is other or isinstance(other, SpaceSchema) and self.coords == other.coords
@@ -179,9 +179,7 @@ class SpaceSchema:
         return self._outcomes
 
     def outcome_set(self) -> frozenset:
-        if self._outcome_set is None:
-            self._outcome_set = frozenset(self.outcomes())
-        return self._outcome_set
+        return frozenset(self.outcomes())
 
     def require_rows(self, on, rows):
         """Reject rows that are not one label index per position in `on` (ascending).
@@ -198,15 +196,23 @@ class SpaceSchema:
                 raise SchemaError(
                     f"label index {bad!r} out of range for coordinate {self.coords[p].key}")
 
-    def require_event(self, A) -> frozenset:
-        """The event A, any iterable of outcomes, as a frozenset: the one
-        check of an event, rejecting a non-outcome member by naming the first."""
+    def conforms(self, outcome) -> bool:
+        """Whether `outcome` is an outcome: one label index per coordinate."""
+        return isinstance(outcome, tuple) and len(outcome) == len(self._ranges) \
+            and all(map(range.__contains__, self._ranges, outcome))
+
+    def require_event(self, A) -> "Event":
+        """The event A, an Event of this schema or any iterable of outcomes, whose
+        members are checked column by column; the first non-outcome is named."""
+        if isinstance(A, Event) and A.schema == self:
+            return A
         A = A if isinstance(A, (set, frozenset)) else tuple(A)  # in its own order
-        outcomes = self.outcome_set()
-        if not outcomes.issuperset(A):
-            bad = next(member for member in A if member not in outcomes)
-            raise SchemaError(f"event member {bad!r} does not conform to the schema")
-        return frozenset(A)
+        if not (set(map(type, A)) <= {tuple} and set(map(len, A)) <= {len(self._ranges)}
+                and all(set(column).issubset(r) for r, column in zip(self._ranges, zip(*A)))):
+            for member in A:
+                if not self.conforms(member):
+                    raise SchemaError(f"event member {member!r} does not conform to the schema")
+        return Event(self, self.all_on, frozenset(A))
 
     def outcome_of(self, labels) -> tuple[int, ...]:
         """Build an outcome from one label (or index) per coordinate."""
@@ -231,10 +237,94 @@ def projector(src, dst):
     if len(indices) == 1:
         i, = indices
         return lambda t: (t[i],)
-    return itemgetter(*indices) if indices else lambda t: ()
+    return operator.itemgetter(*indices) if indices else lambda t: ()
 
 
-def cylinder(schema: SpaceSchema, assignment: Mapping) -> frozenset:
+class Event(Set):
+    """The outcomes whose projection on the sorted positions `on` is in
+    `rows`, a trusted frozenset (`require_event` is the checked door).  `&`
+    joins two Events' rows on their shared coordinates; `|`, `^`, `-`, `==`
+    and `complement` lift rows to the coordinates of both (of this one).
+    Iteration, `hash` and the algebra with other sets list the members."""
+
+    __slots__ = ("schema", "on", "rows")
+
+    def __init__(self, schema: SpaceSchema, on: tuple, rows: frozenset):
+        self.schema, self.on, self.rows = schema, on, rows
+
+    _from_iterable = staticmethod(frozenset)  # what the Set mixin's algebra returns
+
+    def mask(self, outcomes):
+        """Whether each of `outcomes`, full outcomes, is a member, lazily."""
+        if not self.on:
+            return itertools.repeat(bool(self.rows))
+        keys = self.rows if len(self.on) > 1 else {row[0] for row in self.rows}
+        return map(keys.__contains__, map(operator.itemgetter(*self.on), outcomes))
+
+    def __contains__(self, outcome) -> bool:
+        return self.schema.conforms(outcome) and next(self.mask((outcome,)))
+
+    def __len__(self) -> int:
+        return len(self.rows) * (self.schema.n_outcomes // self.schema.size(self.on))
+
+    def __iter__(self):
+        return iter(self._lift(self.schema.all_on))
+
+    __hash__ = Set._hash  # the hash of the frozenset of the members
+
+    def __repr__(self):
+        return f"Event(on={self.on}, {len(self.rows)} rows)"
+
+    def _lift(self, on: tuple) -> frozenset:
+        """The rows over `on`, which holds every position of `self.on`."""
+        free = tuple(p for p in on if p not in self.on)
+        if not free:
+            return self.rows
+        budget(len(self.rows) * self.schema.size(free))
+        merge, fill = projector(self.on + free, on), tuple(self.schema.rows(free)) if self.rows else ()
+        return frozenset(merge(row + f) for row in self.rows for f in fill)
+
+    def _same(self, other) -> bool:
+        return isinstance(other, Event) and other.schema == self.schema
+
+    def __and__(self, other):
+        if not self._same(other):
+            return Set.__and__(self, other)
+        shared = [p for p in other.on if p in self.on]
+        mine, theirs = projector(self.on, shared), projector(other.on, shared)
+        groups = {key: list(g) for key, g in itertools.groupby(sorted(other.rows, key=theirs), theirs)}
+        pairs = [(row, groups.get(mine(row), ())) for row in self.rows]
+        budget(sum(len(group) for _, group in pairs))
+        on = tuple(sorted({*self.on, *other.on}))
+        merge = projector(self.on + other.on, on)
+        return Event(self.schema, on, frozenset(merge(row + t) for row, group in pairs for t in group))
+
+    def _algebra(combine, plain):
+        """`combine` of two Events' rows lifted to the union of their
+        coordinates, or the Set mixin's `plain` with any other set."""
+        def op(self, other):
+            if not self._same(other):
+                return plain(self, other)
+            on = tuple(sorted({*self.on, *other.on}))
+            return Event(self.schema, on, combine(self._lift(on), other._lift(on)))
+        return op
+
+    __or__ = _algebra(operator.or_, Set.__or__)
+    __xor__ = _algebra(operator.xor, Set.__xor__)
+    __sub__ = _algebra(operator.sub, Set.__sub__)
+    del _algebra
+
+    def __eq__(self, other):
+        if not self._same(other):
+            return Set.__eq__(self, other)
+        on = tuple(sorted({*self.on, *other.on}))
+        return self._lift(on) == other._lift(on)
+
+    def complement(self) -> "Event":
+        return Event(self.schema, self.on, frozenset(self.schema.rows(self.on)) - self.rows)
+
+
+def cylinder(schema: SpaceSchema, assignment: Mapping) -> Event:
     """The event of all outcomes agreeing with a partial assignment.
 
     Keys are coordinate references, values labels (or label indices).  The
@@ -242,9 +332,8 @@ def cylinder(schema: SpaceSchema, assignment: Mapping) -> frozenset:
     yields a singleton.
     """
     fixed = schema.assignment(assignment)
-    budget(schema.size(schema.all_positions - fixed.keys()))
-    return frozenset(itertools.product(
-        *[(fixed[i],) if i in fixed else r for i, r in enumerate(schema._ranges)]))
+    on = tuple(sorted(fixed))
+    return Event(schema, on, frozenset({tuple(fixed[p] for p in on)}))
 
 
 def atoms_of(schema: SpaceSchema, S) -> tuple[frozenset, ...]:
@@ -265,14 +354,16 @@ def is_measurable_wrt(schema: SpaceSchema, A, S) -> bool:
     """Whether A is a union of fibers of the projection onto S.
 
     This is the finite criterion for membership in the sub-sigma-algebra
-    generated by the coordinates in S.  All fibers have one size, so A is
-    a union of them iff it has that many outcomes per row it meets on S.
+    generated by the coordinates in S.
     """
     return _measurable(schema, schema.require_event(A), S)
 
 
-def _measurable(schema: SpaceSchema, A: frozenset, S) -> bool:
-    """`is_measurable_wrt` of an event that has passed `require_event`."""
-    S = sorted(schema.positions(S))
-    fiber = schema.n_outcomes // schema.size(S)
-    return len(A) == fiber * len(set(map(projector(schema.all_on, S), A)))
+def _measurable(schema: SpaceSchema, A: Event, S) -> bool:
+    """`is_measurable_wrt` of an event that has passed `require_event`: A
+    depends on `on` alone, so iff its rows are a union of fibers of the
+    projection onto `on` & S, which all have one size."""
+    S = schema.positions(S)
+    inner = [p for p in A.on if p in S]
+    fiber = schema.size(p for p in A.on if p not in S)
+    return len(A.rows) == fiber * len(set(map(projector(A.on, inner), A.rows)))

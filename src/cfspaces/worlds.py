@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .measure import Measure, pushforward
 from .mechanism import CfSpace, CheckReport, Kernel, Mechanism
-from .space import Coordinate, SchemaError, SpaceSchema, _measurable, cylinder, projector
+from .space import Coordinate, Event, SchemaError, SpaceSchema, _measurable, cylinder, projector
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class CrossWorldViolation:
     world: str
     S: frozenset
     row: tuple
-    atom: frozenset
+    atom: Event
     value: Fraction
     reference: Fraction
 

@@ -55,8 +55,8 @@ MUTANTS = [
      "                current = intervene(current, U, _build_margin(schema, U, stmt.dist))\n",
      ["tests/test_query_cli.py::TestQueryScripts::test_the_held_condition_follows_interventions"]),
     ("list-event-read-as-coordinates", "mechanism.py",
-     "members = () if isinstance(target, (int, str, Coordinate)) else tuple(target)",
-     "members = tuple(target) if isinstance(target, (set, frozenset)) else ()",
+     "() if isinstance(target, (int, str, Coordinate)) else tuple(target)",
+     "tuple(target) if isinstance(target, (set, frozenset)) else ()",
      ["tests/test_mechanism.py::TestSources"
       "::test_a_target_of_outcomes_is_an_event_and_any_other_names_coordinates"]),
     # Mutations that earlier changes checked by hand on a scratch copy.
@@ -208,6 +208,25 @@ MUTANTS = [
      "                    rows = {row for row, parts in plan}\n",
      ["tests/test_oracles.py::TestInterveneOracle"
       "::test_lazy_interventions_match_the_eager_definition"]),
+    # Events held as rows on the coordinates they name.
+    ("event-join-ignores-a-conflict", "space.py",
+     "        shared = [p for p in other.on if p in self.on]\n",
+     "        shared = []\n",
+     ["tests/test_oracles.py::TestEventOracle::test_events_agree_with_the_outcome_walk",
+      "tests/test_space.py::TestCylinder::test_intersection_rule"]),
+    ("complement-over-every-coordinate", "space.py",
+     "Event(self.schema, self.on, frozenset(self.schema.rows(self.on)) - self.rows)",
+     "Event(self.schema, self.schema.all_on, frozenset(self.schema.rows(self.schema.all_on)) - self.rows)",
+     ["tests/test_oracles.py::TestEventOracle::test_events_agree_with_the_outcome_walk"]),
+    ("prob-counts-an-outcome-off-the-event", "measure.py",
+     "sum(compress(w.values(), A.mask(w)))",
+     "sum(compress(w.values(), [True, *A.mask(w)]))",
+     ["tests/test_oracles.py::TestEventOracle::test_events_agree_with_the_outcome_walk",
+      "tests/test_query_cli.py::TestQueryScripts::test_event_queries_never_list_the_outcome_space"]),
+    ("event-door-skips-the-column-check", "space.py",
+     "all(set(column).issubset(r) for r, column in zip(self._ranges, zip(*A)))",
+     "True",
+     ["tests/test_mechanism.py::TestOneCheckPerEvent::test_a_non_outcome_member_is_rejected"]),
 ]
 
 

@@ -66,6 +66,29 @@ def event_mask(index, event):
     return mask
 
 
+def brute_event(expr, schema, bindings) -> frozenset:
+    """The members of a `.cfq` event expression, found by walking every
+    outcome of the schema; `bindings` maps LET names to such sets.  It
+    reads only the expression's node types and the schema's labels, and
+    knows nothing of how the library holds an event."""
+    outcomes = schema.outcomes()
+    kind = type(expr).__name__
+    if kind == "FullExpr":
+        return frozenset(outcomes)
+    if kind == "AtomExpr":
+        p = [c.key for c in schema.coords].index(expr.coord)
+        label = schema.coords[p].labels.index(expr.label)
+        return frozenset(o for o in outcomes if o[p] == label)
+    if kind == "NameExpr":
+        return bindings[expr.name]
+    if kind == "NotExpr":
+        inner = brute_event(expr.inner, schema, bindings)
+        return frozenset(o for o in outcomes if o not in inner)
+    parts = [brute_event(item, schema, bindings) for item in expr.items]
+    quantifier = all if kind == "AndExpr" else any
+    return frozenset(o for o in outcomes if quantifier(o in part for part in parts))
+
+
 def brute_support_condition(schema, kernel) -> bool:
     """The quantified determinism axiom, over every A in sigma(S) and every
     event B of the full algebra, for every present row."""

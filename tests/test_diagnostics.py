@@ -173,6 +173,13 @@ CASES = [
       "cfq": "INTERVENE {" + ", ".join(f"F.c{i}" for i in range(12))
              + ", " + ", ".join(f"CF.c{i}" for i in range(9)) + "} WITH { default = 1/2097152 }\n"},
      (2, "error: 1:154: 2097152 rows to list, beyond the budget of 1048576\n")),
+    # a complement lists the rows over the coordinates it names: 21 of them are too many
+    ("cfq-complement-over-the-budget", ["run", "{cfs}", "{cfq}"],
+     {"cfs": WIDE + "measure { (" + ", ".join(f"{w}.c{i}=a" for w in ("F", "CF") for i in range(12))
+             + ") = 1 default = 0 }\n",
+      "cfq": "LET a = EVENT(F.c0=a)\n  PROB !(" + " & ".join(
+          [f"F.c{i}=a" for i in range(12)] + [f"CF.c{i}=a" for i in range(9)]) + ")\n"},
+     (2, "error: 2:3: 2097152 rows to list, beyond the budget of 1048576\n")),
     # exit 4: a missing kernel is named by its coordinate set and rows, eight rows at most
     ("cfq-no-kernel-on-the-set", RUN, {"cfq": "INTERVENE {CF.class, CF.exam} WITH uniform\n"},
      (4, "error: no kernel on {CF.class, CF.exam}\n")),

@@ -24,6 +24,7 @@ from cfspaces import (
     Mechanism,
     MissingKernelError,
     SpaceSchema,
+    as_equal,
     WorldMirror,
     atoms_of,
     causal_sync,
@@ -34,28 +35,36 @@ from cfspaces import (
     condition_sigma,
     cylinder,
     global_source,
+    independent,
     independent_given_sigma,
     independent_sigmas,
     intervene,
     is_measurable_wrt,
     is_source,
     is_symmetric,
+    parse_query,
     parse_scm,
     synchronized,
     verify_fundamental,
 )
+from cfspaces.measure import ConditioningUndefinedError
+from cfspaces.query import LetStmt, eval_expr
+from cfspaces.space import Event
 from conftest import chain_scm
 from oracle_util import (
     brute_causal_sync,
     brute_compile_scm,
     brute_cross_world,
+    brute_event,
     brute_independent_sigmas,
     brute_intervene,
     brute_support_condition,
     brute_symmetric_measure,
     brute_symmetry_failures,
     brute_synchronized,
+    event_mask,
     fast_support_condition,
+    mask_tables,
 )
 from randspaces import (
     rand_weights,
@@ -157,6 +166,74 @@ class TestIndependenceOracle:
             f, cf = s.world_positions("F"), s.world_positions("CF")
             assert independent_sigmas(space.P, f, cf) == expect
             assert brute_independent_sigmas(space.P, f, cf) == expect
+
+
+def random_expression(rng, schema, names, depth=0) -> str:
+    """A random `.cfq` event expression of atoms, `!`, `&`, `|`, `()` and `names`."""
+    r = rng.random()
+    if depth == 3 or r < 0.4:
+        if names and r < 0.12:
+            return rng.choice(names)
+        if r < 0.16:
+            return "()"
+        c = rng.choice(schema.coords)
+        return f"{c.key}={rng.choice(c.labels)}"
+    if r < 0.55:
+        return f"!({random_expression(rng, schema, names, depth + 1)})"
+    items = [random_expression(rng, schema, names, depth + 1) for _ in range(rng.randint(2, 3))]
+    return "(" + (" & " if r < 0.8 else " | ").join(items) + ")"
+
+
+class TestEventOracle:
+    """`.cfq` events against `brute_event`, which walks every outcome, on
+    random schemas of at most 16 outcomes: members, `==` and `hash`, the
+    set algebra, and every procedure that reads an event against
+    subset sums of a random measure."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_events_agree_with_the_outcome_walk(self, seed):
+        rng = random.Random(seed)
+        schema = random_schema(rng, n_worlds=rng.choice((1, 2, 3)))
+        while schema.n_outcomes > 16:
+            schema = random_schema(rng, n_worlds=rng.choice((1, 2, 3)))
+        outcomes, n = schema.outcomes(), len(schema.coords)
+        P = Measure(schema, rand_weights(rng, outcomes))
+        dp, index, den = mask_tables(schema, P)
+        names = [f"e{i}" for i in range(4)]
+        script = parse_query("\n".join(
+            [f"LET {name} = EVENT({random_expression(rng, schema, names[:i])})"
+             for i, name in enumerate(names)]
+            + [f"PROB {random_expression(rng, schema, names)}" for _ in range(8)]))
+        bindings, brute_bindings, pairs = {}, {}, []
+        for stmt in script.statements:
+            E, O = eval_expr(stmt.expr, schema, bindings), brute_event(stmt.expr, schema, brute_bindings)
+            if isinstance(stmt, LetStmt):
+                bindings[stmt.name], brute_bindings[stmt.name] = E, O
+            pairs.append((E, O, event_mask(index, O)))
+        subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+        for E, O, m in pairs:
+            assert isinstance(E, Event) and frozenset(E) == O and len(E) == len(O)
+            assert [o in E for o in outcomes] == [o in O for o in outcomes]
+            assert (9,) * n not in E and outcomes[0][:-1] not in E
+            assert E == O and O == E and hash(E) == hash(O)
+            assert P.prob(E) == Fraction(dp[m], den)
+            if dp[m]:
+                assert P.condition(E) == Measure(
+                    schema, {o: Fraction(dp[1 << index[o]], dp[m]) for o in O if dp[1 << index[o]]})
+            else:
+                with pytest.raises(ConditioningUndefinedError):
+                    P.condition(E)
+            for S in subsets:
+                brute = all((o1 in O) == (o2 in O) for o1 in outcomes for o2 in outcomes
+                            if all(o1[p] == o2[p] for p in S))
+                assert is_measurable_wrt(schema, E, S) == brute
+        for (E1, O1, m1), (E2, O2, m2) in itertools.combinations(pairs, 2):
+            assert independent(P, E1, E2) == (dp[m1 & m2] * den == dp[m1] * dp[m2])
+            assert as_equal(P, E1, E2) == (dp[m1 ^ m2] == 0)
+            assert (E1 == E2) == (O1 == O2)
+            for got, want in ((E1 & E2, O1 & O2), (E1 | E2, O1 | O2), (E1 ^ E2, O1 ^ O2),
+                              (E1 - E2, O1 - O2), (E1 & O2, O1 & O2), (O1 - E2, O1 - O2)):
+                assert frozenset(got) == want
 
 
 class TestSynchronizationOracle:

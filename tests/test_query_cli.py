@@ -7,6 +7,7 @@ import pytest
 
 from cfspaces import ParseError, parse_query, run_script
 from cfspaces import ConditioningUndefinedError, Margin, build_nway, compile_scm, intervene, parse_scm
+from cfspaces import independent, synchronized
 from cfspaces.cli import main
 from cfspaces.query import eval_expr, fmt_decimal, fmt_value
 from cfspaces.repro import FIXTURES, fixture_text
@@ -176,6 +177,56 @@ class TestQueryScripts:
         assert calls == []
         both = cylinder(s, {"F.X7": "1", "CF.X7": "0", "F.X0": "1"})
         assert event == both | cylinder(s, {"CF.X3": "1"}) | cylinder(s, {"F.X1": "0"})
+
+    def test_event_queries_never_list_the_outcome_space(self, monkeypatch):
+        # the lazy 8-variable chain (65,536 outcomes) and its intervention:
+        # events are rows on the coordinates they name, and measures read
+        # their supports, as a script and as library calls
+        space = compile_scm(parse_scm(chain_scm(8))[0])
+        s = space.schema
+        U = s.positions(["CF.X4"])
+        spaces = (space, intervene(space, U, Margin.uniform(s, U)))
+        listed = []
+
+        def counted(name):
+            fn = getattr(SpaceSchema, name)
+
+            def listing(self, *S):  # `rows` counts only when it lists every position
+                if not S or set(S[0]) == self.all_positions:
+                    listed.append(name)
+                return fn(self, *S)
+            return listing
+
+        for name in ("outcomes", "outcome_set", "rows"):
+            monkeypatch.setattr(SpaceSchema, name, counted(name))
+        text = ("LET a = EVENT(F.X0=1 & CF.X7=1)\nPROB (a)\nPROB (a | !F.X1=0)\n"
+                "INDEP (a) (F.X1=0)\nSYNC {F.X0} {CF.X0}\nCONDITION (F.X1=0 | CF.X3=1)\n"
+                "PROB (a)\nINDEP (a) (!CF.X3=1)\nSYNC {F.X7} {CF.X7}\n"
+                "INTERVENE {CF.X2} WITH uniform\nPROB (a)\n")
+        runs = [run_script(sp, parse_query(text)).lines for sp in spaces]
+        assert listed == []
+        a, b = cylinder(s, {"F.X0": "1", "CF.X7": "1"}), cylinder(s, {"F.X1": "0"})
+        values = [(sp.P.prob(a), sp.P.prob(a | b.complement()), sp.P.condition(b).prob(a),
+                   independent(sp.P, a, b), synchronized(sp.P, *map(s.world_positions, s.worlds)))
+                  for sp in spaces]
+        assert listed == []
+        common = ["PROB (a) = 1/20 ~ 0.050000", "PROB (a | !F.X1=0) = 27/100 ~ 0.270000",
+                  "INDEP (a) (F.X1=0) = false", "SYNC {F.X0} {CF.X0} = true",
+                  "PROB (a) = 79/2201 ~ 0.035893", "INDEP (a) (!CF.X3=1) = false"]
+        assert runs == [common + [f"SYNC {{F.X7}} {{CF.X7}} = {verdict}", "PROB (a) = 1/29 ~ 0.034483"]
+                        for verdict in ("true", "false")]
+        assert values == [(Fraction(1, 20), Fraction(27, 100), Fraction(1, 74), False, sync)
+                          for sync in (True, False)]
+
+    @pytest.mark.parametrize("lines, last, answer", [
+        # LET e(i) = EVENT(e(i-1) & CF.exam=P), then | CF.exam=P, alternating
+        (["LET e0 = EVENT(F.exam=P)"] + [f"LET e{i} = EVENT(e{i - 1} {'&|'[i % 2 == 0]} CF.exam=P)"
+                                         for i in range(1, 1500)], "PROB (e1499)", "31/50"),
+        (["CONDITION (F.exam=P | CF.class=Y)"] * 1500, "PROB (F.exam=P)", "62/83"),
+    ], ids=["let-chain", "conditions"])
+    def test_fifteen_hundred_lines_answer_as_one(self, exam, lines, last, answer):
+        run = run_script(exam, parse_query("\n".join(lines + [last]) + "\n"))
+        assert run.lines == [f"{last} = {answer} ~ {fmt_decimal(Fraction(answer))}"]
 
     def test_a_condition_is_applied_once_and_held(self, exam, monkeypatch):
         checked = []
@@ -396,10 +447,10 @@ class TestCli:
         assert run_cli(["run", str(cfs), str(script)]) == (
             0, "SYNC {F.c0} {CF.c11} = true\nINDEP {F.c0} {CF.c0} = false\n"
                "SYNC {F.c0, F.c1} {CF.c5} = true\n", "")
-        # an event is still a set of outcomes: its cylinder would be listed
+        # an event is read off its rows on the coordinates it names
         script.write_text("PROB (F.c0=a)\n")
         assert run_cli(["run", str(cfs), str(script)]) == (
-            2, "", "error: 1:1: 8388608 rows to list, beyond the budget of 1048576\n")
+            0, "PROB (F.c0=a) = 1/2 ~ 0.500000\n", "")
 
     def test_compile_bscm_needs_coupling(self, tmp_path):
         model = tmp_path / "m.scm"

@@ -279,6 +279,20 @@ def wide():
 
 A, B = (0,) * 24, (1,) * 24  # all-a and all-b
 
+
+def named(s, m, world="F"):
+    """The event that the first m components, from `world` on, are all a."""
+    order = [f"{w}.c{i}" for w in (world, "CF" if world == "F" else "F") for i in range(12)]
+    return cylinder(s, dict.fromkeys(order[:m], "a"))
+
+
+def foreign():
+    """Half the outcomes of a schema of the same shape as `wide` but other
+    labels: to another schema it is a plain set, listed member by member."""
+    other = SpaceSchema([Coordinate(w, f"c{i}", ("x", "y")) for w in ("F", "CF") for i in range(12)])
+    return cylinder(other, {"F.c0": "x"})
+
+
 # (id, a call that lists rows of the wide schema, how many)
 LISTINGS = [
     ("outcomes", lambda s: s.outcomes(), 2 ** 24),
@@ -287,10 +301,15 @@ LISTINGS = [
     ("margin-uniform", lambda s: Margin.uniform(s, range(22)), 2 ** 22),
     ("measure-uniform", lambda s: Measure.uniform(s), 2 ** 24),
     ("atoms_of", lambda s: atoms_of(s, {0}), 2 ** 24),
-    ("cylinder", lambda s: cylinder(s, {"F.c0": "a", "CF.c0": "b"}), 2 ** 22),
-    ("require_event", lambda s: s.require_event({A}), 2 ** 24),
-    ("is_measurable_wrt", lambda s: is_measurable_wrt(s, {A}, {0}), 2 ** 24),
-    ("prob", lambda s: Measure(s, {A: 1}).prob({A}), 2 ** 24),
+    ("cylinder", lambda s: frozenset(cylinder(s, {"F.c0": "a", "CF.c0": "b"})), 2 ** 22),
+    ("require_event", lambda s: s.require_event(foreign()), 2 ** 23),
+    ("is_measurable_wrt", lambda s: is_measurable_wrt(s, foreign(), {0}), 2 ** 23),
+    ("prob", lambda s: Measure(s, {A: 1}).prob(foreign()), 2 ** 23),
+    ("event-hash", lambda s: hash(cylinder(s, {"F.c0": "a"})), 2 ** 23),
+    ("complement", lambda s: named(s, 21).complement(), 2 ** 21),
+    ("union", lambda s: named(s, 21) | cylinder(s, {"CF.c11": "a"}), 2 ** 21),
+    ("join", lambda s: named(s, 11).complement() & named(s, 11, "CF").complement(),
+     (2 ** 11 - 1) ** 2),
     ("missing_rows", lambda s: Kernel(s, range(21), {A[:21]: Measure(s, {A: 1})}).missing_rows(),
      2 ** 21),
 ]
@@ -303,6 +322,22 @@ def test_a_listing_over_the_budget_is_refused_before_it_starts(listing, count):
     with pytest.raises(SchemaError) as refused:
         listing(s)
     assert str(refused.value) == f"{count} rows to list, beyond the budget of {MAX_OUTCOMES}"
+    assert time.process_time() - start < 1
+
+
+def test_events_on_a_space_over_the_budget_are_read_off_their_rows():
+    s = wide()
+    start = time.process_time()
+    P = Measure(s, {A: Fraction(1, 2), B: Fraction(1, 2)})
+    a = cylinder(s, {"F.c0": "a"})
+    assert s.require_event({A}).rows == {A} and s.require_event(a) is a
+    assert len(a) == 2 ** 23 and A in a and B not in a and (0,) * 23 not in a
+    assert Measure(s, {A: 1}).prob({A}) == 1 and P.prob(a) == P.prob({A}) == Fraction(1, 2)
+    assert P.condition(a) == Measure(s, {A: 1}) and P.prob(a.complement() | a) == 1
+    assert not is_measurable_wrt(s, {A}, {0}) and is_measurable_wrt(s, a, {0, 1})
+    assert not is_measurable_wrt(s, a, {1})
+    # a join over all 24 coordinates lists one row
+    assert P.prob(named(s, 21) & a & named(s, 24, "CF")) == Fraction(1, 2)
     assert time.process_time() - start < 1
 
 
