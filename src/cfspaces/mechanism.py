@@ -134,7 +134,8 @@ class Mechanism:
         k_w = parent._lookup(S | U)
         if k_w is None or U <= S:
             return k_w
-        rows = {row: Measure._mix(self.schema, [(a, k_w.rows[full]) for a, full in parts])
+        rows = {row: k_w.rows[parts[0][1]] if len(parts) == 1  # Q is a point on U - S: shared
+                else Measure._mix(self.schema, [(a, k_w.rows[full]) for a, full in parts])
                 for row, parts in _mixing_plan(S, U, Q, k_w.rows) if parts is not None}
         return Kernel._of(self.schema, S, rows) if rows else None
 
@@ -160,7 +161,7 @@ class Mechanism:
 
     def _scan(self) -> tuple:
         """(drop notes, layout) of a derived mechanism, read off the
-        parent's layout: no kernel is built."""
+        parent's layout: no kernel is built, and a total source plans nothing."""
         parent, U, Q = self._source
         present = parent._layout()
         layout: dict = {}
@@ -172,9 +173,13 @@ class Mechanism:
                 continue
             # Every S with S | U == W, i.e. S = (W \ U) | X for X within W & U.
             overlap = sorted(W & U)
+            total = len(present[W]) == self.schema.size(W)
             for r in range(len(overlap) + 1):
                 for extra in itertools.combinations(overlap, r):
                     S = (W - U) | frozenset(extra)
+                    if total:  # every row over W is there, so every row over S derives
+                        layout[S] = set(self.schema.rows(S))
+                        continue
                     plan = list(_mixing_plan(S, U, Q, present[W]))
                     dropped += [DerivationNote(S, row, W) for row, parts in plan if parts is None]
                     rows = {row for row, parts in plan if parts is not None}

@@ -100,10 +100,12 @@ def check_cross_world(space: CfSpace) -> CheckReport:
     gcd-reduced table (sum d_ref), and t is an integer, that table having
     no common factor.  So a row is in violation iff its table differs from
     the reference's scaled by d // d_ref, as it must when d_ref does not
-    divide d; only such a row builds the two marginals and walks their
-    supports in atom order, reporting each differing atom (the cylinder of
-    its row).  Scaled tables live per (inner, sub, d) for the call.  Pairs
-    whose restricted kernel (or row) is absent are uncheckable.
+    divide d.  Scaled tables live per (inner, sub, d) for a world.  Only a
+    kernel with such a row, or with a row whose restricted row is absent,
+    is walked again in the world, in row order: that walk builds the two
+    marginals of each row and reports each differing atom (the cylinder of
+    its row).  Pairs whose restricted kernel (or row) is absent are
+    uncheckable.
     """
     if space.mech is None:
         return CheckReport(())
@@ -124,21 +126,31 @@ def check_cross_world(space: CfSpace) -> CheckReport:
             k_s = space.mech.get(S)
             k_inner = space.mech.get(inner)
             restrict = projector(sorted(S), sorted(inner))
-            for row in sorted(k_s.rows):
+            for row, m in k_s.rows.items():
                 sub = restrict(row)
-                m, m_ref = k_s.rows[row], k_inner.rows.get(sub)
+                m_ref = k_inner.rows.get(sub)
                 if m_ref is None:
-                    uncheckable.append(CrossWorldUncheckable(world, S, inner, row))
-                    continue
+                    break
                 ck = inner, sub, m._d
                 if ck not in scaled:
                     ref = pushforward(zip(map(key, m_ref._n), m_ref._n.values()))
                     g = math.gcd(*ref.values())
                     t = m._d * g // m_ref._d
                     scaled[ck] = {r: n // g * t for r, n in ref.items()}
-                if pushforward(zip(map(key, m._n), m._n.values())) == scaled[ck]:
+                table: dict = {}  # pushforward's loop, inline: family-verify ran 4% faster
+                for o, n in m._n.items():
+                    r = key(o)
+                    table[r] = table[r] + n if r in table else n
+                if table != scaled[ck]:
+                    break
+            else:
+                continue  # every row agrees with its reference on T_j
+            for row in sorted(k_s.rows):
+                m_ref = k_inner.rows.get(restrict(row))
+                if m_ref is None:
+                    uncheckable.append(CrossWorldUncheckable(world, S, inner, row))
                     continue
-                mine = m.marginal(t_world)
+                mine = k_s.rows[row].marginal(t_world)
                 for r, v, w in mine.mismatches(m_ref.marginal(t_world)):
                     violations.append(CrossWorldViolation(
                         world, S, row, cylinder(schema, dict(zip(mine.on, r))), v, w))

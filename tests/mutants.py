@@ -69,8 +69,8 @@ MUTANTS = [
      "    for row, given in list(_conditionals(space.P, U)):\n",
      ["tests/test_mechanism.py::TestSources::test_a_failing_scan_conditions_only_the_atoms_it_reaches"]),
     ("cross-world-check-takes-marginals-per-row", "worlds.py",
-     "                if pushforward(zip(map(key, m._n), m._n.values())) == scaled[ck]:\n",
-     "                if m.marginal(t_world) == m_ref.marginal(t_world):\n",
+     "                if table != scaled[ck]:\n",
+     "                if m.marginal(t_world) != m_ref.marginal(t_world):\n",
      ["tests/test_oracles.py::TestWholeFamilyWork::test_forced_chain_and_its_intervention"]),
     ("symmetry-settles-a-mirror-with-fewer-rows", "worlds.py",
      "found and len(k.rows) == len(k_star.rows):\n",
@@ -208,6 +208,25 @@ MUTANTS = [
      "                    rows = {row for row, parts in plan}\n",
      ["tests/test_oracles.py::TestInterveneOracle"
       "::test_lazy_interventions_match_the_eager_definition"]),
+    # An intervened family at the cost of its rows, and the one-visit cross-world check.
+    ("scan-takes-a-partial-source-as-total", "mechanism.py",
+     "            total = len(present[W]) == self.schema.size(W)\n",
+     "            total = True\n",
+     ["tests/test_mechanism.py::TestDerivationWork::test_a_row_partial_source_still_plans_and_drops",
+      "tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("one-part-reuse-on-two-parts", "mechanism.py",
+     "if len(parts) == 1",
+     "if len(parts) <= 2",
+     ["tests/test_mechanism.py::TestLazyIntervention::test_kernels_are_built_when_read",
+      "tests/test_oracles.py::TestInterveneOracle"
+      "::test_lazy_interventions_match_the_eager_definition"]),
+    ("cross-world-fast-pass-skips-a-world", "worlds.py",
+     "            for row, m in k_s.rows.items():\n",
+     "            for row, m in k_s.rows.items() if world == schema.worlds[0] else ():\n",
+     ["tests/test_oracles.py::TestCrossWorldOracle"
+      "::test_reports_are_world_major_and_only_failing_kernels_are_walked_again",
+      "tests/test_oracles.py::TestCrossWorldOracle::test_reports_match_the_per_atom_loop"]),
     # Events held as rows on the coordinates they name.
     ("event-join-ignores-a-conflict", "space.py",
      "        shared = [p for p in other.on if p in self.on]\n",

@@ -7,10 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import cfspaces.mechanism
 from cfspaces import (
     AxiomViolation,
     CfSpace,
     Coordinate,
+    DerivationNote,
+    DerivationReport,
     EffectVerdict,
     Kernel,
     Margin,
@@ -377,6 +380,77 @@ class TestLazyIntervention:
             space = intervene(space, U, Margin.uniform(s, U))
         # the kernels on the factual coordinates were never built on the way
         assert space.derivation.dropped == () and check_axioms(space).ok
+
+
+class TestDerivationWork:
+    """An intervened family costs only its rows: a total source kernel's
+    derived rows are read off the schema without a mixing plan, and a
+    derived row that mixes one parent row is that row, shared."""
+
+    @staticmethod
+    def laws(s, U):
+        return {"point": Margin.point(s, {"F.X0": "1", "CF.X2": "0"}),
+                "uniform": Margin.uniform(s, U),
+                "table": Margin(s, U, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3),
+                                       (1, 1): Fraction(1, 6)})}
+
+    @pytest.mark.parametrize("law", ["point", "uniform", "table"])
+    def test_a_total_source_is_scanned_without_a_plan(self, monkeypatch, law):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        s = space.schema
+        U = s.positions(["F.X0", "CF.X2"])
+        new = intervene(space, U, self.laws(s, U)[law])
+        plans, plan = [], cfspaces.mechanism._mixing_plan
+        monkeypatch.setattr(cfspaces.mechanism, "_mixing_plan",
+                            lambda *args: plans.append(args) or plan(*args))
+        keys = new.mech.keys()
+        assert new.derivation == DerivationReport(keys, ())
+        assert len(keys) == 4 ** 3 and new.mech.is_total()
+        assert plans == []
+
+    def test_a_point_law_derives_the_parents_rows(self, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        s = space.schema
+        U = s.positions(["F.X0", "CF.X2"])
+        point = {s.position("F.X0"): 1, s.position("CF.X2"): 0}
+        mixes, mix = [], Measure._mix.__func__
+        monkeypatch.setattr(Measure, "_mix",
+                            classmethod(lambda cls, *args: mixes.append(args) or mix(cls, *args)))
+        kernels = intervene(space, U, self.laws(s, U)["point"]).mech.kernels()
+        assert len(kernels) == 4 ** 3 and mixes == []
+        shared = 0
+        for k in kernels:
+            if U <= k.on:
+                assert k is space.mech.get(k.on)  # carried over
+                continue
+            W = sorted(k.on | U)
+            parent = space.mech.get(W)
+            for row, m in k.rows.items():
+                merged = {**point, **dict(zip(sorted(k.on), row))}
+                assert m is parent.rows[tuple(merged[p] for p in W)]
+                shared += 1
+        assert shared == 3 ** 6 - 2 ** 2 * 3 ** 4  # every row but those of the 16 keys holding U
+
+    @pytest.mark.parametrize("label, layout, dropped", [
+        ("0", {(): [()], (0,): [(0,), (1,)], (1,): [(0,)], (0, 1): [(0, 0)]}, ()),
+        ("1", {(): [()], (0,): [(0,), (1,)], (0, 1): [(0, 0)]},
+         (DerivationNote(frozenset({1}), (0,), frozenset({0, 1})),
+          DerivationNote(frozenset({1}), None, frozenset({0, 1})))),
+        ("uniform", {(): [()], (0,): [(0,), (1,)], (0, 1): [(0, 0)]},
+         (DerivationNote(frozenset({1}), (0,), frozenset({0, 1})),
+          DerivationNote(frozenset({1}), None, frozenset({0, 1})))),
+    ])
+    def test_a_row_partial_source_still_plans_and_drops(self, dormant, label, layout, dropped):
+        # the kernel on {W.c1, W.c2} has one of its four rows
+        s = dormant.schema
+        U = s.positions(["W.c1"])
+        Q = Margin.uniform(s, U) if label == "uniform" else Margin.point(s, {"W.c1": label})
+        new = intervene(dormant, U, Q)
+        got = {tuple(sorted(S)): sorted(rows) for S, rows in new.mech._layout().items()}
+        assert got == layout and not new.mech.is_total()
+        assert new.derivation == DerivationReport(
+            tuple(sorted(map(frozenset, layout), key=lambda S: (len(S), sorted(S)))), dropped)
+        assert {tuple(sorted(k.on)): sorted(k.rows) for k in new.mech.kernels()} == layout
 
 
 S2 = SpaceSchema([Coordinate("W", "a", ("0", "1")), Coordinate("W", "b", ("0", "1"))])

@@ -417,6 +417,46 @@ class TestCrossWorldOracle:
         assert [(u.world, u.needs, u.row) for u in report.uncheckable] == [
             ("F", s.positions(["F.x"]), (1, 1))]
 
+    def test_reports_are_world_major_and_only_failing_kernels_are_walked_again(self, monkeypatch):
+        # One binary coordinate per world A, B, C at positions 0, 1, 2; P uniform.
+        s = SpaceSchema([Coordinate(w, "x", ("0", "1")) for w in "ABC"])
+        P = Measure.uniform(s)
+
+        def even(**fixed):  # uniform on the outcomes with these labels (A=..., B=..., C=...)
+            keep = [o for o in s.outcomes() if all(o["ABC".index(w)] == v for w, v in fixed.items())]
+            return Measure(s, dict.fromkeys(keep, Fraction(1, len(keep))))
+
+        kernels = [
+            # (0,) moves B and C: one kernel failing in two worlds
+            Kernel(s, {0}, {(0,): Measure.dirac(s, (0, 1, 1)), (1,): even(A=1)}),
+            # (0,) moves C only, the second world the kernel leaves; (1,) is absent
+            Kernel(s, {1}, {(0,): even(B=0, C=1)}),
+            # (a, 1) lacks its reference row in B, the second world it leaves
+            Kernel(s, {0, 1}, {(a, b): even(A=a, B=b) for a in (0, 1) for b in (0, 1)}),
+            # clean in A and B; the kernel on {C.x} is absent
+            Kernel(s, {0, 2}, {(a, c): even(A=a, C=c) for a in (0, 1) for c in (0, 1)}),
+            # (0, 0) moves A, after the kernels that fail in B and C
+            Kernel(s, {1, 2}, {(b, c): Measure.dirac(s, (1, 0, 0)) if (b, c) == (0, 0)
+                               else even(B=b, C=c) for b in (0, 1) for c in (0, 1)}),
+        ]
+        space = CfSpace(s, P, Mechanism(s, P, kernels))
+        marginals, marginal = [], Margin.marginal
+        monkeypatch.setattr(Margin, "marginal",
+                            lambda *args: marginals.append(args) or marginal(*args))
+        report = check_cross_world(space)
+        assert (report.violations, report.uncheckable) == brute_cross_world(space)
+        assert [(v.world, sorted(v.S), v.row) for v in report.violations] == [
+            ("A", [1, 2], (0, 0))] * 2 + [("B", [0], (0,))] * 2 + [("C", [0], (0,))] * 2 + [
+            ("C", [1], (0,))] * 2
+        assert [(u.world, sorted(u.S), u.row) for u in report.uncheckable] == [
+            ("B", [0, 1], (0, 1)), ("B", [0, 1], (1, 1)), ("B", [1, 2], (1, 0)),
+            ("B", [1, 2], (1, 1)), ("C", [0, 2], None), ("C", [1, 2], None)]
+        # The second walk builds two marginals per row with a reference row,
+        # only in a world where the kernel fails: 4 + 4 on {A.x} in B and C,
+        # 2 on {B.x} in C, 4 on {A.x, B.x} in B, 8 + 4 on {B.x, C.x} in A
+        # and B.  The clean pairs, such as {A.x, C.x} in A and B, add none.
+        assert len(marginals) == 26
+
 
 class TestConditionSigmaOracle:
     def test_rows_are_p_given_each_positive_atom(self):
@@ -533,6 +573,22 @@ class TestWholeFamilyWork:
             assert check_cross_world(sp).ok and check_axioms(sp).ok
             assert calls["marginal"] == calls["_of"] == calls["support"] == 0
             assert 0 < calls["projector"] <= len(s.worlds) * (len(keys) + 1)
+
+    def test_each_kernel_is_built_once(self, monkeypatch):
+        space = compile_scm(parse_scm(chain_scm(3))[0])
+        s = space.schema
+        u = s.positions(["CF.X1"])
+        new = intervene(space, u, Margin.point(s, {"CF.X1": "1"}))
+        # Both families hold the kernel on the empty set, and the compiled
+        # one also the kernel on {CF.X1}, which intervening read.
+        assert (set(new.mech._k), set(space.mech._k)) == ({frozenset()}, {frozenset(), u})
+        built, derived, build, derive = [], [], space.mech._build, Mechanism._derive
+        monkeypatch.setattr(space.mech, "_build", lambda S: built.append(S) or build(S))
+        monkeypatch.setattr(Mechanism, "_derive", lambda m, S: derived.append(S) or derive(m, S))
+        assert check_cross_world(new).ok and check_cross_world(space).ok
+        # Each check reads all 64 kernels of its family, a kernel and its
+        # references alike, and builds each one it does not hold once.
+        assert len(derived) == len(set(derived)) == 63 and len(built) == len(set(built)) == 62
 
 
 class TestCompiledFamilyWork:

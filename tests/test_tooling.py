@@ -1,10 +1,13 @@
-"""The repository's pytest settings report a failing property as a failure."""
+"""The repository's pytest settings report a failing property as a failure,
+and the mutation register names code and tests that exist."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -28,3 +31,16 @@ def test_a_failing_property_exits_1(tmp_path):
     assert result.returncode == 1, result.stdout[-3000:] + result.stderr[-3000:]
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed" in result.stdout
+
+
+def test_every_mutant_snippet_occurs_once():
+    # A snippet that moved or changed would only show as stale when the
+    # register itself runs; here it fails with the tier-1 tests.
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for name, module, snippet, _, node_ids in mutants.MUTANTS:
+        text = (mutants.PACKAGE / module).read_text(encoding="utf-8")
+        assert text.count(snippet) == 1, f"{name}: the snippet occurs {text.count(snippet)} times"
+        for node_id in node_ids:
+            assert (ROOT / node_id.split("::")[0]).is_file(), f"{name}: no file for {node_id}"
