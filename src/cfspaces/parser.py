@@ -3,7 +3,7 @@
 A document declares worlds and their components, an observational
 measure, causal kernels ('kernel on {CF.c} { given (CF.c=a) { ... } }')
 and an optional world mirror; README.md gives the grammar with an example.
-Rationals are p/q or decimal literals, parsed exactly (0.32 is 32/100).
+Rationals are p/q or decimal literals, parsed exactly (0.32 is 8/25).
 Measure entries assign every coordinate; unlisted outcomes take the block
 default, and omitting both is a coverage error.  Comments run from '#' to
 end of line.  Errors carry line and column.
@@ -11,12 +11,12 @@ end of line.  Errors carry line and column.
 Every table of every input format (.cfs, .scm, .po and the .cfq weight
 table) is read by `parse_table` and completed by `Table.law` or
 `Table.fill`, which keep only its nonzero entries: a sparse table with
-'default = 0' costs time in proportion to its entries.  A table, and each
-.cfs kernel row 'given (row) { ... }', is read one of two ways: whole,
-with one regex match, when it is in its usual spelling, or else by tokens
-from its first character, the only path that reports errors.
-A .cfs probability table is read into the `Measure` it denotes, and a
-document holds those Measures from text to space and back.
+'default = 0' costs time in proportion to its entries; weights are read
+as reduced integer pairs (n, d).  A table, and a .cfs kernel with all its
+rows, is read whole with one regex match when in its usual spelling, or
+else by tokens from its first character, the only path that reports
+errors.  A .cfs probability table is read into the `Measure` it denotes,
+and a document holds those Measures from text to space and back.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .measure import Measure
@@ -130,7 +131,7 @@ class TokenStream:
     regex pass at construction finds whether the ASCII pattern lexes the
     whole text, and only a text where it does not is lexed whole, once, by
     `tokenize`, which raises the first lexical error.  In an ASCII text,
-    `match` reads a whole table or kernel row with one regex match.
+    `match` reads a whole table or kernel with one regex match.
     """
 
     def __init__(self, text: str):
@@ -242,32 +243,28 @@ class TokenStream:
         """The reader of a weight: p/q or an exact decimal literal."""
         return Reader(self._rational, _RATIONAL, _rational_value)
 
-    def _rational(self) -> Fraction:
+    def _rational(self) -> tuple[int, int]:
         tok = self.peek()
         if tok.kind != "number":
             self.error(f"expected a number, found {quoted(tok.value)}")
         self.next()
-        if "." in tok.value:
-            return self._numeral(tok, Fraction)
-        num = self._numeral(tok, int)
-        if not self.at_sym("/"):
-            return Fraction(num)
+        value = self._numeral(tok)
+        if "." in tok.value or not self.at_sym("/"):
+            return value
         self.next()
         den_tok = self.peek()
         if den_tok.kind != "number" or "." in den_tok.value:
             self.error("expected an integer denominator")
-        self.next()
-        den = self._numeral(den_tok, int)
-        if den == 0:
+        if self._numeral(self.next()) == (0, 1):
             self.error("zero denominator", den_tok)
-        return Fraction(num, den)
+        return _rational_value(f"{tok.value}/{den_tok.value}")
 
-    def _numeral(self, tok: Token, convert):
-        """convert(tok.value); digits that int() rejects, such as '²', are an error at tok."""
-        try:
-            return convert(tok.value)
-        except ValueError:
+    def _numeral(self, tok: Token) -> tuple[int, int]:
+        """The weight of a number token; digits that int() rejects, such as '²', are an error at tok."""
+        value = _rational_value(tok.value)
+        if value is None:
             self.error(f"invalid number {quoted(tok.value)}", tok)
+        return value
 
     def coord_ref(self, world: str | None = None) -> str:
         """'W.c' as "W.c"; with `world`, the rest after that word."""
@@ -283,8 +280,8 @@ class TokenStream:
 # weights, in ASCII text.  Each matches only text that the token path reads
 # to the same value and the same end: no word or number is followed by a
 # character that would lengthen its token, no integer weight by '/' or a
-# comment, which could hide a '/' token, and a key, any text in parentheses
-# on one line, is checked against _KEY by its reader's cached resolve.
+# comment, which could hide a '/' token, and a key, any text from '(' to the
+# next ')', is checked against _KEY by its reader's cached resolve.
 
 _BLANK = r"[ \t\r]*"
 _SPACE = r"[ \t\r\n]*"  # between elements, which may stand on lines of their own
@@ -293,22 +290,28 @@ _NAME = rf"{_WORD}(?:\.{_WORD})?"  # a plain name or W.c
 _LABEL = r"(?:[A-Za-z_]\w*|[0-9]+)(?!\w|\.[0-9])"
 _PAIR = rf"{_NAME}{_BLANK}={_BLANK}{_LABEL}"
 _KEY = re.compile(rf"\({_BLANK}{_PAIR}(?:{_BLANK},{_BLANK}{_PAIR})*{_BLANK}\)", re.ASCII).fullmatch
-_PARENS = r"\([^()\n]*\)"
+_PARENS = r"\([^)]*\)"
 _PAIRS = re.compile(rf"({_NAME}){_BLANK}={_BLANK}({_LABEL})", re.ASCII).findall
 _RATIONAL = r"[0-9]+(?:/[0-9]+|\.[0-9]+|(?![ \t\r\n]*[/#]))(?![0-9]|\.[0-9])"
 
 
 @functools.cache
-def _table_regex(key: str, value: str, head: str = "") -> tuple:
-    """The regex of `head` and a whole table '{ key = value ... default =
-    value }', whose last two groups are the text of the entries and of the
-    default's value, and the findall of the entries' (key, value) texts."""
+def _table_regex(key: str, value: str) -> tuple:
+    """The regex of a whole table '{ key = value ... default = value }', whose groups
+    are the texts of its entries and default, and the findall of the entries' texts."""
     def entry(group):  # 'key = value' on one line, each in a group opened by `group`
         return rf"{_SPACE}{group}(?!default\b){key}){_BLANK}={_BLANK}{group}{value})"
 
-    return (re.compile(rf"{head}{_SPACE}\{{((?:{entry('(?:')})*)"
+    return (re.compile(rf"{_SPACE}\{{((?:{entry('(?:')})*)"
                        rf"(?:{_SPACE}default{_BLANK}={_BLANK}({value}))?{_SPACE}\}}", re.ASCII),
             re.compile(entry("("), re.ASCII).findall)
+
+
+# 'kernel on {W.c, ...} { ... { ... } ... }': the text of the set, and the text
+# between the block's braces, parts '... { ... }', which its rows must fill back to back.
+_REF = rf"{_SPACE}{_WORD}\.{_WORD}{_SPACE}"
+_KERNEL = re.compile(rf"kernel{_SPACE}on{_SPACE}\{{({_REF}(?:,{_REF})*)\}}"
+                     rf"{_SPACE}\{{((?:[^{{}}]*\{{[^}}]*\}})*){_SPACE}\}}", re.ASCII)
 
 
 class Reader(NamedTuple):
@@ -324,11 +327,17 @@ class Reader(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4096)
-def _rational_value(text: str) -> Fraction | None:
+def _rational_value(text: str) -> tuple[int, int] | None:
+    """The reduced (n, d) of a weight as written, p/q or a decimal, each part one int()
+    as in Fraction(text): None where int() rejects a part (too long, or '²') and for p/0."""
+    num, _, den = text.partition("/")
+    whole, _, frac = num.partition(".")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or p/0
+        n, d = int(whole) * 10 ** len(frac) + int(frac or 0), int(den or 1) * 10 ** len(frac)
+    except ValueError:
         return None
+    g = math.gcd(n, d)
+    return (n // g, d // g) if d else None
 
 
 def label_reader(ts: TokenStream, labels, what: str) -> Reader:
@@ -350,7 +359,7 @@ def pair_reader(read, key: Reader) -> Reader:
     reads: `read` reads one from the tokens, and the pair's two '(...)' as
     written resolve through `key`."""
     def resolve(text) -> tuple | None:
-        pair = tuple(map(key.resolve, re.findall(_PARENS, text)))
+        pair = tuple(map(key.resolve, re.findall(_PARENS, text[1:])))
         return None if None in pair else pair
 
     return Reader(read, rf"\({_BLANK}{_PARENS}{_BLANK},{_BLANK}{_PARENS}{_BLANK}\)",
@@ -387,6 +396,7 @@ def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
     {label: value}), ...): each name assigned once to one of its labels,
     read as the tuple of their values in the order of `variables`."""
     domains = dict(variables)
+    names, label_maps = tuple(domains), tuple(domains.values())
 
     def read() -> tuple:
         tok = ts.peek()
@@ -399,8 +409,7 @@ def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
     def resolve(pairs) -> tuple | None:
         if len(pairs) != len(domains):  # a name written twice leaves another unassigned
             return None
-        assignment = dict(pairs)
-        key = tuple([values.get(assignment.get(name)) for name, values in domains.items()])
+        key = tuple(map(dict.get, label_maps, map(dict(pairs).get, names)))
         return None if None in key else key
 
     return key_reader(read, resolve)
@@ -409,7 +418,7 @@ def assignment_key(ts: TokenStream, ref, variables, what: str) -> Reader:
 # -- tables -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class Table:
     """A '{ key = value ... default = value }' block as written.
 
@@ -445,14 +454,17 @@ class Table:
         return self.entries
 
     def law(self, size: int, domain, what: str, unit: str) -> dict:
-        """A probability table as the integer table of a `Margin`: its
+        """A table of (n, d) weights as the integer table of a `Margin`: its
         nonzero weights as numerators over the lcm of their denominators,
         which must be their sum, so they have no common factor; see `fill`."""
         unlisted = self._unlisted(size, what, unit)
-        default = self.default if unlisted else 0  # an int has numerator and denominator too
-        den = math.lcm(default.denominator, *[q.denominator for q in self.entries.values()])
-        nums = {key: q.numerator * (den // q.denominator) for key, q in self.entries.items()}
-        fill = default.numerator * (den // default.denominator)
+        fill, fill_den = self.default if unlisted else (0, 1)
+        dens = set(map(itemgetter(1), self.entries.values()))
+        if fill:
+            dens.add(fill_den)
+        den = math.lcm(*dens)
+        nums = {key: n * (den // d) for key, (n, d) in self.entries.items()}
+        fill *= den // fill_den
         total = sum(nums.values()) + fill * unlisted
         if total != den:
             gap = 1 - Fraction(total, den)
@@ -501,12 +513,11 @@ def parse_table(ts: TokenStream, key, value) -> Table:
 def _read_body(key: Reader, value: Reader, findall, entries, default, line=None, col=None):
     """The table of the texts of its entries and default, read whole; None
     when a text does not resolve or a key is listed twice."""
-    table = {}
-    for k, v in findall(entries):
-        k, v = key.resolve(k), value.resolve(v)
-        if k is None or v is None or k in table:
-            return None
-        table[k] = v
+    pairs = findall(entries)
+    keys, values = zip(*pairs) if pairs else ((), ())
+    table = dict(zip(map(key.resolve, keys), map(value.resolve, values)))
+    if len(table) < len(pairs) or None in table or None in table.values():
+        return None
     if default is not None and (default := value.resolve(default)) is None:
         return None
     return Table(table, default, line, col)
@@ -657,6 +668,9 @@ def parse_space(text: str) -> SpaceDocument:
     outcome, rational = assignment_key(ts, ts.coord_ref, index, "coordinate"), ts.rational
     outcomes = schema.n_outcomes, lambda: schema.rows(schema.all_on)
 
+    regex, entries = _table_regex(outcome.pattern, rational.pattern)
+    rows_of = re.compile(rf"({_SPACE}given{_SPACE}({_PARENS}){regex.pattern})", re.ASCII).findall
+
     def measure_of(table: Table) -> Measure:
         return Measure._of(schema, schema.all_on, table.law(*outcomes, "measure", "outcomes"))
 
@@ -665,9 +679,32 @@ def parse_space(text: str) -> SpaceDocument:
         ts.next()
         measure = measure_of(parse_table(ts, outcome, rational))
 
-    kernels = []
-    seen_sets = set()
+    blocks: dict = {}  # {on: {row: Measure}}
+
+    def given_of(on) -> Reader:
+        return assignment_key(ts, ts.coord_ref, [index[p] for p in sorted(on)], "kernel coordinate")
+
+    def read_kernel(coords, block):  # None leaves every error to the token loop below
+        refs, texts, rows = coords.replace(",", " ").split(), rows_of(block), {}
+        if sum(map(len, map(itemgetter(0), texts))) != len(block):  # rows back to back
+            return None
+        try:
+            given = given_of(on := schema.positions(refs))
+            for _, row, body, default in texts:  # findall gives '' for a row with no default
+                row, table = given.resolve(row), _read_body(outcome, rational, entries, body,
+                                                            default or None)
+                if row is None or table is None or row in rows:
+                    return None
+                rows[row] = measure_of(table)
+        except (SchemaError, ParseError):
+            return None
+        if rows and on not in blocks and len(set(refs)) == len(refs):
+            blocks[on] = rows
+            return True
+
     while ts.at_word("kernel"):
+        if ts.match(_KERNEL, read_kernel):
+            continue
         ts.next()
         ts.expect_word("on")
         tok = ts.peek()
@@ -675,33 +712,11 @@ def parse_space(text: str) -> SpaceDocument:
             on = schema.positions(parse_coordset(ts))
         except SchemaError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
-        if on in seen_sets:
+        if on in blocks:
             raise ParseError("duplicate kernel for this coordinate set", tok.line, tok.col)
-        seen_sets.add(on)
-        given = assignment_key(ts, ts.coord_ref, [index[p] for p in sorted(on)],
-                               "kernel coordinate")
-        row_regex, findall = _table_regex(outcome.pattern, rational.pattern,
-                                          rf"{_SPACE}given{_SPACE}({given.pattern})")
-
-        def read_row(row_text, *texts):  # None leaves every error to the token path
-            row = given.resolve(row_text)
-            table = None if row is None or row in rows else _read_body(
-                outcome, rational, findall, *texts)
-            if table is None:
-                return None
-            try:
-                rows[row] = measure_of(table)
-            except ParseError:
-                return None
-            return True
-
+        given, rows = given_of(on), blocks.setdefault(on, {})
         ts.expect_sym("{")
-        rows = {}
-        while True:
-            if ts.match(row_regex, read_row):
-                continue
-            if not ts.at_word("given"):
-                break
+        while ts.at_word("given"):
             ts.next()
             tok = ts.peek()
             row = given.read()
@@ -711,7 +726,6 @@ def parse_space(text: str) -> SpaceDocument:
         if not rows:
             ts.error("kernel declares no 'given' rows")
         ts.expect_sym("}")
-        kernels.append(KernelDecl(on, tuple(rows.items())))
 
     mirror = None
     if ts.at_word("mirror"):
@@ -726,7 +740,8 @@ def parse_space(text: str) -> SpaceDocument:
     if tok.kind != "eof":
         ts.error(f"unexpected {quoted(tok.value)} after the document")
 
-    return SpaceDocument(name, tuple(worlds), measure, tuple(kernels), mirror)
+    kernels = tuple(KernelDecl(on, tuple(rows.items())) for on, rows in blocks.items())
+    return SpaceDocument(name, tuple(worlds), measure, kernels, mirror)
 
 
 # -- serialization ------------------------------------------------------------

@@ -109,3 +109,14 @@ def compiled_chains():
         model, _, name = parse_scm(chain_scm(n))
         texts[n] = serialize_space(doc_from_space(compile_scm(model), name))
     return texts
+
+
+def edit_block_row(text: str, edit, offset: int = 0, row: int = 40) -> str:
+    """`text`, a compiled .cfs file, with its line `offset` lines after the
+    one that opens the `row`th 'given' row of its last kernel block (the
+    block on every coordinate) replaced by edit(line)."""
+    lines = text.split("\n")
+    start = max(i for i, line in enumerate(lines) if line.startswith("kernel on"))
+    i = [j for j in range(start, len(lines)) if lines[j].startswith("  given")][row - 1] + offset
+    lines[i] = edit(lines[i])
+    return "\n".join(lines)

@@ -13,6 +13,8 @@ import pytest
 from cfspaces.cli import USAGE, main
 from cfspaces.repro import fixture_text
 
+from conftest import edit_block_row
+
 CFS = "space x\nworld W { component c { a b } }\n"
 MEASURE = "measure { (W.c=a) = 1/2 (W.c=b) = 1/2 }\n"
 KERNEL = ("kernel on {W.c} {\n"
@@ -219,3 +221,31 @@ def test_diagnostic(argv, files, expected, tmp_path):
     code = main([arg.format(**names) for arg in argv], out, err)
     assert (code, out.getvalue(), err.getvalue().replace(str(tmp_path), "{tmp}")) \
         == (expected[0], "", expected[1])
+
+
+# One fault in the 40th row of the compiled 3-variable chain's last kernel
+# block (64 rows, on every coordinate): (line after the row's 'given', edit,
+# stderr).  The block is then read by tokens from its 'kernel' word, which
+# alone reports errors.
+BLOCK_FAULTS = {
+    "repeated-given-row": (0, lambda line: line.replace("CF.X2=1)", "CF.X2=0)"),
+                           "error: 4968:9: duplicate 'given' row\n"),
+    "unknown-label": (1, lambda line: line.replace("F.X1=0", "F.X1=2"),
+                      "error: 4969:19: unknown label of F.X1 '2'\n"),
+    "row-short": (1, lambda line: line.replace(" = 1", " = 3/4"),
+                  "error: 4968:61: measure sums to 3/4, short by 1/4\n"),
+    "default-p/0": (2, lambda line: line.replace("= 0", "= 1/0"),
+                    "error: 4970:17: zero denominator\n"),
+    "5001-digit-default": (2, lambda line: line.replace("= 0", "= 1" + "0" * 5000),
+                           "error: 4970:15: invalid number '1" + "0" * 39 + "…'\n"),
+}
+
+
+@pytest.mark.parametrize("fault", BLOCK_FAULTS)
+def test_a_fault_inside_a_compiled_kernel_block(fault, compiled_chains, tmp_path):
+    offset, edit, expected = BLOCK_FAULTS[fault]
+    path = tmp_path / "input.cfs"
+    path.write_text(edit_block_row(compiled_chains[3], edit, offset))
+    out, err = io.StringIO(), io.StringIO()
+    assert (main(["check", str(path)], out, err), out.getvalue(), err.getvalue()) \
+        == (2, "", expected)

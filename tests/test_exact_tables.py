@@ -28,7 +28,8 @@ from cfspaces import (
     parse_scm,
     parse_space,
 )
-from cfspaces.parser import fraction_text
+from cfspaces.parser import Table, TokenStream, _rational_value, fraction_text
+from cfspaces.query import _build_margin, parse_query
 from conftest import chain_scm
 
 
@@ -211,11 +212,32 @@ def test_the_entry_writer_prints_the_reduced_fraction(a, b, factor):
             assert fraction_text(n, d) == str(Fraction(n, d))
 
 
+def fractions_made(monkeypatch, call):
+    """call() and the number of Fractions that it constructs."""
+    made = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        result = call()
+    return result, made
+
+
 def test_the_text_path_builds_no_fraction_tables(compiled_chains, monkeypatch):
-    """Building the compiled 3-variable chain from its document checks no
-    law in Fractions and calls no checked Measure constructor, and writing
-    its document back reads no table as Fractions."""
-    doc = parse_space(compiled_chains[3])
+    """Reading the compiled 3-variable chain constructs no Fraction, building
+    its space from the document checks no law in Fractions and calls no
+    checked Measure constructor, and writing its document back reads no
+    table as Fractions."""
+    _rational_value.cache_clear()  # each weight is read, not recalled
+    doc, made = fractions_made(monkeypatch, lambda: parse_space(compiled_chains[3]))
+    assert made == 0
+    _, made = fractions_made(monkeypatch, lambda: Fraction(1, 3))
+    assert made == 1  # the counter counts
     calls = []
 
     def counted(owner, name):
@@ -237,3 +259,33 @@ def test_the_text_path_builds_no_fraction_tables(compiled_chains, monkeypatch):
     assert [dict(k.rows) for k in again.kernels] == [dict(k.rows) for k in doc.kernels]
     Measure(space.schema, space.P.as_dict())  # the counters count
     assert calls == ["as_dict", "__init__", "_law"]
+
+
+def test_weights_are_reduced_integer_pairs(exam, monkeypatch):
+    """A decimal reads as its reduced pair on the whole-table path and on
+    the token path, a .cfq weight table becomes its Margin without a
+    Fraction, and a 'default = 0', although a truthy pair, is not spread
+    over the outcomes it covers."""
+    text = ("space s\nworld F { component c { a b } }\n"
+            "measure { (F.c=a) = 0.32 (F.c=b) = 0.68 }\n")
+    whole = parse_space(text).measure
+    with monkeypatch.context() as patch:
+        patch.setattr(TokenStream, "match", lambda self, regex, resolve: None)
+        assert parse_space(text).measure == whole
+    assert (whole._n, whole._d) == ({(0,): 8, (1,): 17}, 25)
+    assert _rational_value("0.32") == TokenStream("0.32").rational.read() == (8, 25)
+
+    script = "INTERVENE {CF.class} WITH { (CF.class=Y) = 0.32 (CF.class=N) = 17/25 }\n"
+    U = exam.schema.positions(["CF.class"])
+    _rational_value.cache_clear()
+    margin, made = fractions_made(monkeypatch, lambda: _build_margin(
+        exam.schema, U, parse_query(script).statements[0].dist))
+    assert made == 0
+    assert {exam.schema.describe_row(U, row): q for row, q in margin.rows()} \
+        == {"(CF.class=Y)": Fraction(8, 25), "(CF.class=N)": Fraction(17, 25)}
+
+    def unlisted():  # 2^40 outcomes, beyond every budget
+        raise AssertionError("a zero default is spread")
+
+    table = Table({(0,): (1, 1)}, (0, 1), 1, 1)
+    assert table.law(2 ** 40, unlisted, "measure", "outcomes") == {(0,): 1}

@@ -14,7 +14,7 @@ from cfspaces.compilers import POModel, SCMModel
 from cfspaces.parser import TokenStream, tokenize
 from cfspaces.repro import FIXTURES, fixture_text
 
-from conftest import PARENTS, chain_scm, shaped_scm
+from conftest import PARENTS, chain_scm, edit_block_row, shaped_scm
 from oracle_util import reference_tokenize
 
 
@@ -461,7 +461,25 @@ WEIGHT_TABLES = ["{ (CF.class=Y) = 1/3 (CF.class=N) = 2/3 }",
                  "{ ( CF.class = N ) = 0.5 default = 1 / 2 }"]
 
 
+# One mid-block row of a compiled file spelled in a way that only the token
+# path reads: the block holding it is read by tokens from its 'kernel' word.
+ROW_SPELLINGS = {
+    "a comment inside the row": (1, lambda line: line + "  # the row's only entry"),
+    "a key over two lines": (1, lambda line: line.replace(", ", ",\n      ", 1)),
+    "a p / q weight": (1, lambda line: line.replace(" = 1", " = 2 / 2")),
+}
+
+
 def test_table_reader_reads_as_the_token_path(monkeypatch, compiled_chains):
+    compiled = parse_space(compiled_chains[3])
+    for offset, edit in ROW_SPELLINGS.values():
+        text = edit_block_row(compiled_chains[3], edit, offset)
+        assert text != compiled_chains[3] and parse_space(text) == compiled
+        assert_read_alike(monkeypatch, parse_space, text)
+    # a word between two rows, which the rows read back to back do not cover
+    stray = edit_block_row(compiled_chains[3], lambda line: "  stray\n" + line)
+    assert reading(parse_space, stray) == "4968:3: expected '}', found 'stray'"
+    assert_read_alike(monkeypatch, parse_space, stray)
     texts = [(parse_space, fixture_text(name)) for name in FIXTURES]
     texts += [(parse_space, fill(SPACE, VALID)), (parse_space, compiled_chains[2]),
               (parse_scm, chain_scm(3)), (parse_scm, SCM_SEED), (parse_po, PO_SEED)]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import re
 from fractions import Fraction
 
@@ -383,6 +384,22 @@ def lexed(monkeypatch, parse, text) -> int:
     return count
 
 
+def matched(monkeypatch, parse, text) -> int:
+    """How many regex matches parse(text) tries at the cursor."""
+    count = 0
+    match = parser.TokenStream.match
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return match(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parser.TokenStream, "match", counting)
+        parse(text)
+    return count
+
+
 class TestEntryPath:
     def test_token_path_reads_the_same_documents(self, compiled_chains):
         docs = [parse_space(compiled_chains[n]) for n in (2, 3)]
@@ -430,35 +447,33 @@ class TestEntryPath:
         doc = parse_space(text)
         rows = sum(len(k.rows) for k in doc.kernels)
         assert (len(doc.kernels), rows) == (63, 728)
-        matches = 0
-        match = parser.TokenStream.match
-
-        def counting(*args):
-            nonlocal matches
-            matches += 1
-            return match(*args)
-
-        monkeypatch.setattr(parser.TokenStream, "match", counting)
         assert lexed(monkeypatch, parse_space, text) <= 1300
-        # each row, the measure, and the '}' that ends each kernel's rows
-        assert matches == rows + len(doc.kernels) + 1
+        # the measure, and each kernel block with all its rows
+        assert matched(monkeypatch, parse_space, text) == len(doc.kernels) + 1 == 64
+
+    def test_rows_with_no_default_are_read_whole(self, compiled_chains, monkeypatch):
+        text = compiled_chains[2]
+        coords = parse_space(text).schema().coords
+        outcomes = ["(" + ", ".join(f"{c.world}.{c.name}={label}" for c, label in zip(coords, row))
+                    + ")" for row in itertools.product(*(c.labels for c in coords))]
+
+        def dense(m):  # a row that lists every outcome, zeros included, and no default
+            listed = re.findall(r"\([^)]*\)", m[2])
+            return m[1] + m[2] + "".join(f"    {key} = 0\n" for key in outcomes if key not in listed)
+
+        dense_text = re.sub(r"(  given [^\n]*\n)((?:    \([^\n]*\n)+)    default = 0\n", dense, text)
+        assert dense_text.count("default") == 1  # the measure's
+        doc = parse_space(dense_text)
+        assert doc == parse_space(text)
+        assert matched(monkeypatch, parse_space, dense_text) == len(doc.kernels) + 1 == 16
 
     @pytest.mark.parametrize("shape", PARENTS)
     def test_a_coupled_model_is_read_with_one_match_per_table(self, shape, monkeypatch):
         text = shaped_scm(3, shape, coupled=True)
         model, coupling, _ = parse_scm(text)
         assert (len(model.eqs), len(coupling)) == (3, 64)
-        matches = 0
-        match = parser.TokenStream.match
-
-        def counting(*args):
-            nonlocal matches
-            matches += 1
-            return match(*args)
-
-        monkeypatch.setattr(parser.TokenStream, "match", counting)
-        assert parse_scm(text)[1] == coupling
-        assert matches == 5  # the noise law, the three fn tables and the coupling
+        # the noise law, the three fn tables and the coupling
+        assert matched(monkeypatch, parse_scm, text) == 5
         # the word 'coupling' and the end of the text: no entry of the coupling is lexed
         assert lexed(monkeypatch, parse_scm, text) == lexed(
             monkeypatch, parse_scm, shaped_scm(3, shape)) + 2
